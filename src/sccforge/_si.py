@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,7 +27,8 @@ def parse_quantity(text: str) -> float:
     """Parse a number with an optional SI prefix and unit, e.g. "4.7uF" -> 4.7e-6.
 
     The unit letter is stripped and ignored; dimensional consistency is the
-    caller's concern.
+    caller's concern. NaN, infinities and values that overflow to infinity
+    are rejected.
     """
     s = text.strip()
     if not s:
@@ -42,9 +44,12 @@ def parse_quantity(text: str) -> float:
             scale = _PREFIXES[s[-1]]
             s = s[:-1]
     try:
-        return float(s) * scale
+        value = float(s) * scale
     except ValueError:
         raise DomainError(f"cannot parse quantity {text!r}") from None
+    if not math.isfinite(value):
+        raise DomainError(f"quantity {text!r} is not a finite number")
+    return value
 
 
 def parse_fraction(text: str) -> Fraction:

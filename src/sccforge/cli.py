@@ -26,7 +26,7 @@ from .linsolve import (
     sort_codes_by_zeros,
     step_up,
 )
-from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
+from .lossmodel import active_schedule, build_req_spec, req_multi, req_zero_beta_multiplier
 from .numrep import TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
 from .regulation import dither_average, dither_plan, ldo_efficiency_bound, ldo_select_ratio
 
@@ -285,9 +285,7 @@ def _cmd_req(args, cfg) -> int:
 
     entries = []
     for ratio in ratios:
-        ordered = sort_codes_by_zeros(spawn_codes(ratio))
-        drop = set(find_redundant(build_system(ordered)))
-        active = [code for i, code in enumerate(ordered) if i not in drop]
+        active = active_schedule(ratio)
         if slot is None:
             t_over_ts = Fraction(1, len(active))
         elif isinstance(slot, Fraction):

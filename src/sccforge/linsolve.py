@@ -3,9 +3,10 @@
 Every code of a ratio contributes one loop equation over the per-capacitor
 voltages x_1..x_n (in input-voltage units) and the output x_o. A complete
 family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
-is what lets the bank self-adjust with no feedback. Ranks are computed by
-integer fraction-free elimination and solutions by rational Gauss-Jordan,
-two deliberately separate routes.
+is what lets the bank self-adjust with no feedback. Ranks, solutions,
+redundancy scores and the charge balance of lossmodel all come from one
+integer fraction-free Gauss-Jordan kernel; Fractions are built only from its
+final numerators and common denominator.
 """
 
 from __future__ import annotations
@@ -129,85 +130,68 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
     for code in seq:
         if code.radix != radix or code.resolution != resolution:
             raise DomainError("codes mix radix or resolution")
-    rows, rhs = [], []
-    for code in seq:
-        coeffs, b = kvl_row(code)
-        rows.append(tuple(Fraction(c) for c in coeffs))
-        rhs.append(Fraction(b))
-    return KvlSystem(tuple(rows), tuple(rhs), seq, radix)
+    rows, rhs = zip(*(kvl_row(code) for code in seq))
+    # KvlSystem turns the integer entries into Fractions
+    return KvlSystem(rows, rhs, seq, radix)
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> list[list[int]]:
-    # scale each row to integers; row scaling never changes rank
-    out = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row)) if row else 1
-        out.append([int(x * scale) for x in row])
-    return out
+def fraction_free_rref(
+    rows: Sequence[Sequence[int | Fraction]],
+) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form by integer fraction-free elimination (Bareiss 1968).
 
-
-def _bareiss_rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Rank by fraction-free (integer-preserving) elimination."""
-    m = _integer_rows(rows)
-    nrows, ncols = len(m), len(m[0])
-    rank, row, prev = 0, 0, 1
-    for col in range(ncols):
-        if row >= nrows:
-            break
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        for i in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                # exact by construction: every entry stays a minor of the input
-                m[i][c] = (m[row][col] * m[i][c] - m[i][col] * m[row][c]) // prev
-            m[i][col] = 0
-        prev = m[row][col]
-        row += 1
-        rank += 1
-    return rank
-
-
-def _rref(rows: Sequence[Sequence[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over the rationals.
-
-    Pivot rule: columns left to right, smallest available row index; no
-    magnitude pivoting is needed in exact arithmetic.
+    Each row is first scaled to integers, which changes neither the rank nor
+    the reduced form. Every pivot then eliminates its column above and below;
+    dividing by the previous pivot is exact because every entry stays a minor
+    of the scaled input. Pivot rule: columns left to right, smallest available
+    row index. Returns (m, pivots, d): the reduced row echelon form is m / d,
+    and pivots lists the pivot column of each leading row.
     """
-    m = [list(row) for row in rows]
+    m = []
+    for row in rows:
+        scale = math.lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (scale // x.denominator) for x in row])
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
-    row = 0
+    prev = 1
     for col in range(ncols):
-        if row >= nrows:
+        r = len(pivots)
+        if r >= nrows:
             break
-        piv = next((i for i in range(row, nrows) if m[i][col] != 0), None)
+        piv = next((i for i in range(r, nrows) if m[i][col]), None)
         if piv is None:
             continue
-        m[row], m[piv] = m[piv], m[row]
-        inv = m[row][col]
-        m[row] = [x / inv for x in m[row]]
+        m[r], m[piv] = m[piv], m[r]
+        top = m[r]
+        p = top[col]
         for i in range(nrows):
-            if i != row and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[row])]
+            if i == r:
+                continue
+            f = m[i][col]
+            if f:
+                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+            elif p != prev:
+                m[i] = [p * a // prev for a in m[i]]
+        prev = p
         pivots.append(col)
-        row += 1
-    return m, pivots
+    return m, pivots, prev
+
+
+def _eliminate(system: KvlSystem) -> tuple[SolvabilityReport, list[list[int]], int]:
+    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
+    m, pivots, d = fraction_free_rref(augmented)
+    rank_a = sum(1 for p in pivots if p < system.unknowns)
+    return SolvabilityReport(rank_a, len(pivots), system.unknowns), m, d
 
 
 def check_solvable(system: KvlSystem) -> SolvabilityReport:
     """Ranks of A and [A|b]; unique iff both equal the unknown count."""
-    rank_a = _bareiss_rank(system.matrix)
-    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
-    rank_aug = _bareiss_rank(augmented)
-    return SolvabilityReport(rank_a, rank_aug, system.unknowns)
+    return _eliminate(system)[0]
 
 
 def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
     """Exact solution (V1..Vn, Vo) of a uniquely solvable system."""
-    report = check_solvable(system)
+    report, m, d = _eliminate(system)
     if not report.unique:
         raise SingularSystemError(
             "system is not uniquely solvable: rank(A) = "
@@ -215,12 +199,7 @@ def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
             f"unknowns = {report.unknowns}",
             report,
         )
-    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
-    reduced, pivots = _rref(augmented)
-    # the rational route must agree with the integer route on rank
-    if len([p for p in pivots if p < system.unknowns]) != report.rank_a:
-        raise AssertionError("elimination routes disagree on rank")
-    return tuple(reduced[i][-1] for i in range(system.unknowns))
+    return tuple(Fraction(m[i][-1], d) for i in range(system.unknowns))
 
 
 def redundancy_scores(system: KvlSystem) -> tuple[Fraction, ...]:
@@ -229,15 +208,9 @@ def redundancy_scores(system: KvlSystem) -> tuple[Fraction, ...]:
     A score of 1 marks a row every solution needs; a score above 1 marks a
     row expressible through the others.
     """
-    transposed = [
-        tuple(system.matrix[i][c] for i in range(system.rows))
-        for c in range(system.unknowns)
-    ]
-    reduced, _ = _rref(transposed)
-    return tuple(
-        sum((abs(reduced[r][c]) for r in range(len(reduced))), Fraction(0))
-        for c in range(system.rows)
-    )
+    m, _, d = fraction_free_rref(list(zip(*system.matrix)))
+    d = abs(d)
+    return tuple(Fraction(sum(abs(x) for x in col), d) for col in zip(*m))
 
 
 def find_redundant(system: KvlSystem) -> list[int]:

@@ -22,8 +22,8 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DomainError, FitError, SingularSystemError
-from .linsolve import _rref, build_system, find_redundant
-from .numrep import SignedDigitCode
+from .linsolve import build_system, find_redundant, fraction_free_rref, sort_codes_by_zeros
+from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
 
 @dataclass(frozen=True)
@@ -142,14 +142,9 @@ def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     if any(c.resolution != n for c in seq):
         raise DomainError("codes mix resolutions")
     w = len(seq)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for k in range(n):
-        rows.append([Fraction(_sign(c.digits[k])) for c in seq])
-        rhs.append(Fraction(0))
-    rows.append([Fraction(1)] * w)
-    rhs.append(Fraction(1))
-    reduced, pivots = _rref([tuple(r) + (b,) for r, b in zip(rows, rhs)])
+    rows = [[_sign(c.digits[k]) for c in seq] + [0] for k in range(n)]
+    rows.append([1] * (w + 1))
+    reduced, pivots, d = fraction_free_rref(rows)
     if w in pivots:
         raise SingularSystemError("no current assignment balances these codes")
     if len(pivots) < w:
@@ -160,8 +155,24 @@ def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
         )
     solution = [Fraction(0)] * w
     for i, col in enumerate(pivots):
-        solution[col] = reduced[i][-1]
+        solution[col] = Fraction(reduced[i][-1], d)
     return tuple(solution)
+
+
+def active_schedule(
+    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
+) -> list[SignedDigitCode]:
+    """The slots a schedule runs: codes sorted by zeros, dependent rows dropped.
+
+    A TargetRatio is expanded with spawn_codes first. The rows find_redundant
+    flags in the zero-sorted system are removed; the rest keep their order.
+    """
+    codes = codes_or_ratio
+    if isinstance(codes, TargetRatio):
+        codes = spawn_codes(codes)
+    ordered = sort_codes_by_zeros(codes)
+    drop = set(find_redundant(build_system(ordered)))
+    return [code for i, code in enumerate(ordered) if i not in drop]
 
 
 def _sign(d: int) -> int:

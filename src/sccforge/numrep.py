@@ -48,6 +48,9 @@ class TargetRatio:
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int, radix: int = 2) -> "TargetRatio":
         """Build from numerator/denominator where the denominator is a radix power."""
+        if radix < 2:
+            # the power search below would never end for radix 1
+            raise DomainError(f"radix must be at least 2, got {radix}")
         n, d = 0, denominator
         while d > 1 and d % radix == 0:
             d //= radix

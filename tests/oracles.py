@@ -1,9 +1,10 @@
 """Independent reference computations the tests compare the package against.
 
 These deliberately take different routes than the library: the dither oracle
-enumerates every weight split instead of solving for the best one, and the
+enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
-matrix solve. Keep them dumb.
+matrix solve, and the elimination oracle works in Fractions where the library
+kernel stays in integers. Keep them dumb.
 """
 
 from fractions import Fraction
@@ -52,3 +53,26 @@ def closed_form_step(caps, cout, v_flying, v_out, a0, digits, vin):
         v - d * q / c if d else v for c, v, d in zip(caps, v_flying, digits)
     ]
     return new_flying, v_out + q / cout, q
+
+
+def rational_rref(rows):
+    """Reduced row echelon form and pivot columns by Gauss-Jordan over Fractions.
+
+    Pivot rule: columns left to right, smallest available row index; no
+    magnitude pivoting is needed in exact arithmetic.
+    """
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(m[0]) if m else 0):
+        row = len(pivots)
+        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            continue
+        m[row], m[piv] = m[piv], m[row]
+        m[row] = [x / m[row][col] for x in m[row]]
+        for i in range(len(m)):
+            if i != row and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
+        pivots.append(col)
+    return m, pivots

@@ -18,12 +18,12 @@ from sccforge.linsolve import (
     find_redundant,
     redundancy_scores,
     solve_unique,
-    sort_codes_by_zeros,
     step_up,
 )
 from sccforge.lossmodel import (
     ReqSpec,
     TopologySlot,
+    active_schedule,
     build_req_spec,
     current_balance,
     extract_req,
@@ -173,11 +173,8 @@ def test_ac06_redistribution_convergence(capsys):
 
 
 def operating_spec(m: int) -> ReqSpec:
-    ordered = sort_codes_by_zeros(spawn_codes(TargetRatio(m, 2, 3)))
-    drop = set(find_redundant(build_system(ordered)))
-    active = [c for i, c in enumerate(ordered) if i not in drop]
     return build_req_spec(
-        active,
+        active_schedule(TargetRatio(m, 2, 3)),
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
         REQ_OPERATING["r_on"],
@@ -243,9 +240,7 @@ def test_ac09_load_line_round_trip(capsys):
 def test_ac10_charge_balance_tables(capsys):
     failures = []
     for m in range(1, 8):
-        ordered = sort_codes_by_zeros(spawn_codes(TargetRatio(m, 2, 3)))
-        drop = set(find_redundant(build_system(ordered)))
-        active = [c for i, c in enumerate(ordered) if i not in drop]
+        active = active_schedule(TargetRatio(m, 2, 3))
         got = tuple(zip(current_balance(active), slot_cap_ratios(active)))
         if got != CURRENT_CAP_TABLE[m]:
             failures.append(f"{m}/8 schedule {got}")

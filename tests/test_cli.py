@@ -1,8 +1,13 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sccforge
 from sccforge.cli import main
 
 from golden import (
@@ -331,3 +336,37 @@ def test_unknown_command_is_a_usage_error(capsys):
 def test_bad_quantity_is_a_usage_error(capsys):
     assert main(["ldo", "--vin", "ten", "--vout", "3.3"]) == 2
     assert "bad value for --vin" in capsys.readouterr().err
+
+
+def run_cli(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child process, so a hang fails the test instead of stalling it."""
+    src = str(Path(sccforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys; from sccforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=30
+    )
+
+
+@pytest.mark.parametrize("radix", ["1", "0"])
+def test_degenerate_radix_is_a_usage_error(radix):
+    done = run_cli("codes", "--ratio", "3/8", "--radix", radix)
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr == f"scc-forge codes: error: radix must be at least 2, got {radix}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, flag, text",
+    [
+        (REQ_ARGS[:4] + ["NaN"] + REQ_ARGS[5:], "c", "NaN"),
+        (REQ_ARGS[:2] + ["inf"] + REQ_ARGS[3:], "fs", "inf"),
+        (SIM_ARGS[:-1] + ["1e400"], "cout", "1e400"),
+    ],
+    ids=["nan", "inf", "overflow"],
+)
+def test_non_finite_quantity_is_a_usage_error(capsys, argv, flag, text):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad value for --{flag}: quantity {text!r} is not a finite number" in captured.err

@@ -9,6 +9,7 @@ from sccforge.linsolve import (
     build_system,
     check_solvable,
     find_redundant,
+    fraction_free_rref,
     redundancy_scores,
     solve_unique,
     sort_codes_by_zeros,
@@ -23,6 +24,7 @@ from golden import (
     DEPENDENT_ROW_ORDER_38,
     ZEROSORT_R2_N3,
 )
+from oracles import rational_rref
 
 F = Fraction
 
@@ -33,27 +35,6 @@ def codes_of(pairs, radix=2):
 
 def fixture_system_38():
     return build_system(codes_of(DEPENDENT_ROW_ORDER_38))
-
-
-def rank_by_rational_elimination(rows):
-    # independent of the library's integer route
-    m = [list(map(Fraction, row)) for row in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    row = 0
-    for col in range(cols):
-        piv = next((i for i in range(row, len(m)) if m[i][col] != 0), None)
-        if piv is None:
-            continue
-        m[row], m[piv] = m[piv], m[row]
-        m[row] = [x / m[row][col] for x in m[row]]
-        for i in range(len(m)):
-            if i != row and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
-        row += 1
-        rank += 1
-    return rank
 
 
 # -- build_system ----------------------------------------------------------------
@@ -176,9 +157,57 @@ def code_subsets(draw):
 def test_rank_routes_agree(subset):
     system = build_system(subset)
     report = check_solvable(system)
-    assert report.rank_a == rank_by_rational_elimination(system.matrix)
+    assert report.rank_a == len(rational_rref(system.matrix)[1])
     augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
-    assert report.rank_augmented == rank_by_rational_elimination(augmented)
+    assert report.rank_augmented == len(rational_rref(augmented)[1])
+
+
+# -- elimination kernel against the rational oracle --------------------------------
+
+entries = st.one_of(
+    st.integers(-4, 4),
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+)
+
+
+@st.composite
+def rational_matrices(draw, min_cols=1):
+    """Small matrices, often rank-deficient: zero, duplicate and combined rows."""
+    ncols = draw(st.integers(min_cols, 6))
+    row = st.lists(entries, min_size=ncols, max_size=ncols)
+    rows = draw(st.lists(row, min_size=1, max_size=4))
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "mix"]), max_size=4)):
+        if kind == "zero":
+            rows.append([0] * ncols)
+        else:
+            a = draw(st.sampled_from(rows))
+            b = draw(st.sampled_from(rows))
+            k = draw(st.integers(-2, 2)) if kind == "mix" else 0
+            rows.append([x + k * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows))
+
+
+def test_kernel_on_a_known_matrix():
+    m, pivots, d = fraction_free_rref([[0, 2, 4], [F(1, 2), 1, 0], [1, 4, 4]])
+    assert pivots == [0, 1]
+    assert [[F(x, d) for x in row] for row in m] == [[1, 0, -4], [0, 1, 2], [0, 0, 0]]
+
+
+@given(rational_matrices())
+def test_kernel_matches_the_rational_oracle(rows):
+    m, pivots, d = fraction_free_rref(rows)
+    reduced, oracle_pivots = rational_rref(rows)
+    assert all(isinstance(x, int) for row in m for x in row)
+    assert [[F(x, d) for x in row] for row in m] == reduced
+    assert pivots == oracle_pivots
+
+
+@given(rational_matrices(min_cols=3))
+def test_solvability_ranks_match_the_oracle(rows):
+    system = KvlSystem(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows), (), 2)
+    report = check_solvable(system)
+    assert report.rank_a == len(rational_rref(system.matrix)[1])
+    assert report.rank_augmented == len(rational_rref(rows)[1])
 
 
 # -- redundancy -------------------------------------------------------------------

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sccforge.errors import DomainError, FitError, SingularSystemError
-from sccforge.linsolve import build_system, find_redundant, sort_codes_by_zeros
+from sccforge.linsolve import sort_codes_by_zeros
 from sccforge.lossmodel import (
     RcParams,
     ReqSpec,
     TopologySlot,
+    active_schedule,
     average_extracted_req,
     build_req_spec,
     cap_to_cap_response,
@@ -51,15 +52,9 @@ from golden import (
 F = Fraction
 
 
-def active_schedule(m: int) -> list[SignedDigitCode]:
-    ordered = sort_codes_by_zeros(spawn_codes(TargetRatio(m, 2, 3)))
-    drop = set(find_redundant(build_system(ordered)))
-    return [c for i, c in enumerate(ordered) if i not in drop]
-
-
 def operating_spec(m: int, t_over_ts=None) -> ReqSpec:
     return build_req_spec(
-        active_schedule(m),
+        active_schedule(TargetRatio(m, 2, 3)),
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
         REQ_OPERATING["r_on"],
@@ -143,9 +138,17 @@ def test_follower_limits():
 # -- charge balance -----------------------------------------------------------------
 
 
+def test_active_schedule_takes_a_ratio_or_its_codes():
+    ratio = TargetRatio(3, 2, 3)
+    ordered = sort_codes_by_zeros(spawn_codes(ratio))
+    # the zero-sorted 3/8 family loses its last row (see the linsolve tests)
+    assert active_schedule(ratio) == active_schedule(spawn_codes(ratio)) == ordered[:4]
+
+
 def test_balance_of_the_sorted_schedule():
-    assert current_balance(active_schedule(3)) == (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
-    assert current_balance(active_schedule(4)) == (F(1, 2), F(1, 2))
+    three, four = (active_schedule(TargetRatio(m, 2, 3)) for m in (3, 4))
+    assert current_balance(three) == (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
+    assert current_balance(four) == (F(1, 2), F(1, 2))
 
 
 def test_balance_of_the_measurement_row_order():
@@ -157,7 +160,7 @@ def test_balance_of_the_measurement_row_order():
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_balance_zeroes_every_capacitor(m):
-    active = active_schedule(m)
+    active = active_schedule(TargetRatio(m, 2, 3))
     currents = current_balance(active)
     assert sum(currents) == 1
     for k in range(3):
@@ -170,7 +173,7 @@ def test_balance_zeroes_every_capacitor(m):
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_schedule_table(m):
-    active = active_schedule(m)
+    active = active_schedule(TargetRatio(m, 2, 3))
     got = tuple(zip(current_balance(active), slot_cap_ratios(active)))
     assert got == CURRENT_CAP_TABLE[m]
 
@@ -283,7 +286,8 @@ def test_resistance_falls_with_capacitance_and_duty():
     previous = math.inf
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
         spec = build_req_spec(
-            active_schedule(3), REQ_OPERATING["f_s"], REQ_OPERATING["c"] * scale,
+            active_schedule(TargetRatio(3, 2, 3)),
+            REQ_OPERATING["f_s"], REQ_OPERATING["c"] * scale,
             REQ_OPERATING["r_on"], REQ_OPERATING["switches"],
         )
         value = req_multi(spec)

@@ -66,6 +66,12 @@ def test_from_fraction_keeps_literal_width():
         TargetRatio.from_fraction(3, 10)
 
 
+@pytest.mark.parametrize("radix", [1, 0, -2])
+def test_from_fraction_rejects_a_degenerate_radix(radix):
+    with pytest.raises(DomainError, match="radix must be at least 2"):
+        TargetRatio.from_fraction(3, 8, radix=radix)
+
+
 # -- SignedDigitCode -------------------------------------------------------------
 
 
