@@ -123,13 +123,15 @@ def run(
 
     Convergence is judged at period boundaries: the largest voltage change
     over one full pass of the sequence must drop below tol (default
-    1e-9 * |vin|). A run that exhausts max_periods returns its trace with
-    converged False rather than raising.
+    1e-9 * |vin|, so tol is required when vin is 0). A run that exhausts
+    max_periods returns its trace with converged False rather than raising.
     """
     seq = tuple(sequence)
     if not seq:
         raise DomainError("empty code sequence")
     if tol is None:
+        if vin == 0:
+            raise DomainError("the default tolerance scales with vin; give tol when vin is 0")
         tol = 1e-9 * abs(vin)
     if tol <= 0:
         raise DomainError("tolerance must be positive")

@@ -1,8 +1,9 @@
 """Command line front end: scc-forge <command> [options].
 
 Commands: codes, solve, simulate, req, dither, ldo. Value options may come
-from a flat key = value config file (--config); explicit flags win. Output
-is deterministic text by default; --format csv or json where supported.
+from a flat key = value config file (--config); explicit flags win, and a
+config value gets the same check as the flag. Output is deterministic text
+by default; --format csv or json where supported.
 
 Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 3 domain error, 4 simulation did not converge.
@@ -11,9 +12,11 @@ Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 from fractions import Fraction
+from typing import Iterable, NamedTuple
 
 from . import _si
 from .chargesim import BankState, charge_locus, run, write_locus_csv, write_trace_csv
@@ -43,21 +46,23 @@ class _UsageError(Exception):
     pass
 
 
-def _pick(args, cfg: dict, key: str, conv, default=_REQUIRED):
-    """Option value from flags, then config file, then the default."""
-    raw = getattr(args, key, None)
-    if raw is None and key in cfg:
-        raw = cfg[key]
-    if raw is None:
-        if default is _REQUIRED:
-            raise _UsageError(f"missing required option --{key.replace('_', '-')}")
-        return default
-    if isinstance(raw, str):
-        try:
-            return conv(raw)
-        except (DomainError, ValueError) as exc:
-            raise _UsageError(f"bad value for --{key.replace('_', '-')}: {exc}") from None
-    return raw
+class _Out(NamedTuple):
+    """A command's output in each format; json or csv None falls back to the text."""
+
+    json: dict | None
+    csv: Iterable[str] | None
+    text: Iterable[str]
+    code: int = EXIT_OK
+    err: str | None = None  # one line for stderr, printed after stdout
+
+
+class _Choice(tuple):
+    """Converter that accepts one of the listed names."""
+
+    def __call__(self, text: str) -> str:
+        if text not in self:
+            raise ValueError(f"expected one of {', '.join(self)}, got {text!r}")
+        return text
 
 
 def _int(text: str) -> int:
@@ -71,8 +76,10 @@ def _float_list(text: str) -> list[float]:
     return [_si.parse_quantity(piece) for piece in items]
 
 
-def _ratio_of(args, cfg, radix: int) -> TargetRatio:
-    text = _pick(args, cfg, "ratio", str)
+def _target(text: str | None, radix: int) -> TargetRatio:
+    """The ratio m/d at this radix; d is kept literally, so 4/8 has three digits."""
+    if text is None:
+        raise _UsageError("missing required option --ratio")
     parts = text.split("/")
     if len(parts) != 2:
         raise _UsageError(f"ratio must look like m/{radix}**n, got {text!r}")
@@ -81,338 +88,258 @@ def _ratio_of(args, cfg, radix: int) -> TargetRatio:
     except ValueError:
         raise _UsageError(f"ratio must be two integers, got {text!r}") from None
     try:
-        # keep the literal denominator: 4/8 means three digit positions
         return TargetRatio.from_fraction(num, den, radix)
     except DomainError as exc:
         raise _UsageError(str(exc)) from None
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps({"schema": "scc-forge/1", **payload}, indent=2))
+def _trace_lines(trace):
+    # a generator, so the per-slot rows are formatted only when CSV is chosen
+    buffer = io.StringIO()
+    write_trace_csv(trace, buffer)
+    yield from buffer.getvalue().splitlines()
 
 
-# -- codes ------------------------------------------------------------------
+def _tts_text(value: Fraction) -> str:
+    return str(value) if value.denominator <= 64 else f"{float(value):.4g}"
 
 
-def _cmd_codes(args, cfg) -> int:
-    radix = _pick(args, cfg, "radix", _int, 2)
-    ratio = _ratio_of(args, cfg, radix)
-    generator = _pick(args, cfg, "generator", str, "spawn")
-    if generator not in ("spawn", "enumerate", "balanced"):
-        raise _UsageError(f"unknown generator {generator!r}")
-    fmt = _pick(args, cfg, "format", str, "text")
+# -- commands; each docstring is the command's help line ---------------------
 
-    if args.check:
+
+def _cmd_codes(o) -> _Out:
+    """List the code family of a ratio."""
+    ratio = _target(o.ratio, o.radix)
+    if o.check:
         left = spawn_codes(ratio)
         right = enumerate_codes(ratio)
         if left.as_set() != right.as_set():
-            print(
+            err = (
                 f"generator mismatch for {ratio}: spawn {len(left)} codes, "
-                f"enumerate {len(right)} codes",
-                file=sys.stderr,
+                f"enumerate {len(right)} codes"
             )
-            return EXIT_MISMATCH
-        print(f"generators agree on {len(left)} codes")
-        return EXIT_OK
+            return _Out(None, None, [], EXIT_MISMATCH, err)
+        return _Out(None, None, [f"generators agree on {len(left)} codes"])
 
-    if generator == "balanced":
-        codes = list(balanced_sequence(ratio))
-    elif generator == "enumerate":
-        codes = list(enumerate_codes(ratio))
+    if o.generator == "balanced":
+        codes = balanced_sequence(ratio)
+    elif o.generator == "enumerate":
+        codes = enumerate_codes(ratio)
     else:
-        codes = list(spawn_codes(ratio))
-
-    if fmt == "json":
-        _emit_json(
-            {
-                "ratio": str(ratio),
-                "generator": generator,
-                "codes": [c.to_json_dict() for c in codes],
-            }
-        )
-    elif fmt == "csv":
-        header = ["a0"] + [f"d{j}" for j in range(1, ratio.resolution + 1)]
-        print(",".join(header))
-        for code in codes:
-            print(",".join(str(x) for x in (code.a0, *code.digits)))
-    else:
-        for code in codes:
-            print(code.to_text())
-    return EXIT_OK
+        codes = spawn_codes(ratio)
+    header = ",".join(["a0"] + [f"d{j}" for j in range(1, ratio.resolution + 1)])
+    return _Out(
+        {"ratio": str(ratio), "generator": o.generator, "codes": [c.to_json_dict() for c in codes]},
+        [header] + [",".join(str(x) for x in (c.a0, *c.digits)) for c in codes],
+        [c.to_text() for c in codes],
+    )
 
 
-# -- solve ------------------------------------------------------------------
-
-
-def _cmd_solve(args, cfg) -> int:
-    radix = _pick(args, cfg, "radix", _int, 2)
-    ratio = _ratio_of(args, cfg, radix)
-    fmt = _pick(args, cfg, "format", str, "text")
-
-    notes = []
-    work = ratio
-    if ratio.effective_resolution != ratio.resolution:
-        work = ratio.reduced()
-        notes.append(f"note: {ratio} reduces to {work}; solving the reduced bank")
+def _cmd_solve(o) -> _Out:
+    """Solve the voltage-loop system of a ratio."""
+    ratio = _target(o.ratio, o.radix)
+    work = ratio.reduced()
+    notes = [] if work == ratio else [f"note: {ratio} reduces to {work}; solving the reduced bank"]
 
     system = build_system(spawn_codes(work))
     redundant = find_redundant(system)
-    if args.eliminate:
+    if o.eliminate:
         system = system.drop_rows(redundant)
     report = check_solvable(system)
-    solved = step_up(system) if args.stepup else system
-    solution = solve_unique(solved)
+    solution = solve_unique(step_up(system) if o.stepup else system)
 
-    labels = system.labels
-    pairs = [f"{name}={value}" for name, value in zip(labels, solution)]
-    if fmt == "json":
-        _emit_json(
-            {
-                "ratio": str(ratio),
-                "solved": str(work),
-                "step_up": bool(args.stepup),
-                "rank_a": report.rank_a,
-                "rank_augmented": report.rank_augmented,
-                "unknowns": report.unknowns,
-                "unique": report.unique,
-                "solution": {name: str(value) for name, value in zip(labels, solution)},
-                "redundant_row_indices": redundant,
-                "eliminated": bool(args.eliminate),
-            }
-        )
-    elif fmt == "csv":
-        print("label,value")
-        for name, value in zip(labels, solution):
-            print(f"{name},{value}")
-    else:
-        for note in notes:
-            print(note)
-        line = " ".join(pairs)
-        if args.stepup:
-            print(line)
-        elif args.eliminate:
-            print(f"{line}; eliminated rows: {[i + 1 for i in redundant]}")
-        else:
-            print(f"{line}; redundant rows: {[i + 1 for i in redundant]}")
-    return EXIT_OK
+    pairs = list(zip(system.labels, solution))
+    line = " ".join(f"{name}={value}" for name, value in pairs)
+    if not o.stepup:
+        kind = "eliminated" if o.eliminate else "redundant"
+        line += f"; {kind} rows: {[i + 1 for i in redundant]}"
+    payload = {
+        "ratio": str(ratio),
+        "solved": str(work),
+        "step_up": o.stepup,
+        "rank_a": report.rank_a,
+        "rank_augmented": report.rank_augmented,
+        "unknowns": report.unknowns,
+        "unique": report.unique,
+        "solution": {name: str(value) for name, value in pairs},
+        "redundant_row_indices": redundant,
+        "eliminated": o.eliminate,
+    }
+    csv = ["label,value"] + [f"{name},{value}" for name, value in pairs]
+    return _Out(payload, csv, notes + [line])
 
 
-# -- simulate ---------------------------------------------------------------
-
-
-def _cmd_simulate(args, cfg) -> int:
-    ratio = _ratio_of(args, cfg, 2)
-    vin = _pick(args, cfg, "vin", _si.parse_quantity)
-    caps = _pick(args, cfg, "caps", _float_list)
-    cout = _pick(args, cfg, "cout", _si.parse_quantity)
-    tol = _pick(args, cfg, "tol", _si.parse_quantity, None)
-    max_periods = _pick(args, cfg, "max_periods", _int, 500)
-    order = _pick(args, cfg, "order", str, "spawn")
-    fmt = _pick(args, cfg, "format", str, "text")
+def _cmd_simulate(o) -> _Out:
+    """Charge-redistribution run to steady state."""
+    ratio = _target(o.ratio, 2)
     n = ratio.resolution
-    if len(caps) != n:
-        raise _UsageError(f"need {n} flying capacitances, got {len(caps)}")
-    init = _pick(args, cfg, "init", _float_list, [0.0] * (n + 1))
+    if len(o.caps) != n:
+        raise _UsageError(f"need {n} flying capacitances, got {len(o.caps)}")
+    init = o.init or [0.0] * (n + 1)
     if len(init) != n + 1:
         raise _UsageError(f"--init needs {n + 1} voltages (V1..V{n},Vo), got {len(init)}")
 
-    if order == "spawn":
-        sequence = list(spawn_codes(ratio))
-    elif order == "sorted":
+    if o.order == "sorted":
         sequence = sort_codes_by_zeros(spawn_codes(ratio))
-    elif order == "balanced":
+    elif o.order == "balanced":
         sequence = list(balanced_sequence(ratio))
     else:
-        raise _UsageError(f"unknown slot order {order!r}")
+        sequence = list(spawn_codes(ratio))
 
-    state = BankState(tuple(caps), cout, tuple(init[:n]), init[n])
-    trace = run(state, sequence, vin, tol=tol, max_periods=max_periods)
+    state = BankState(tuple(o.caps), o.cout, tuple(init[:n]), init[n])
+    trace = run(state, sequence, o.vin, tol=o.tol, max_periods=o.max_periods)
 
-    if args.trace:
-        with open(args.trace, "w") as handle:
+    if o.trace:
+        with open(o.trace, "w") as handle:
             write_trace_csv(trace, handle)
-    if args.locus:
-        with open(args.locus, "w") as handle:
+    if o.locus:
+        with open(o.locus, "w") as handle:
             write_locus_csv(charge_locus(trace, len(sequence)), handle)
 
     periods = len(trace.records) // len(sequence)
     final = trace.final_state
     volts = " ".join(f"{v:.6g}" for v in final.flying_voltages)
-    if fmt == "json":
-        _emit_json(
-            {
-                "ratio": str(ratio),
-                "converged": trace.converged,
-                "periods": periods,
-                "adjustment_iterations": trace.adjustment_iterations,
-                "flying_voltages": list(final.flying_voltages),
-                "output_voltage": final.output_voltage,
-            }
-        )
-    elif fmt == "csv":
-        write_trace_csv(trace, sys.stdout)
-    else:
-        if trace.converged:
-            print(
-                f"converged after {periods} periods "
-                f"({trace.adjustment_iterations} iterations to adjust)"
-            )
-        print(f"limits: {volts} | {final.output_voltage:.6g} V")
+    text = [f"limits: {volts} | {final.output_voltage:.6g} V"]
+    payload = {
+        "ratio": str(ratio),
+        "converged": trace.converged,
+        "periods": periods,
+        "adjustment_iterations": trace.adjustment_iterations,
+        "flying_voltages": list(final.flying_voltages),
+        "output_voltage": final.output_voltage,
+    }
     if not trace.converged:
-        print(f"did not converge within {max_periods} periods", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+        err = f"did not converge within {o.max_periods} periods"
+        return _Out(payload, _trace_lines(trace), text, EXIT_NO_CONVERGENCE, err)
+    adjust = f"({trace.adjustment_iterations} iterations to adjust)"
+    text.insert(0, f"converged after {periods} periods {adjust}")
+    return _Out(payload, _trace_lines(trace), text)
 
 
-# -- req --------------------------------------------------------------------
-
-
-def _cmd_req(args, cfg) -> int:
-    f_s = _pick(args, cfg, "fs", _si.parse_quantity)
-    c = _pick(args, cfg, "c", _si.parse_quantity)
-    r_on = _pick(args, cfg, "ron", _si.parse_quantity)
-    switches = _pick(args, cfg, "switches", _int)
-    slot = _pick(args, cfg, "slot", _si.parse_slot, None)
-    resolution = _pick(args, cfg, "n", _int, 3)
-    fmt = _pick(args, cfg, "format", str, "text")
-    if resolution < 1:
+def _cmd_req(o) -> _Out:
+    """Equivalent-resistance table."""
+    if o.n < 1:
         raise _UsageError("--n must be at least 1")
-
-    if getattr(args, "ratio", None) is not None or "ratio" in cfg:
-        ratios = [_ratio_of(args, cfg, 2)]
+    if o.ratio is None:
+        ratios = [TargetRatio(m, 2, o.n) for m in range(1, 2**o.n)]
     else:
-        ratios = [TargetRatio(m, 2, resolution) for m in range(1, 2**resolution)]
+        ratios = [_target(o.ratio, 2)]
 
-    entries = []
+    rows = []
+    table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
     for ratio in ratios:
         active = active_schedule(ratio)
-        if slot is None:
+        if o.slot is None:
             t_over_ts = Fraction(1, len(active))
-        elif isinstance(slot, Fraction):
-            t_over_ts = slot
+        elif isinstance(o.slot, Fraction):
+            t_over_ts = o.slot
         else:
-            t_over_ts = Fraction(slot) * Fraction(str(f_s))
-        spec = build_req_spec(active, f_s, c, r_on, switches, t_over_ts)
-        entries.append(
+            t_over_ts = Fraction(o.slot) * Fraction(str(o.fs))
+        spec = build_req_spec(active, o.fs, o.c, o.ron, o.switches, t_over_ts)
+        req = req_multi(spec)
+        floor = req_zero_beta_multiplier(spec)
+        rows.append(
             {
                 "ratio": str(ratio),
                 "slots": len(active),
-                "t_over_ts": t_over_ts,
-                "req_ohm": req_multi(spec),
-                "floor_over_r": req_zero_beta_multiplier(spec),
+                "t_over_ts": str(t_over_ts),
+                "req_ohm": req,
+                "floor_over_r": str(floor),
             }
         )
+        table.append((str(ratio), str(len(active)), _tts_text(t_over_ts), f"{req:.4f}", str(floor)))
 
-    if fmt == "json":
-        _emit_json(
-            {
-                "f_s": f_s,
-                "c": c,
-                "r_on": r_on,
-                "switches_per_loop": switches,
-                "rows": [
-                    {
-                        "ratio": e["ratio"],
-                        "slots": e["slots"],
-                        "t_over_ts": str(e["t_over_ts"]),
-                        "req_ohm": e["req_ohm"],
-                        "floor_over_r": str(e["floor_over_r"]),
-                    }
-                    for e in entries
-                ],
-            }
-        )
-        return EXIT_OK
-
-    def tts_text(value: Fraction) -> str:
-        return str(value) if value.denominator <= 64 else f"{float(value):.4g}"
-
-    if fmt == "csv":
-        print("ratio,slots,t_over_ts,req_ohm,floor_over_r")
-        for e in entries:
-            print(
-                f"{e['ratio']},{e['slots']},{tts_text(e['t_over_ts'])},"
-                f"{e['req_ohm']:.4f},{e['floor_over_r']}"
-            )
-        return EXIT_OK
-
-    table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
-    for e in entries:
-        table.append(
-            (
-                e["ratio"],
-                str(e["slots"]),
-                tts_text(e["t_over_ts"]),
-                f"{e['req_ohm']:.4f}",
-                str(e["floor_over_r"]),
-            )
-        )
     widths = [max(len(row[i]) for row in table) for i in range(5)]
-    for row in table:
-        print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip())
-    return EXIT_OK
+    return _Out(
+        {"f_s": o.fs, "c": o.c, "r_on": o.ron, "switches_per_loop": o.switches, "rows": rows},
+        ["ratio,slots,t_over_ts,req_ohm,floor_over_r"] + [",".join(row) for row in table[1:]],
+        ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in table],
+    )
 
 
-# -- dither -----------------------------------------------------------------
+def _cmd_dither(o) -> _Out:
+    """Two-ratio averaging plan for a target."""
+    if not 0 < o.target < 1:
+        raise _UsageError(f"target must lie strictly between 0 and 1, got {o.target}")
+    plan = dither_plan(o.target, o.n, o.max_period)
+    pairs = list(zip(plan.ratios, plan.weights))
+    body = " + ".join(f"{weight}x {ratio}" for ratio, weight in pairs)
+    return _Out(
+        plan.to_json_dict() | {"target": str(o.target)},
+        ["ratio,weight"] + [f"{ratio},{weight}" for ratio, weight in pairs],
+        [f"{body} = {dither_average(plan)}"],
+    )
 
 
-def _cmd_dither(args, cfg) -> int:
-    target = _pick(args, cfg, "target", _si.parse_fraction)
-    resolution = _pick(args, cfg, "n", _int, 3)
-    max_period = _pick(args, cfg, "max_period", _int, 8)
-    fmt = _pick(args, cfg, "format", str, "text")
-    if not 0 < target < 1:
-        raise _UsageError(f"target must lie strictly between 0 and 1, got {target}")
-
-    plan = dither_plan(target, resolution, max_period)
-    average = dither_average(plan)
-    if fmt == "json":
-        _emit_json(plan.to_json_dict() | {"target": str(target)})
-    elif fmt == "csv":
-        print("ratio,weight")
-        for ratio, weight in zip(plan.ratios, plan.weights):
-            print(f"{ratio},{weight}")
-    else:
-        body = " + ".join(
-            f"{weight}x {ratio}" for ratio, weight in zip(plan.ratios, plan.weights)
-        )
-        print(f"{body} = {average}")
-    return EXIT_OK
-
-
-# -- ldo --------------------------------------------------------------------
-
-
-def _cmd_ldo(args, cfg) -> int:
-    vin = _pick(args, cfg, "vin", _si.parse_quantity)
-    vout = _pick(args, cfg, "vout", _si.parse_quantity)
-    dropout = _pick(args, cfg, "dropout", _si.parse_quantity, 0.0)
-    resolution = _pick(args, cfg, "n", _int, 3)
-    fmt = _pick(args, cfg, "format", str, "text")
-
-    choice = ldo_select_ratio(vin, vout, dropout, resolution, allow_step_up=not args.no_step_up)
-    bound = ldo_efficiency_bound(vout, dropout)
+def _cmd_ldo(o) -> _Out:
+    """Pick the cheapest ratio ahead of a linear stage."""
+    choice = ldo_select_ratio(o.vin, o.vout, o.dropout, o.n, allow_step_up=not o.no_step_up)
+    bound = ldo_efficiency_bound(o.vout, o.dropout)
     direction = "step-up" if choice.step_up else "step-down"
-    if fmt == "json":
-        _emit_json(
-            {
-                "ratio": str(choice),
-                "step_up": choice.step_up,
-                "gain": str(choice.gain),
-                "efficiency_bound": bound,
-            }
-        )
-    else:
-        print(f"ratio {choice} {direction}, efficiency bound {bound:.4f}")
-    return EXIT_OK
+    payload = {
+        "ratio": str(choice),
+        "step_up": choice.step_up,
+        "gain": str(choice.gain),
+        "efficiency_bound": bound,
+    }
+    return _Out(payload, None, [f"ratio {choice} {direction}, efficiency bound {bound:.4f}"])
 
 
-# -- wiring -----------------------------------------------------------------
+# -- option and command tables -----------------------------------------------
+
+_QUANTITY = _si.parse_quantity
+
+# name -> (converter, default, help). A string default goes through the
+# converter like a flag value; bool marks a store-true switch.
+_OPTIONS = {
+    "ratio": (str, None, "target ratio m/r**n, e.g. 3/8 (req: one row, not the table)"),
+    "radix": (_int, "2", "digit radix"),
+    "generator": (_Choice(("spawn", "enumerate", "balanced")), "spawn", "code generator"),
+    "check": (bool, False, "cross-validate the generators"),
+    "stepup": (bool, False, "solve the reciprocal system"),
+    "eliminate": (bool, False, "drop dependent rows first"),
+    "vin": (_QUANTITY, _REQUIRED, "input voltage"),
+    "caps": (_float_list, _REQUIRED, "flying capacitances, comma separated"),
+    "cout": (_QUANTITY, _REQUIRED, "output capacitance"),
+    "init": (_float_list, None, "initial voltages V1..Vn,Vo (default zeros)"),
+    "tol": (_QUANTITY, None, "convergence tolerance (default 1e-9*vin)"),
+    "max_periods": (_int, "500", "period budget"),
+    "order": (_Choice(("spawn", "sorted", "balanced")), "spawn", "slot order within a period"),
+    "trace": (str, None, "write the per-slot trace CSV here"),
+    "locus": (str, None, "write the charge-locus CSV here"),
+    "fs": (_QUANTITY, _REQUIRED, "switching frequency"),
+    "c": (_QUANTITY, _REQUIRED, "flying capacitance"),
+    "ron": (_QUANTITY, _REQUIRED, "switch on-resistance"),
+    "switches": (_int, _REQUIRED, "switches per charge loop"),
+    "slot": (_si.parse_slot, None, "slot duration: Ts/N or seconds (default even split)"),
+    "n": (_int, "3", "bank resolution (req: the table covers every m/2**n)"),
+    "target": (_si.parse_fraction, _REQUIRED, "target ratio in (0, 1), e.g. 0.4 or 2/5"),
+    "max_period": (_int, "8", "longest plan"),
+    "vout": (_QUANTITY, _REQUIRED, "regulator output voltage"),
+    "dropout": (_QUANTITY, "0", "regulator dropout"),
+    "no_step_up": (bool, False, "step-down lattice only"),
+    "format": (_Choice(("text", "csv", "json")), "text", "output format"),
+    "config": (str, None, "flat key = value option file"),
+}
+
+# name -> (handler, value options, options read from argv only). Every
+# command also takes --format (a value option) and --config (argv only).
+_COMMANDS = {
+    "codes": (_cmd_codes, ("ratio", "radix", "generator"), ("check",)),
+    "solve": (_cmd_solve, ("ratio", "radix"), ("stepup", "eliminate")),
+    "simulate": (
+        _cmd_simulate,
+        ("ratio", "vin", "caps", "cout", "init", "tol", "max_periods", "order"),
+        ("trace", "locus"),
+    ),
+    "req": (_cmd_req, ("fs", "c", "ron", "switches", "slot", "ratio", "n"), ()),
+    "dither": (_cmd_dither, ("target", "n", "max_period"), ()),
+    "ldo": (_cmd_ldo, ("vin", "vout", "dropout", "n"), ("no_step_up",)),
+}
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="flat key = value option file")
-    sub.add_argument("--format", choices=("text", "csv", "json"), help="output format")
+def _flag(name: str) -> str:
+    return "--" + name.replace("_", "-")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -421,77 +348,43 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Switched-capacitor converter design tools",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("codes", help="list the code family of a ratio")
-    p.add_argument("--ratio", help="target ratio m/r**n, e.g. 3/8")
-    p.add_argument("--radix", help="digit radix (default 2)")
-    p.add_argument(
-        "--generator",
-        choices=("spawn", "enumerate", "balanced"),
-        help="family generator or balanced schedule (default spawn)",
-    )
-    p.add_argument("--check", action="store_true", help="cross-validate the generators")
-    _add_common(p)
-
-    p = sub.add_parser("solve", help="solve the voltage-loop system of a ratio")
-    p.add_argument("--ratio", help="target ratio m/r**n")
-    p.add_argument("--radix", help="digit radix (default 2)")
-    p.add_argument("--stepup", action="store_true", help="solve the reciprocal system")
-    p.add_argument("--eliminate", action="store_true", help="drop dependent rows first")
-    _add_common(p)
-
-    p = sub.add_parser("simulate", help="charge-redistribution run to steady state")
-    p.add_argument("--ratio", help="target ratio m/2**n")
-    p.add_argument("--vin", help="input voltage")
-    p.add_argument("--caps", help="flying capacitances, comma separated")
-    p.add_argument("--cout", help="output capacitance")
-    p.add_argument("--init", help="initial voltages V1..Vn,Vo (default zeros)")
-    p.add_argument("--tol", help="convergence tolerance (default 1e-9*vin)")
-    p.add_argument("--max-periods", dest="max_periods", help="period budget (default 500)")
-    p.add_argument(
-        "--order",
-        choices=("spawn", "sorted", "balanced"),
-        help="slot order within a period (default spawn)",
-    )
-    p.add_argument("--trace", help="write the per-slot trace CSV here")
-    p.add_argument("--locus", help="write the charge-locus CSV here")
-    _add_common(p)
-
-    p = sub.add_parser("req", help="equivalent-resistance table")
-    p.add_argument("--fs", help="switching frequency")
-    p.add_argument("--c", help="flying capacitance")
-    p.add_argument("--ron", help="switch on-resistance")
-    p.add_argument("--switches", help="switches per charge loop")
-    p.add_argument("--slot", help="slot duration: Ts/N or seconds (default even split)")
-    p.add_argument("--ratio", help="single ratio (default: whole family at --n)")
-    p.add_argument("--n", help="resolution for the full table (default 3)")
-    _add_common(p)
-
-    p = sub.add_parser("dither", help="two-ratio averaging plan for a target")
-    p.add_argument("--target", help="target ratio in (0, 1), e.g. 0.4 or 2/5")
-    p.add_argument("--n", help="bank resolution (default 3)")
-    p.add_argument("--max-period", dest="max_period", help="longest plan (default 8)")
-    _add_common(p)
-
-    p = sub.add_parser("ldo", help="pick the cheapest ratio ahead of a linear stage")
-    p.add_argument("--vin", help="input voltage")
-    p.add_argument("--vout", help="regulator output voltage")
-    p.add_argument("--dropout", help="regulator dropout (default 0)")
-    p.add_argument("--n", help="bank resolution (default 3)")
-    p.add_argument("--no-step-up", action="store_true", help="step-down lattice only")
-    _add_common(p)
-
+    for command, (handler, options, argv_only) in _COMMANDS.items():
+        p = sub.add_parser(command, help=handler.__doc__)
+        for name in (*options, *argv_only, "config", "format"):
+            conv, default, text = _OPTIONS[name]
+            if conv is bool:
+                p.add_argument(_flag(name), action="store_true", help=text)
+                continue
+            if isinstance(default, str):
+                text = f"{text} (default {default})"
+            choices = conv if isinstance(conv, _Choice) else None
+            p.add_argument(_flag(name), choices=choices, help=text)
     return parser
 
 
-_HANDLERS = {
-    "codes": _cmd_codes,
-    "solve": _cmd_solve,
-    "simulate": _cmd_simulate,
-    "req": _cmd_req,
-    "dither": _cmd_dither,
-    "ldo": _cmd_ldo,
-}
+def _pick(args, cfg: dict, name: str):
+    """Option value from flags, then config file, then the default."""
+    conv, default, _ = _OPTIONS[name]
+    raw = getattr(args, name)
+    if raw is None:
+        raw = cfg.get(name, default)
+    if raw is _REQUIRED:
+        raise _UsageError(f"missing required option {_flag(name)}")
+    if raw is None:
+        return None
+    try:
+        return conv(raw)
+    except (DomainError, ValueError) as exc:
+        raise _UsageError(f"bad value for {_flag(name)}: {exc}") from None
+
+
+def _render(fmt: str, out: _Out) -> None:
+    if fmt == "json" and out.json is not None:
+        print(json.dumps({"schema": "scc-forge/1", **out.json}, indent=2))
+        return
+    body = "\n".join(out.csv if fmt == "csv" and out.csv is not None else out.text)
+    if body:
+        print(body)
 
 
 def main(argv=None) -> int:
@@ -505,14 +398,21 @@ def main(argv=None) -> int:
     except (DomainError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    handler, options, argv_only = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args, cfg)
+        values = {name: _pick(args, cfg, name) for name in (*options, "format")}
+        values |= {name: getattr(args, name) for name in argv_only}
+        out = handler(argparse.Namespace(**values))
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (DomainError, SingularSystemError, FitError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
+    _render(values["format"], out)
+    if out.err:
+        print(out.err, file=sys.stderr)
+    return out.code
 
 
 if __name__ == "__main__":

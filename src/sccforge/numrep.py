@@ -170,12 +170,17 @@ class CodeSet:
         if not codes:
             raise DomainError("empty code set")
         seen = set()
+        r = self.ratio.radix
         for code in codes:
-            if code.radix != self.ratio.radix:
+            if code.radix != r:
                 raise DomainError("code radix does not match the ratio")
             if code.resolution != self.ratio.resolution:
                 raise DomainError("code resolution does not match the ratio")
-            if code.value != self.ratio.value:
+            # a0*r**n + sum_j d_j*r**(n-j) == m, the exact value test in integers
+            numerator = code.a0
+            for d in code.digits:
+                numerator = numerator * r + d
+            if numerator != self.ratio.m:
                 raise DomainError(f"code {code.to_text()!r} does not represent {self.ratio}")
             key = (code.a0, code.digits)
             if key in seen:
@@ -283,41 +288,21 @@ def enumerate_codes(ratio: TargetRatio) -> CodeSet:
 
 
 def _matched_cells(m: int, n: int) -> list[SignedDigitCode]:
-    # One code per sign pattern: engaging the capacitors of mask row i with
-    # the signs of row j gives numerator sum_k mask[k]*(+-1)*2**(n-1-k); the
-    # signed subset sums of distinct powers of two tile an integer interval,
-    # so exactly one mask row lands on m (a0 = 0) or m - 2**n (a0 = 1).
-    size = 1 << n
-    rows = [[(i >> (n - 1 - k)) & 1 for k in range(n)] for i in range(size)]
+    # One code per sign pattern neg (set bits mark negative digits, the most
+    # significant digit first). Engaging the capacitors of mask with those
+    # signs gives numerator b - neg, where b = mask ^ neg runs over
+    # 0..2**n - 1 once each, so exactly one mask lands on m (a0 = 0) or on
+    # m - 2**n (a0 = 1): a0, b = divmod(m + neg, 2**n).
     cells: list[SignedDigitCode] = []
-    for j in range(size):
-        sign = rows[j]
-        hit = None
-        for i in range(size):
-            mask = rows[i]
-            f = 0
-            for k in range(n):
-                if mask[k]:
-                    f += (-1 if sign[k] else 1) << (n - 1 - k)
-            if f == m:
-                a0 = 0
-            elif f == m - size:
-                a0 = 1
-            else:
-                continue
-            if hit is not None:
-                raise AssertionError("sign pattern matched two mask rows")
-            hit = SignedDigitCode(
-                a0, tuple((-1 if sign[k] else 1) * mask[k] for k in range(n)), 2
-            )
-        if hit is None:
-            raise AssertionError("sign pattern matched no mask row")
-        cells.append(hit)
+    for neg in range(1 << n):
+        a0, b = divmod(m + neg, 1 << n)
+        mask = b ^ neg
+        digits = []
+        for k in range(n - 1, -1, -1):
+            bit = (mask >> k) & 1
+            digits.append(-bit if (neg >> k) & 1 else bit)
+        cells.append(SignedDigitCode(a0, tuple(digits), 2))
     return cells
-
-
-class _BudgetExceeded(Exception):
-    pass
 
 
 def _arrange(cells: list[SignedDigitCode], n: int, strict: bool) -> list[SignedDigitCode] | None:
@@ -325,7 +310,9 @@ def _arrange(cells: list[SignedDigitCode], n: int, strict: bool) -> list[SignedD
 
     In strict mode consecutive engagements of each capacitor (wrap included)
     must also be floor(2**n/q) to ceil(2**n/q) rows apart, q being that
-    capacitor's total engagement count over the cycle.
+    capacitor's total engagement count over the cycle. The depth-first search
+    keeps its own stack, since a schedule has up to 2**10 rows; it gives up
+    (None) after _BALANCE_NODE_BUDGET candidate placements.
     """
     size = 1 << n
     counts = Counter((c.a0, c.digits) for c in cells)
@@ -337,7 +324,7 @@ def _arrange(cells: list[SignedDigitCode], n: int, strict: bool) -> list[SignedD
     last: list[tuple[int, int] | None] = [None] * n
     first: list[tuple[int, int] | None] = [None] * n
     seq: list[SignedDigitCode] = []
-    nodes = 0
+    trail: list[tuple[tuple, list]] = []  # per placed row: its key and what it overwrote
 
     def admissible(code: SignedDigitCode, pos: int) -> bool:
         for k in range(n):
@@ -370,42 +357,54 @@ def _arrange(cells: list[SignedDigitCode], n: int, strict: bool) -> list[SignedD
                 return False
         return True
 
-    def extend(pos: int) -> bool:
-        nonlocal nodes
+    def place(key, pos: int) -> None:
+        code = by_key[key]
+        trail.append((key, [(k, last[k], first[k]) for k in range(n) if code.digits[k]]))
+        counts[key] -= 1
+        for k in range(n):
+            d = code.digits[k]
+            if d:
+                s = 1 if d > 0 else -1
+                last[k] = (pos, s)
+                if first[k] is None:
+                    first[k] = (pos, s)
+        seq.append(code)
+
+    def unplace() -> None:
+        key, saved = trail.pop()
+        seq.pop()
+        counts[key] += 1
+        for k, l, f in saved:
+            last[k] = l
+            first[k] = f
+
+    nodes = 0
+    tried = [0]  # per open depth: the index in order of the next candidate
+    while tried:
+        pos = len(tried) - 1
         if pos == size:
-            return wrap_ok()
-        for key in order:
+            if wrap_ok():
+                return seq
+            tried.pop()
+            unplace()
+            continue
+        for i in range(tried[pos], len(order)):
+            key = order[i]
             if counts[key] == 0:
                 continue
             nodes += 1
             if nodes > _BALANCE_NODE_BUDGET:
-                raise _BudgetExceeded
-            code = by_key[key]
-            if not admissible(code, pos):
-                continue
-            saved = [(k, last[k], first[k]) for k in range(n) if code.digits[k]]
-            counts[key] -= 1
-            for k in range(n):
-                d = code.digits[k]
-                if d:
-                    s = 1 if d > 0 else -1
-                    last[k] = (pos, s)
-                    if first[k] is None:
-                        first[k] = (pos, s)
-            seq.append(code)
-            if extend(pos + 1):
-                return True
-            seq.pop()
-            counts[key] += 1
-            for k, l, f in saved:
-                last[k] = l
-                first[k] = f
-        return False
-
-    try:
-        return seq if extend(0) else None
-    except _BudgetExceeded:
-        return None
+                return None
+            if admissible(by_key[key], pos):
+                tried[pos] = i + 1
+                place(key, pos)
+                tried.append(0)
+                break
+        else:
+            tried.pop()
+            if seq:
+                unplace()
+    return None
 
 
 def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:

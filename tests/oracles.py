@@ -76,3 +76,28 @@ def rational_rref(rows):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
     return m, pivots
+
+
+def matched_cells_by_scan(n):
+    """Balanced-schedule cells of every m/2**n, by trying every mask for every sign pattern.
+
+    For sign pattern j (bit set: that digit is negative) and engagement mask
+    i, the code's numerator is summed digit by digit; it matches m with
+    a0 = 0 when it equals m, and with a0 = 1 when it equals m - 2**n. Returns
+    {m: [(a0, digits), ...]} with one cell per sign pattern, in pattern order,
+    and checks that each pattern matches exactly one mask for every m.
+    """
+    size = 1 << n
+    rows = [[(i >> (n - 1 - k)) & 1 for k in range(n)] for i in range(size)]
+    cells = {m: [None] * size for m in range(1, size)}
+    for j, sign in enumerate(rows):
+        for mask in rows:
+            digits = tuple((-1 if sign[k] else 1) * mask[k] for k in range(n))
+            f = sum(d << (n - 1 - k) for k, d in enumerate(digits))
+            m, a0 = (f, 0) if f > 0 else (f + size, 1)
+            if m not in cells:
+                continue
+            assert cells[m][j] is None, "sign pattern matched two masks"
+            cells[m][j] = (a0, digits)
+    assert all(None not in found for found in cells.values()), "sign pattern matched no mask"
+    return cells

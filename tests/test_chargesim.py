@@ -211,6 +211,13 @@ def test_run_validation():
         run(state, SEQ_38, VIN, max_periods=-1)
 
 
+def test_zero_input_needs_an_explicit_tolerance():
+    state = bank((4.7e-6,) * 3, 47e-6, (0.0, 0.0, 0.0), 0.0)
+    with pytest.raises(DomainError, match="default tolerance scales with vin; give tol"):
+        run(state, SEQ_38, 0.0)
+    assert run(state, SEQ_38, 0.0, tol=1e-3).converged
+
+
 # -- diagnostics -------------------------------------------------------------------
 
 

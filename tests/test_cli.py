@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import sccforge
 from sccforge.cli import main
@@ -370,3 +373,108 @@ def test_non_finite_quantity_is_a_usage_error(capsys, argv, flag, text):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad value for --{flag}: quantity {text!r} is not a finite number" in captured.err
+
+
+def test_balanced_schedule_at_the_resolution_limit():
+    done = run_cli("codes", "--ratio", "341/1024", "--generator", "balanced")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert len(done.stdout.splitlines()) == 1024
+
+
+@pytest.mark.parametrize(
+    "argv, line, flag",
+    [
+        (["codes", "--ratio", "3/8"], "format = xml", "format"),
+        (["codes", "--ratio", "3/8"], "generator = bogus", "generator"),
+        (SIM_ARGS, "order = bogus", "order"),
+    ],
+    ids=["format", "generator", "order"],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag):
+    cfg = tmp_path / "board.cfg"
+    cfg.write_text(line + "\n")
+    assert main(argv + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"bad value for --{flag}: expected one of" in captured.err
+
+
+# -- argv fuzz ------------------------------------------------------------------------
+
+MALFORMED = ["abc", "NaN", "-1", "0", "1/0", ""]
+RATIOS = ["3/8", "5/16", "21/64", "4/8", "1/2", "4/9", "63/64", "9/8", "3/7"]
+QUANTITIES = ["8", "3.3", "1.8", "0.3", "4.7u", "47u", "1m", "100k", "1.2"]
+VALUES = {
+    "codes": {
+        "--ratio": RATIOS,
+        "--radix": ["2", "3"],
+        "--generator": ["spawn", "enumerate", "balanced"],
+    },
+    "solve": {"--ratio": RATIOS, "--radix": ["2", "3"]},
+    "simulate": {
+        # mostly three-capacitor banks, so that caps and init often fit the ratio
+        "--ratio": ["3/8", "5/8", "1/8", "4/8", "7/8", "21/64", "9/8"],
+        "--vin": QUANTITIES,
+        "--caps": ["4.7u,4.7u,4.7u", "1u,2u,3u", "1u,2u", "1u,1u,1u,1u,1u,1u"],
+        "--cout": ["47u", "470u", "1u"],
+        "--init": ["1,2,3,4", "0,0,0,0", "8,4,2,1,3"],
+        "--tol": ["1m", "1u"],
+        "--max-periods": ["1", "3", "50"],
+        "--order": ["spawn", "sorted", "balanced"],
+    },
+    "req": {
+        "--fs": ["100k", "1M"],
+        "--c": ["4.7u", "1u"],
+        "--ron": ["1.2", "10m"],
+        "--switches": ["4", "2"],
+        "--slot": ["Ts/4", "Ts/2", "2u"],
+        "--ratio": RATIOS,
+        "--n": ["1", "3", "5"],
+    },
+    "dither": {
+        "--target": ["0.4", "2/5", "0.05", "0.95", "1.2"],
+        "--n": ["1", "3", "5"],
+        "--max-period": ["1", "8", "50"],
+    },
+    "ldo": {
+        "--vin": QUANTITIES,
+        "--vout": QUANTITIES,
+        "--dropout": QUANTITIES,
+        "--n": ["1", "3", "5"],
+    },
+}
+SWITCHES = {"codes": ["--check"], "solve": ["--stepup", "--eliminate"], "ldo": ["--no-step-up"]}
+REQUIRED = set("--ratio --vin --caps --cout --fs --c --ron --switches --target --vout".split())
+
+
+@st.composite
+def cli_argv(draw, out_dir):
+    """argv for one command: required options mostly present, values mostly well formed."""
+    command = draw(st.sampled_from(sorted(VALUES)))
+    argv = [command]
+    options = {**VALUES[command], "--format": ["text", "csv", "json"]}
+    for flag, pool in options.items():
+        # sampled_from draws near-uniformly; integers and booleans lean to their ends
+        if draw(st.sampled_from(range(20))) < (19 if flag in REQUIRED else 10):
+            well_formed = draw(st.sampled_from(range(8))) > 0
+            argv += [flag, draw(st.sampled_from(pool if well_formed else MALFORMED))]
+    for flag in SWITCHES.get(command, []):
+        if draw(st.booleans()):
+            argv.append(flag)
+    if command == "simulate":
+        for name in ("trace", "locus"):
+            if draw(st.booleans()):
+                argv += [f"--{name}", str(out_dir / f"{name}.csv")]
+    return argv
+
+
+@settings(max_examples=200)
+@given(data=st.data())
+def test_every_argv_ends_in_a_documented_exit_code(tmp_path_factory, data):
+    out_dir = tmp_path_factory.getbasetemp() / "argv-fuzz"
+    out_dir.mkdir(exist_ok=True)
+    argv = data.draw(cli_argv(out_dir))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert code in (0, 2, 3, 4), argv

@@ -16,8 +16,10 @@ from sccforge.numrep import (
     enumerate_codes,
     spawn_codes,
 )
+from sccforge.numrep import _matched_cells
 
 from golden import BALANCED_TABLE_N3, CODE_FAMILY_R2_N3, CODE_FAMILY_R3_N2
+from oracles import matched_cells_by_scan
 
 
 def as_pairs(codes):
@@ -204,7 +206,7 @@ def test_code_set_rejects_duplicates_and_strays():
     family = list(spawn_codes(ratio))
     with pytest.raises(DomainError):
         CodeSet(ratio, tuple(family) + (family[0],))
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="does not represent 3/8"):
         CodeSet(ratio, tuple(family[:-1]) + (SignedDigitCode(0, (1, 0, 0)),))
 
 
@@ -251,6 +253,13 @@ def check_balanced(seq, ratio):
             if q > 1:
                 assert s1 != s2, f"column {k + 1} repeats sign"
             assert low <= i2 - i1 <= high, f"column {k + 1} spacing {i2 - i1}"
+
+
+def test_matched_cells_match_the_scan():
+    for n in range(1, 9):
+        scanned = matched_cells_by_scan(n)
+        for m in range(1, 2**n):
+            assert as_pairs(_matched_cells(m, n)) == tuple(scanned[m]), f"{m}/{2**n}"
 
 
 def test_balanced_alternates_for_half():
