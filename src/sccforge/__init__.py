@@ -52,7 +52,6 @@ from .numrep import (
     SignedDigitCode,
     TargetRatio,
     balanced_sequence,
-    code_value,
     conventional_code,
     enumerate_codes,
     spawn_codes,
@@ -109,7 +108,6 @@ __all__ = [
     "charging_response",
     "check_solvable",
     "code_to_topology",
-    "code_value",
     "conventional_code",
     "current_balance",
     "dither_average",

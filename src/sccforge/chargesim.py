@@ -15,7 +15,7 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive
 from .numrep import SignedDigitCode
 
 
@@ -29,16 +29,13 @@ class BankState:
     output_voltage: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "flying_caps", tuple(float(c) for c in self.flying_caps))
-        object.__setattr__(
-            self, "flying_voltages", tuple(float(v) for v in self.flying_voltages)
-        )
+        object.__setattr__(self, "flying_caps", tuple(map(float, self.flying_caps)))
+        object.__setattr__(self, "flying_voltages", tuple(map(float, self.flying_voltages)))
         if not self.flying_caps:
             raise DomainError("bank needs at least one flying capacitor")
         if len(self.flying_voltages) != len(self.flying_caps):
             raise DomainError("one voltage per flying capacitor")
-        if any(c <= 0 for c in self.flying_caps) or self.output_cap <= 0:
-            raise DomainError("capacitances must be positive")
+        require_positive("capacitances must be positive", *self.flying_caps, self.output_cap)
         # negative voltages are legitimate transients; non-finite are not
         if not all(map(math.isfinite, (*self.flying_voltages, self.output_voltage))):
             raise DomainError("voltages must be finite")
@@ -133,8 +130,7 @@ def run(
         if vin == 0:
             raise DomainError("the default tolerance scales with vin; give tol when vin is 0")
         tol = 1e-9 * abs(vin)
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
+    require_positive("tolerance must be positive", tol)
     if max_periods < 0:
         raise DomainError("max_periods must be non-negative")
     records: list[TraceRecord] = []

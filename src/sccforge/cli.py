@@ -189,12 +189,15 @@ def _cmd_simulate(o) -> _Out:
     state = BankState(tuple(o.caps), o.cout, tuple(init[:n]), init[n])
     trace = run(state, sequence, o.vin, tol=o.tol, max_periods=o.max_periods)
 
-    if o.trace:
-        with open(o.trace, "w") as handle:
-            write_trace_csv(trace, handle)
-    if o.locus:
-        with open(o.locus, "w") as handle:
-            write_locus_csv(charge_locus(trace, len(sequence)), handle)
+    try:
+        if o.trace:
+            with open(o.trace, "w") as handle:
+                write_trace_csv(trace, handle)
+        if o.locus:
+            with open(o.locus, "w") as handle:
+                write_locus_csv(charge_locus(trace, len(sequence)), handle)
+    except OSError as exc:
+        raise _UsageError(str(exc)) from None
 
     periods = len(trace.records) // len(sequence)
     final = trace.final_state

@@ -1,8 +1,23 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the shared positivity check."""
+
+import math
+
+_INF = math.inf
 
 
 class DomainError(ValueError):
     """Input is well-formed but outside the domain of the operation."""
+
+
+def require_positive(message: str, *values, zero_ok: bool = False) -> None:
+    """Raise DomainError(message) unless every value is finite and above zero.
+
+    zero_ok also admits 0. NaN and the infinities always fail: NaN slips
+    through a bare `x <= 0` test because every comparison with it is false.
+    """
+    for v in values:
+        if not 0 < v < _INF and not (zero_ok and v == 0):
+            raise DomainError(message)
 
 
 class ResourceLimitError(RuntimeError):

@@ -5,13 +5,13 @@ voltages x_1..x_n (in input-voltage units) and the output x_o. A complete
 family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
 is what lets the bank self-adjust with no feedback. Ranks, solutions,
 redundancy scores and the charge balance of lossmodel all come from one
-integer fraction-free Gauss-Jordan kernel; Fractions are built only from its
-final numerators and common denominator.
+integer fraction-free Gauss-Jordan kernel. Loop rows are integers from
+topology.kvl_row to the kernel; Fractions are built only from its final
+numerators and common denominator.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Sequence
@@ -19,9 +19,6 @@ from typing import Sequence
 from .errors import DomainError, SingularSystemError
 from .numrep import CodeSet, SignedDigitCode
 from .topology import kvl_row
-
-Row = tuple[Fraction, ...]
-
 
 @dataclass(frozen=True)
 class SolvabilityReport:
@@ -38,19 +35,20 @@ class SolvabilityReport:
 class KvlSystem:
     """Loop equations A x = b with the codes that produced each row.
 
-    Unknowns are labelled V1..Vn then Vo; the last matrix column always
-    belongs to the output. codes may be empty for hand-built systems, in
-    which case step_up is unavailable.
+    Every matrix and rhs entry is an int, as loop equations of signed-digit
+    codes are; the solutions are Fractions. Unknowns are labelled V1..Vn
+    then Vo; the last matrix column always belongs to the output. codes may
+    be empty for hand-built systems, in which case step_up is unavailable.
     """
 
-    matrix: tuple[Row, ...]
-    rhs: tuple[Fraction, ...]
+    matrix: tuple[tuple[int, ...], ...]
+    rhs: tuple[int, ...]
     codes: tuple[SignedDigitCode, ...]
     radix: int
 
     def __post_init__(self) -> None:
-        matrix = tuple(tuple(Fraction(x) for x in row) for row in self.matrix)
-        rhs = tuple(Fraction(x) for x in self.rhs)
+        matrix = tuple(map(tuple, self.matrix))
+        rhs = tuple(self.rhs)
         object.__setattr__(self, "matrix", matrix)
         object.__setattr__(self, "rhs", rhs)
         if not matrix:
@@ -64,6 +62,8 @@ class KvlSystem:
             raise DomainError("right-hand side length does not match the matrix")
         if self.codes and len(self.codes) != len(matrix):
             raise DomainError("one code per row, or no codes at all")
+        if any(type(x) is not int for row in (*matrix, rhs) for x in row):
+            raise DomainError("matrix and rhs entries must be ints")
 
     @property
     def rows(self) -> int:
@@ -94,7 +94,7 @@ class KvlSystem:
         )
 
     def to_text(self) -> str:
-        """Aligned rows, rationals as p/q, rhs after a bar."""
+        """Aligned rows, rhs after a bar."""
         cells = [[str(x) for x in row] for row in self.matrix]
         rhs = [str(x) for x in self.rhs]
         widths = [max(len(r[c]) for r in cells) for c in range(self.unknowns)]
@@ -131,26 +131,19 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
         if code.radix != radix or code.resolution != resolution:
             raise DomainError("codes mix radix or resolution")
     rows, rhs = zip(*(kvl_row(code) for code in seq))
-    # KvlSystem turns the integer entries into Fractions
     return KvlSystem(rows, rhs, seq, radix)
 
 
-def fraction_free_rref(
-    rows: Sequence[Sequence[int | Fraction]],
-) -> tuple[list[list[int]], list[int], int]:
-    """Reduced row echelon form by integer fraction-free elimination (Bareiss 1968).
+def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+    """Reduced row echelon form of an integer matrix by fraction-free elimination (Bareiss 1968).
 
-    Each row is first scaled to integers, which changes neither the rank nor
-    the reduced form. Every pivot then eliminates its column above and below;
-    dividing by the previous pivot is exact because every entry stays a minor
-    of the scaled input. Pivot rule: columns left to right, smallest available
-    row index. Returns (m, pivots, d): the reduced row echelon form is m / d,
-    and pivots lists the pivot column of each leading row.
+    Every pivot eliminates its column above and below; dividing by the
+    previous pivot is exact because every entry stays a minor of the input.
+    Pivot rule: columns left to right, smallest available row index. Returns
+    (m, pivots, d): the reduced row echelon form is m / d, and pivots lists
+    the pivot column of each leading row.
     """
-    m = []
-    for row in rows:
-        scale = math.lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (scale // x.denominator) for x in row])
+    m = [list(row) for row in rows]
     nrows, ncols = len(m), len(m[0])
     pivots: list[int] = []
     prev = 1
@@ -237,8 +230,5 @@ def step_up(system: KvlSystem) -> KvlSystem:
     """
     if not system.codes:
         raise DomainError("step_up needs the generating codes")
-    rows, rhs = [], []
-    for code in system.codes:
-        rows.append(tuple(Fraction(x) for x in (*code.digits, code.a0)))
-        rhs.append(Fraction(1))
-    return KvlSystem(tuple(rows), tuple(rhs), system.codes, system.radix)
+    rows = tuple((*code.digits, code.a0) for code in system.codes)
+    return KvlSystem(rows, (1,) * len(rows), system.codes, system.radix)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import DomainError, FitError, SingularSystemError
+from .errors import DomainError, FitError, SingularSystemError, require_positive
 from .linsolve import build_system, find_redundant, fraction_free_rref, sort_codes_by_zeros
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
@@ -35,10 +35,10 @@ class RcParams:
     interval: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.resistance <= 0 or self.capacitance <= 0:
-            raise DomainError("resistance and capacitance must be positive")
-        if self.interval < 0:
-            raise DomainError("interval must be non-negative")
+        require_positive(
+            "resistance and capacitance must be positive", self.resistance, self.capacitance
+        )
+        require_positive("interval must be non-negative", self.interval, zero_ok=True)
 
     @property
     def tau(self) -> float:
@@ -65,8 +65,7 @@ def charging_response(vs: float, v0: float, rc: RcParams, t: float | None = None
     """
     if t is None:
         t = rc.interval
-    if t < 0:
-        raise DomainError("time must be non-negative")
+    require_positive("time must be non-negative", t, zero_ok=True)
     decay = math.exp(-t / rc.tau)
     return vs + (v0 - vs) * decay, (vs - v0) / rc.resistance * decay
 
@@ -77,10 +76,8 @@ def cap_to_cap_response(vs: float, c1: float, c2: float, r: float, t: float) -> 
     tau = r * c1 * c2 / (c1 + c2); both voltages approach c1*vs/(c1+c2) and
     the current starts at vs/r.
     """
-    if c1 <= 0 or c2 <= 0 or r <= 0:
-        raise DomainError("capacitances and resistance must be positive")
-    if t < 0:
-        raise DomainError("time must be non-negative")
+    require_positive("capacitances and resistance must be positive", c1, c2, r)
+    require_positive("time must be non-negative", t, zero_ok=True)
     tau = r * c1 * c2 / (c1 + c2)
     v_end = c1 * vs / (c1 + c2)
     rise = 1.0 - math.exp(-t / tau)
@@ -95,7 +92,8 @@ def redistribution_loss(c1: float, c2: float, dv: float) -> float:
     Independent of the loop resistance. c2 = inf models a stiff rail:
     the loss becomes c1 * dv**2 / 2.
     """
-    if c1 <= 0 or c2 <= 0:
+    require_positive("capacitances must be positive", c1)
+    if not c2 > 0:
         raise DomainError("capacitances must be positive")
     series = c1 if math.isinf(c2) else c1 * c2 / (c1 + c2)
     return series * dv * dv / 2.0
@@ -117,10 +115,8 @@ def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
     Fast switching (small beta) raises it as 4R; slow switching floors it
     at 1/(f_s * C).
     """
-    if f_s <= 0 or c <= 0:
-        raise DomainError("frequency and capacitance must be positive")
-    if beta1 <= 0 or beta2 <= 0:
-        raise DomainError("beta must be positive")
+    require_positive("frequency and capacitance must be positive", f_s, c)
+    require_positive("beta must be positive", beta1, beta2)
     return (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * f_s * c)
 
 
@@ -192,21 +188,19 @@ def slot_cap_ratios(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class TopologySlot:
-    """One schedule slot: its current share, capacitance ratio, and beta."""
+    """One schedule slot: its current share and capacitance ratio 1/series_count."""
 
     current_ratio: Fraction
     cap_ratio: Fraction
-    beta_k: float = 0.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.cap_ratio <= 1:
-            raise DomainError("cap_ratio must lie in (0, 1]")
-        if (Fraction(1) / self.cap_ratio).denominator != 1:
-            raise DomainError("cap_ratio must be the reciprocal of a stack count")
+        # a Fraction keeps its sign in the numerator, so this also rules out k <= 0
+        if not (isinstance(self.cap_ratio, (int, Fraction)) and self.cap_ratio.numerator == 1):
+            raise DomainError("cap_ratio must be 1/k for a positive integer stack count k")
 
     @property
     def series_count(self) -> int:
-        return int(Fraction(1) / self.cap_ratio)
+        return self.cap_ratio.denominator
 
 
 @dataclass(frozen=True)
@@ -214,7 +208,7 @@ class ReqSpec:
     """Operating point for the multi-slot resistance model.
 
     t_over_ts is the slot duration as an exact fraction of the period; it
-    may not exceed 1/len(slots). Slot betas are filled in on construction.
+    may not exceed 1/len(slots). Slot k's beta is series_count_k * beta.
     """
 
     f_s: float
@@ -225,8 +219,7 @@ class ReqSpec:
     slots: tuple[TopologySlot, ...]
 
     def __post_init__(self) -> None:
-        if self.f_s <= 0 or self.c <= 0 or self.r_on <= 0:
-            raise DomainError("f_s, c, and r_on must be positive")
+        require_positive("f_s, c, and r_on must be positive", self.f_s, self.c, self.r_on)
         if self.switches_per_loop < 1:
             raise DomainError("switches_per_loop must be at least 1")
         if not self.slots:
@@ -244,12 +237,6 @@ class ReqSpec:
                 f"slot duration {shown} of a period does not fit "
                 f"{len(self.slots)} slots"
             )
-        beta = self.beta
-        filled = tuple(
-            TopologySlot(s.current_ratio, s.cap_ratio, s.series_count * beta)
-            for s in self.slots
-        )
-        object.__setattr__(self, "slots", filled)
 
     @property
     def period(self) -> float:
@@ -292,10 +279,11 @@ def build_req_spec(
 def req_multi(spec: ReqSpec) -> float:
     """Equivalent resistance of a multi-slot schedule at the operating point."""
     total = 0.0
+    beta = spec.beta
     for slot in spec.slots:
         share = float(slot.current_ratio) ** 2
         half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(slot.cap_ratio))
-        total += share * half_period_cap * _coth(slot.beta_k / 2.0)
+        total += share * half_period_cap * _coth(slot.series_count * beta / 2.0)
     return total
 
 
@@ -312,19 +300,15 @@ def req_zero_beta_limit(spec: ReqSpec) -> float:
 
 def vo_under_load(v_trg, r_eq: float, r_o: float):
     """Output of an ideal target source v_trg behind r_eq loaded by r_o."""
-    if r_o <= 0:
-        raise DomainError("load resistance must be positive")
-    if r_eq < 0:
-        raise DomainError("equivalent resistance must be non-negative")
+    require_positive("load resistance must be positive", r_o)
+    require_positive("equivalent resistance must be non-negative", r_eq, zero_ok=True)
     return v_trg * r_o / (r_eq + r_o)
 
 
 def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
     """Equivalent resistance recovered from one loaded measurement."""
-    if r_o <= 0:
-        raise DomainError("load resistance must be positive")
-    if v_o <= 0:
-        raise DomainError("measured output must be positive")
+    require_positive("load resistance must be positive", r_o)
+    require_positive("measured output must be positive", v_o)
     if v_o >= v_trg:
         raise DomainError(
             f"measured output {v_o} does not droop below the target {v_trg}"
@@ -343,8 +327,7 @@ def efficiency(
     Pass a measured v_o directly, or v_o=None with r_eq and r_o to use the
     divider model. Switching overhead is outside this figure.
     """
-    if v_trg <= 0:
-        raise DomainError("target voltage must be positive")
+    require_positive("target voltage must be positive", v_trg)
     if v_o is None:
         if r_eq is None or r_o is None:
             raise DomainError("need either v_o or both r_eq and r_o")

@@ -140,11 +140,6 @@ class SignedDigitCode:
         return cls(data["a0"], tuple(data["digits"]), data.get("radix", 2))
 
 
-def code_value(code: SignedDigitCode) -> Fraction:
-    """Exact value represented by a code."""
-    return code.value
-
-
 def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
     # ascending by the digit tuple read least-significant first; this is the
     # order a full factorial sweep with the last digit fastest meets matches

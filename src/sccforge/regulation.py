@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_positive
 from .numrep import TargetRatio
 
 _MAX_PERIOD_LIMIT = 10_000
@@ -137,10 +137,8 @@ def ldo_select_ratio(
     allowed) the step-up lattice 2**n/m. Headroom beyond vout + dropout is
     pure dissipation, so smaller sufficient gain means better efficiency.
     """
-    if vin <= 0 or vout <= 0:
-        raise DomainError("vin and vout must be positive")
-    if dropout < 0:
-        raise DomainError("dropout must be non-negative")
+    require_positive("vin and vout must be positive", vin, vout)
+    require_positive("dropout must be non-negative", dropout, zero_ok=True)
     if resolution < 1:
         raise DomainError("resolution must be at least 1")
     need = vout + dropout
@@ -160,8 +158,6 @@ def ldo_select_ratio(
 
 def ldo_efficiency_bound(vout: float, dropout: float) -> float:
     """Best-case efficiency of the downstream regulator itself."""
-    if vout <= 0:
-        raise DomainError("vout must be positive")
-    if dropout < 0:
-        raise DomainError("dropout must be non-negative")
+    require_positive("vout must be positive", vout)
+    require_positive("dropout must be non-negative", dropout, zero_ok=True)
     return vout / (vout + dropout)

@@ -179,6 +179,16 @@ def test_simulate_writes_locus(tmp_path, capsys):
     assert len(rows) > 5
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--locus"])
+def test_simulate_unwritable_output_is_a_usage_error(tmp_path, capsys, flag):
+    path = tmp_path / "missing" / "out.csv"
+    assert main(SIM_ARGS + [flag, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("scc-forge simulate: error: ") and str(path) in line
+
+
 def test_simulate_cap_count_mismatch(capsys):
     assert main(["simulate", "--ratio", "3/8", "--vin", "8", "--caps", "4.7u,4.7u", "--cout", "47u"]) == 2
     assert "need 3 flying capacitances" in capsys.readouterr().err
@@ -465,7 +475,9 @@ def cli_argv(draw, out_dir):
     if command == "simulate":
         for name in ("trace", "locus"):
             if draw(st.booleans()):
-                argv += [f"--{name}", str(out_dir / f"{name}.csv")]
+                # "missing" is never created: the file cannot be opened
+                where = draw(st.sampled_from([out_dir, out_dir / "missing"]))
+                argv += [f"--{name}", str(where / f"{name}.csv")]
     return argv
 
 

@@ -1,0 +1,53 @@
+import math
+
+import pytest
+
+from sccforge.chargesim import BankState, run
+from sccforge.errors import DomainError
+from sccforge.lossmodel import (
+    RcParams,
+    active_schedule,
+    build_req_spec,
+    charging_response,
+    redistribution_loss,
+    req_follower,
+    vo_under_load,
+)
+from sccforge.numrep import TargetRatio, spawn_codes
+from sccforge.regulation import ldo_efficiency_bound, ldo_select_ratio
+
+NAN, INF = math.nan, math.inf
+ACTIVE_38 = active_schedule(TargetRatio(3, 2, 3))
+BANK = BankState((4.7e-6,) * 3, 47e-6, (0.0,) * 3, 0.0)
+
+# each call passed its validator with a NaN or infinite quantity before the
+# shared finite-and-positive check: accepted, returned nan, or failed elsewhere
+NON_FINITE_CALLS = {
+    "rc-resistance-nan": lambda: RcParams(NAN, 1.0),
+    "rc-interval-nan": lambda: RcParams(1.0, 1.0, NAN),
+    "bank-cap-nan": lambda: BankState((NAN,), 1.0, (0.0,), 0.0),
+    "bank-output-cap-inf": lambda: BankState((1.0,), INF, (0.0,), 0.0),
+    "req-spec-fs-nan": lambda: build_req_spec(ACTIVE_38, NAN, 4.7e-6, 1.2, 4),
+    "req-spec-c-inf": lambda: build_req_spec(ACTIVE_38, 1e5, INF, 1.2, 4),
+    "follower-fs-nan": lambda: req_follower(NAN, 1e-6, 1.0, 1.0),
+    "follower-beta-nan": lambda: req_follower(1e5, 1e-6, NAN, 1.0),
+    "load-ro-nan": lambda: vo_under_load(3.0, 0.5, NAN),
+    "ldo-vin-inf": lambda: ldo_select_ratio(INF, 1.8, 0.2, 3),
+    "ldo-dropout-nan": lambda: ldo_select_ratio(5.0, 1.8, NAN, 3),
+    "run-tol-nan": lambda: run(BANK, spawn_codes(TargetRatio(3, 2, 3)), 8.0, tol=NAN),
+}
+
+
+@pytest.mark.parametrize("call", NON_FINITE_CALLS.values(), ids=NON_FINITE_CALLS)
+def test_non_finite_quantities_are_domain_errors(call):
+    # the validator's own message, not a failure further down
+    with pytest.raises(DomainError, match="must be (positive|non-negative)"):
+        call()
+
+
+def test_zero_and_stiff_rail_stay_legal():
+    assert RcParams(1.0, 1.0, 0.0).beta == 0.0
+    assert charging_response(1.0, 0.0, RcParams(1.0, 1.0), t=0.0) == (0.0, 1.0)
+    assert ldo_select_ratio(5.0, 2.5, 0.0, 1).ratio == TargetRatio(1, 2, 1)
+    assert ldo_efficiency_bound(1.8, 0.0) == 1.0
+    assert redistribution_loss(2.0, INF, 1.0) == 1.0

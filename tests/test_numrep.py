@@ -11,7 +11,6 @@ from sccforge.numrep import (
     SignedDigitCode,
     TargetRatio,
     balanced_sequence,
-    code_value,
     conventional_code,
     enumerate_codes,
     spawn_codes,
@@ -78,9 +77,9 @@ def test_from_fraction_rejects_a_degenerate_radix(radix):
 
 
 def test_code_value_examples():
-    assert code_value(SignedDigitCode(1, (-1, 0, -1))) == Fraction(3, 8)
-    assert code_value(SignedDigitCode(0, (0, 0, 0))) == 0
-    assert code_value(SignedDigitCode(1, (-2, 1), radix=3)) == Fraction(4, 9)
+    assert SignedDigitCode(1, (-1, 0, -1)).value == Fraction(3, 8)
+    assert SignedDigitCode(0, (0, 0, 0)).value == 0
+    assert SignedDigitCode(1, (-2, 1), radix=3).value == Fraction(4, 9)
 
 
 def test_code_validation():
