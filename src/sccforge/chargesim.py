@@ -72,12 +72,12 @@ class SimTrace:
     final_state: BankState
 
 
-def step(state: BankState, code: SignedDigitCode, vin: float) -> StepResult:
-    """One redistribution slot: equalize the loop, return the moved charge.
+def _slot_matrix(state: BankState, code: SignedDigitCode) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Check that code can drive the bank; return its slot matrix and what it writes.
 
-    Engaged capacitors and the output settle to the joint solution of charge
-    conservation plus the voltage loop; bypassed capacitors are untouched.
-    Positive charge flows into the output.
+    The matrix depends only on the capacitances and the code. Its unknowns
+    are the engaged voltages, then the output voltage, then Q; the indices
+    returned are the positions in (V1 .. Vn, Vo) that those voltages replace.
     """
     if code.radix != 2:
         raise DomainError("redistribution model covers radix 2 banks only")
@@ -87,26 +87,26 @@ def step(state: BankState, code: SignedDigitCode, vin: float) -> StepResult:
     if not engaged and not code.a0:
         raise DomainError("code engages nothing")
     e = len(engaged)
-    # unknowns: engaged voltages, then the output voltage, then Q
     a = np.zeros((e + 2, e + 2))
-    b = np.zeros(e + 2)
     for row, j in enumerate(engaged):
         a[row, row] = 1.0
         a[row, e + 1] = code.digits[j] / state.flying_caps[j]
-        b[row] = state.flying_voltages[j]
+        a[e + 1, row] = code.digits[j]
     a[e, e] = 1.0
     a[e, e + 1] = -1.0 / state.output_cap
-    b[e] = state.output_voltage
-    for row, j in enumerate(engaged):
-        a[e + 1, row] = code.digits[j]
     a[e + 1, e] = -1.0
-    b[e + 1] = -code.a0 * vin
-    x = np.linalg.solve(a, b)
-    volts = list(state.flying_voltages)
-    for row, j in enumerate(engaged):
-        volts[j] = float(x[row])
-    next_state = BankState(state.flying_caps, state.output_cap, tuple(volts), float(x[e]))
-    return StepResult(next_state, float(x[e + 1]))
+    return a, (*engaged, state.size)
+
+
+def step(state: BankState, code: SignedDigitCode, vin: float) -> StepResult:
+    """One redistribution slot: equalize the loop, return the moved charge.
+
+    Engaged capacitors and the output settle to the joint solution of charge
+    conservation plus the voltage loop; bypassed capacitors are untouched.
+    Positive charge flows into the output.
+    """
+    trace = run(state, (code,), vin, tol=1.0, max_periods=1)  # one slot; convergence unused
+    return StepResult(trace.final_state, trace.records[0].charge)
 
 
 def run(
@@ -122,6 +122,8 @@ def run(
     over one full pass of the sequence must drop below tol (default
     1e-9 * |vin|, so tol is required when vin is 0). A run that exhausts
     max_periods returns its trace with converged False rather than raising.
+    Every code is checked against the bank once per run, before the first
+    slot, so an unsupported code raises even when max_periods is 0.
     """
     seq = tuple(sequence)
     if not seq:
@@ -133,25 +135,29 @@ def run(
     require_positive("tolerance must be positive", tol)
     if max_periods < 0:
         raise DomainError("max_periods must be non-negative")
+    matrices = {code: _slot_matrix(state, code) for code in dict.fromkeys(seq)}
+    plan = [(*matrices[code], -code.a0 * vin) for code in seq]
+    n = state.size
+    volts = [*state.flying_voltages, state.output_voltage]
     records: list[TraceRecord] = []
-    current = state
-    iteration = 0
     converged = False
     adjustment: int | None = None
     for period in range(1, max_periods + 1):
-        before = (*current.flying_voltages, current.output_voltage)
-        for code in seq:
-            current, charge = step(current, code, vin)
-            records.append(
-                TraceRecord(iteration, current.flying_voltages, current.output_voltage, charge)
-            )
-            iteration += 1
-        after = (*current.flying_voltages, current.output_voltage)
-        if max(abs(x - y) for x, y in zip(after, before)) < tol:
+        before = tuple(volts)
+        for a, written, drive in plan:
+            rhs = [*map(volts.__getitem__, written), drive]
+            *settled, charge = np.linalg.solve(a, rhs).tolist()
+            for i, v in zip(written, settled):
+                volts[i] = v
+            records.append(TraceRecord(len(records), tuple(volts[:n]), volts[n], charge))
+        if not all(map(math.isfinite, volts)):
+            break  # overflowed; the final BankState rejects it instead of spending the budget
+        if max(abs(x - y) for x, y in zip(volts, before)) < tol:
             converged = True
             adjustment = (period - 1) * len(seq)
             break
-    return SimTrace(tuple(records), converged, adjustment, current)
+    final = BankState(state.flying_caps, state.output_cap, tuple(volts[:n]), volts[n])
+    return SimTrace(tuple(records), converged, adjustment, final)
 
 
 def charge_locus(trace: SimTrace, topologies: int) -> list[tuple[float, float]]:

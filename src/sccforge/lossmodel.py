@@ -360,7 +360,7 @@ def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
         raise FitError("need at least two measurements")
     xs, ys = [], []
     for r_o, v_o in points:
-        if r_o <= 0 or v_o <= 0:
+        if not (0 < r_o < math.inf and 0 < v_o < math.inf):
             raise FitError("measurements must be positive")
         xs.append(r_o)
         ys.append(r_o / v_o)

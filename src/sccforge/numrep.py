@@ -148,12 +148,12 @@ def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeSet:
-    """The complete, duplicate-free code family of one ratio.
+    """A duplicate-free set of codes of one ratio, in canonical order.
 
-    Codes are kept in canonical order regardless of construction order. The
-    family of any ratio has at least effective_resolution + 1 members, and in
-    every digit column positive and negative entries either both occur or
-    neither does; both facts are checked on construction.
+    spawn_codes and enumerate_codes return the complete family. A hand-built
+    set is checked for radix, resolution, value and duplicates, not for
+    completeness. Codes are kept in canonical order regardless of
+    construction order.
     """
 
     ratio: TargetRatio
@@ -181,16 +181,6 @@ class CodeSet:
             if key in seen:
                 raise DomainError(f"duplicate code {code.to_text()!r}")
             seen.add(key)
-        if len(codes) < self.ratio.effective_resolution + 1:
-            raise DomainError(
-                f"{len(codes)} codes cannot cover a ratio of effective resolution "
-                f"{self.ratio.effective_resolution}"
-            )
-        for k in range(self.ratio.resolution):
-            has_pos = any(c.digits[k] > 0 for c in codes)
-            has_neg = any(c.digits[k] < 0 for c in codes)
-            if has_pos != has_neg:
-                raise DomainError(f"digit column {k + 1} is one-sided")
 
     def __iter__(self):
         return iter(self.codes)
@@ -246,9 +236,6 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
                 else:
                     child[k] += 1
                     carry = 0
-            # for ratios below unity the carry can never push a0 past 1
-            if b0 > 1:
-                raise AssertionError("carry overflow past the source bit")
             key = (b0, tuple(child))
             if key not in seen:
                 seen.add(key)

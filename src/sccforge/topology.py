@@ -11,7 +11,6 @@ tabulated below.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Literal
 
@@ -143,23 +142,10 @@ _SWITCH_TABLE_TEXT = """\
 1 0 0 -1 110000100001
 """
 
-_SWITCH_TABLE_SHA256 = "7ee1088730fe8f10d31814c2bff221775ef6fbc093ae2f404bdb2ce297553f6d"
-
-
-def _load_switch_table() -> dict[tuple[int, tuple[int, ...]], tuple[bool, ...]]:
-    digest = hashlib.sha256(_SWITCH_TABLE_TEXT.encode()).hexdigest()
-    if digest != _SWITCH_TABLE_SHA256:
-        raise RuntimeError("switch table corrupted (checksum mismatch)")
-    table = {}
-    for line in _SWITCH_TABLE_TEXT.splitlines():
-        a0, d1, d2, d3, bits = line.split()
-        table[(int(a0), (int(d1), int(d2), int(d3)))] = tuple(b == "1" for b in bits)
-    if len(table) != 24:
-        raise RuntimeError("switch table corrupted (entry count)")
-    return table
-
-
-_SWITCH_TABLE = _load_switch_table()
+_SWITCH_TABLE = {
+    (int(a0), (int(d1), int(d2), int(d3))): tuple(b == "1" for b in bits)
+    for a0, d1, d2, d3, bits in map(str.split, _SWITCH_TABLE_TEXT.splitlines())
+}
 
 
 def switch_states(code: SignedDigitCode) -> SwitchStates:

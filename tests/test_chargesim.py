@@ -2,11 +2,13 @@ import io
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from sccforge.chargesim import (
     BankState,
+    TraceRecord,
     charge_locus,
     run,
     step,
@@ -81,18 +83,26 @@ def test_first_slot_from_rest():
 
 
 @st.composite
-def step_cases(draw):
-    n = draw(st.integers(1, 4))
+def banks(draw, n):
     caps = tuple(draw(st.floats(1e-7, 1e-4)) for _ in range(n))
     cout = draw(st.floats(1e-6, 1e-3))
     volts = tuple(draw(st.floats(-10, 10)) for _ in range(n))
-    vout = draw(st.floats(-10, 10))
+    return bank(caps, cout, volts, draw(st.floats(-10, 10)))
+
+
+@st.composite
+def engaging_codes(draw, n):
     digits = tuple(draw(st.integers(-1, 1)) for _ in range(n))
     a0 = draw(st.integers(0, 1))
     if a0 == 0 and not any(digits):
         digits = (1,) + digits[1:]
-    vin = draw(st.floats(1.0, 12.0))
-    return bank(caps, cout, volts, vout), SignedDigitCode(a0, digits), vin
+    return SignedDigitCode(a0, digits)
+
+
+@st.composite
+def step_cases(draw):
+    n = draw(st.integers(1, 4))
+    return draw(banks(n)), draw(engaging_codes(n)), draw(st.floats(1.0, 12.0))
 
 
 @given(step_cases())
@@ -150,6 +160,31 @@ def test_run_reaches_the_loop_solution(case):
     assert trace.adjustment_iterations == (periods - 1) * len(SEQ_38)
 
 
+@st.composite
+def run_cases(draw):
+    n = draw(st.integers(1, 4))
+    pool = draw(st.lists(engaging_codes(n), min_size=1, max_size=3))
+    seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=6))
+    return draw(banks(n)), seq, draw(st.floats(1.0, 12.0)), draw(st.integers(0, 3))
+
+
+@given(run_cases())
+def test_run_is_step_chained_over_the_sequence(case):
+    state, seq, vin, periods = case
+    trace = run(state, seq, vin, max_periods=periods)
+    states, records = [state], []
+    for i, code in enumerate(seq * periods):
+        nxt, q = step(states[-1], code, vin)
+        states.append(nxt)
+        records.append(TraceRecord(i, nxt.flying_voltages, nxt.output_voltage, q))
+    done = len(trace.records)
+    # a converged run stops at a period boundary; otherwise it spends the budget
+    assert done % len(seq) == 0
+    assert trace.converged or done == len(records)
+    assert trace.records == tuple(records[:done])
+    assert trace.final_state == states[done]
+
+
 def test_limits_match_the_loop_equations():
     # the simulated fixed point is vin times the unique loop solution
     for m in (1, 3, 5, 7):
@@ -201,7 +236,7 @@ def test_zero_budget_run_is_empty():
     assert trace.final_state == state
 
 
-def test_run_validation():
+def test_run_validation(monkeypatch):
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
         run(state, [], VIN)
@@ -209,6 +244,18 @@ def test_run_validation():
         run(state, SEQ_38, VIN, tol=0.0)
     with pytest.raises(DomainError):
         run(state, SEQ_38, VIN, max_periods=-1)
+    # codes are checked before the first slot, so even an empty budget sees them
+    with pytest.raises(DomainError, match="engages nothing"):
+        run(state, [SignedDigitCode(0, (0, 0, 0))], VIN, max_periods=0)
+    # 1/1e-320 overflows to inf: the run stops after the first period, whatever
+    # the budget, and the final state's finite check raises
+    tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
+    solves = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    with pytest.raises(DomainError, match="voltages must be finite"):
+        run(tiny, SEQ_38, VIN, max_periods=10**4)
+    assert len(solves) == len(SEQ_38)
 
 
 def test_zero_input_needs_an_explicit_tolerance():

@@ -381,6 +381,11 @@ def test_fit_error_paths():
         load_line_fit([(100.0, 2.9), (200.0, -2.95)])
     with pytest.raises(FitError):
         load_line_fit([(1.0, 1.0), (2.0, 4.0)])
+    for bad in (math.nan, math.inf):
+        with pytest.raises(FitError, match="measurements must be positive"):
+            load_line_fit([(bad, 1.0), (1.0, 0.5), (2.0, 0.8)])
+        with pytest.raises(FitError, match="measurements must be positive"):
+            load_line_fit([(100.0, bad), (1.0, 0.5), (2.0, 0.8)])
 
 
 def test_load_csv_format():
