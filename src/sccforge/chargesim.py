@@ -10,13 +10,25 @@ bank to the voltages the loop equations pin, from any starting point.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DomainError, require_positive
 from .numrep import SignedDigitCode
+
+# The LAPACK gufunc np.linalg.solve dispatches to for a 1-D right-hand side.
+# Called directly, a slot skips the wrapper's per-call array conversion, dtype
+# resolution and errstate entry, and gets the same bits.
+_solve = _umath_linalg.solve1
+
+
+def _singular(err: str, flag: int) -> None:
+    raise np.linalg.LinAlgError("Singular matrix")
 
 
 @dataclass(frozen=True)
@@ -61,15 +73,30 @@ class TraceRecord(NamedTuple):
 class SimTrace:
     """Per-slot history of a simulation run.
 
-    adjustment_iterations counts the slots executed before the first period
-    whose boundary-to-boundary voltage change stayed below tolerance; None
-    when the run never converged.
+    buffer holds the slots one after another, each as n + 2 doubles: V1..Vn
+    and Vo after the slot, then the charge Q it moved, so 8 * (n + 2) bytes
+    per slot. records unpacks it into TraceRecords on first read and keeps
+    them; nothing in the library reads records, so only callers that ask for
+    them pay for one object per slot. periods counts the full passes of the
+    sequence that ran. adjustment_iterations counts the slots executed before
+    the first period whose boundary-to-boundary voltage change stayed below
+    tolerance; None when the run never converged.
     """
 
-    records: tuple[TraceRecord, ...]
+    buffer: array
+    periods: int
     converged: bool
     adjustment_iterations: int | None
     final_state: BankState
+
+    @cached_property
+    def records(self) -> tuple[TraceRecord, ...]:
+        n = self.final_state.size
+        buf = self.buffer
+        return tuple(
+            TraceRecord(i, tuple(buf[k : k + n]), buf[k + n], buf[k + n + 1])
+            for i, k in enumerate(range(0, len(buf), n + 2))
+        )
 
 
 def _slot_matrix(state: BankState, code: SignedDigitCode) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -106,7 +133,7 @@ def step(state: BankState, code: SignedDigitCode, vin: float) -> StepResult:
     Positive charge flows into the output.
     """
     trace = run(state, (code,), vin, tol=1.0, max_periods=1)  # one slot; convergence unused
-    return StepResult(trace.final_state, trace.records[0].charge)
+    return StepResult(trace.final_state, trace.buffer[-1])
 
 
 def run(
@@ -139,25 +166,30 @@ def run(
     plan = [(*matrices[code], -code.a0 * vin) for code in seq]
     n = state.size
     volts = [*state.flying_voltages, state.output_voltage]
-    records: list[TraceRecord] = []
+    buffer = array("d")
     converged = False
     adjustment: int | None = None
-    for period in range(1, max_periods + 1):
-        before = tuple(volts)
-        for a, written, drive in plan:
-            rhs = [*map(volts.__getitem__, written), drive]
-            *settled, charge = np.linalg.solve(a, rhs).tolist()
-            for i, v in zip(written, settled):
-                volts[i] = v
-            records.append(TraceRecord(len(records), tuple(volts[:n]), volts[n], charge))
-        if not all(map(math.isfinite, volts)):
-            break  # overflowed; the final BankState rejects it instead of spending the budget
-        if max(abs(x - y) for x, y in zip(volts, before)) < tol:
-            converged = True
-            adjustment = (period - 1) * len(seq)
-            break
+    # np.linalg.solve's own error state, entered once: a singular matrix
+    # still raises LinAlgError, and overflow stays silent for the check below
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        for period in range(1, max_periods + 1):
+            before = tuple(volts)
+            for a, written, drive in plan:
+                rhs = [*map(volts.__getitem__, written), drive]
+                *settled, charge = _solve(a, rhs, signature="dd->d").tolist()
+                for i, v in zip(written, settled):
+                    volts[i] = v
+                buffer.extend(volts)
+                buffer.append(charge)
+            if not all(map(math.isfinite, volts)):
+                break  # overflowed; the final BankState rejects it instead of spending the budget
+            if max(abs(x - y) for x, y in zip(volts, before)) < tol:
+                converged = True
+                adjustment = (period - 1) * len(seq)
+                break
     final = BankState(state.flying_caps, state.output_cap, tuple(volts[:n]), volts[n])
-    return SimTrace(tuple(records), converged, adjustment, final)
+    periods = len(buffer) // ((n + 2) * len(seq))
+    return SimTrace(buffer, periods, converged, adjustment, final)
 
 
 def charge_locus(trace: SimTrace, topologies: int) -> list[tuple[float, float]]:
@@ -168,9 +200,10 @@ def charge_locus(trace: SimTrace, topologies: int) -> list[tuple[float, float]]:
     """
     if topologies < 1:
         raise DomainError("topologies must be positive")
+    width = trace.final_state.size + 2
     return [
-        (2.0 * math.pi * (rec.iteration % topologies) / topologies, abs(rec.charge))
-        for rec in trace.records
+        (2.0 * math.pi * (k % topologies) / topologies, abs(charge))
+        for k, charge in enumerate(trace.buffer[width - 1 :: width])
     ]
 
 
@@ -179,11 +212,11 @@ def write_trace_csv(trace: SimTrace, stream: TextIO) -> None:
     size = trace.final_state.size
     header = ["iteration"] + [f"V{j}" for j in range(1, size + 1)] + ["Vo", "Q"]
     stream.write(",".join(header) + "\n")
-    for rec in trace.records:
-        cells = [str(rec.iteration)]
-        cells += [f"{v:.12g}" for v in rec.flying_voltages]
-        cells += [f"{rec.output_voltage:.12g}", f"{rec.charge:.12g}"]
-        stream.write(",".join(cells) + "\n")
+    width = size + 2
+    row = "{}," + ",".join(["{:.12g}"] * width) + "\n"
+    buf = trace.buffer
+    for i, k in enumerate(range(0, len(buf), width)):
+        stream.write(row.format(i, *buf[k : k + width]))
 
 
 def write_locus_csv(points: Iterable[tuple[float, float]], stream: TextIO) -> None:

@@ -199,7 +199,7 @@ def _cmd_simulate(o) -> _Out:
     except OSError as exc:
         raise _UsageError(str(exc)) from None
 
-    periods = len(trace.records) // len(sequence)
+    periods = trace.periods
     final = trace.final_state
     volts = " ".join(f"{v:.6g}" for v in final.flying_voltages)
     text = [f"limits: {volts} | {final.output_voltage:.6g} V"]

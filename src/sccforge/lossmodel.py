@@ -176,13 +176,17 @@ def _sign(d: int) -> int:
 
 
 def slot_cap_ratios(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
-    """Effective slot capacitance over unit capacitance: 1 / stacked count."""
+    """Effective slot capacitance over unit capacitance: 1 / stacked count.
+
+    Digit d_j stacks |d_j| units of group j in series, so a slot stacks
+    sum |d_j| units (at radix 2, the number of non-zero digits).
+    """
     out = []
     for code in codes:
-        engaged = code.engaged_count
-        if engaged == 0:
+        stacked = sum(map(abs, code.digits))
+        if stacked == 0:
             raise DomainError(f"code {code.to_text()!r} engages no capacitor")
-        out.append(Fraction(1, engaged))
+        out.append(Fraction(1, stacked))
     return tuple(out)
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from sccforge import chargesim
 from sccforge.chargesim import (
     BankState,
     TraceRecord,
@@ -145,6 +146,23 @@ def test_step_matches_direct_formula(case):
         assert v == pytest.approx(v2, rel=1e-8, abs=1e-9)
 
 
+@given(
+    st.integers(1, 6).flatmap(
+        lambda n: st.tuples(
+            banks(n), engaging_codes(n), st.lists(st.floats(-1e3, 1e3), min_size=n + 2, max_size=n + 2)
+        )
+    )
+)
+def test_slot_kernel_is_numpy_solve(case):
+    # run calls np.linalg.solve's LAPACK gufunc directly; a numpy release that
+    # routes a 1-D solve elsewhere would change simulate's bits
+    state, code, rhs = case
+    a, written = chargesim._slot_matrix(state, code)
+    rhs = rhs[: len(written) + 1]
+    direct = chargesim._solve(a, rhs, signature="dd->d").tolist()
+    assert repr(direct) == repr(np.linalg.solve(a, rhs).tolist())
+
+
 # -- full runs ---------------------------------------------------------------------
 
 
@@ -251,8 +269,8 @@ def test_run_validation(monkeypatch):
     # the budget, and the final state's finite check raises
     tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
     solves = []
-    solve = np.linalg.solve
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(a) or solve(a, b))
+    kernel = chargesim._solve
+    monkeypatch.setattr(chargesim, "_solve", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
     with pytest.raises(DomainError, match="voltages must be finite"):
         run(tiny, SEQ_38, VIN, max_periods=10**4)
     assert len(solves) == len(SEQ_38)

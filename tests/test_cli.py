@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -187,6 +188,38 @@ def test_simulate_unwritable_output_is_a_usage_error(tmp_path, capsys, flag):
     assert captured.out == ""
     [line] = captured.err.splitlines()
     assert line.startswith("scc-forge simulate: error: ") and str(path) in line
+
+
+def test_simulate_output_comes_from_the_trace_buffer(monkeypatch, tmp_path, capsys):
+    # the per-record rendering that the buffer-reading writers must reproduce
+    state = sccforge.BankState((4.7e-6,) * 3, 47e-6, (0.0,) * 3, 0.0)
+    sequence = sccforge.spawn_codes(sccforge.TargetRatio(3, 2, 3))
+    records = sccforge.run(state, sequence, 8.0).records
+    rows = ["iteration,V1,V2,V3,Vo,Q"] + [
+        ",".join([str(r.iteration), *(f"{v:.12g}" for v in (*r.flying_voltages, r.output_voltage, r.charge))])
+        for r in records
+    ]
+    locus = ["angle_rad,abs_charge"] + [
+        f"{2.0 * math.pi * (r.iteration % 5) / 5:.12g},{abs(r.charge):.12g}" for r in records
+    ]
+    plain = {}
+    for fmt in ("text", "json"):
+        assert main(SIM_ARGS + ["--format", fmt]) == 0
+        plain[fmt] = capsys.readouterr().out
+
+    def unbuilt(trace):
+        raise AssertionError("records built")
+
+    monkeypatch.setattr(sccforge.SimTrace, "records", property(unbuilt))
+    for fmt in ("text", "json"):
+        assert main(SIM_ARGS + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == plain[fmt]
+    assert main(SIM_ARGS + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out == "\n".join(rows) + "\n"
+    trace, points = tmp_path / "trace.csv", tmp_path / "locus.csv"
+    assert main(SIM_ARGS + ["--trace", str(trace), "--locus", str(points)]) == 0
+    assert trace.read_text() == "\n".join(rows) + "\n"
+    assert points.read_text() == "\n".join(locus) + "\n"
 
 
 def test_simulate_cap_count_mismatch(capsys):

@@ -208,6 +208,9 @@ def test_slot_cap_ratios():
     assert slot_cap_ratios(codes) == (F(1, 2), F(1))
     with pytest.raises(DomainError):
         slot_cap_ratios([SignedDigitCode(1, (0, 0, 0))])
+    # a radix-3 digit of magnitude 2 stacks two units (5/9)
+    codes = [SignedDigitCode(0, (2, -1), radix=3), SignedDigitCode(1, (-2, 2), radix=3)]
+    assert slot_cap_ratios(codes) == (F(1, 3), F(1, 4))
 
 
 # -- multi-slot resistance ------------------------------------------------------------
