@@ -232,9 +232,7 @@ def _cmd_req(o) -> _Out:
     table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
     for ratio in ratios:
         active = active_schedule(ratio)
-        if o.slot is None:
-            t_over_ts = Fraction(1, len(active))
-        elif isinstance(o.slot, Fraction):
+        if o.slot is None or isinstance(o.slot, Fraction):
             t_over_ts = o.slot
         else:
             t_over_ts = Fraction(o.slot) * Fraction(str(o.fs))
@@ -245,12 +243,14 @@ def _cmd_req(o) -> _Out:
             {
                 "ratio": str(ratio),
                 "slots": len(active),
-                "t_over_ts": str(t_over_ts),
+                "t_over_ts": str(spec.t_over_ts),
                 "req_ohm": req,
                 "floor_over_r": str(floor),
             }
         )
-        table.append((str(ratio), str(len(active)), _tts_text(t_over_ts), f"{req:.4f}", str(floor)))
+        table.append(
+            (str(ratio), str(len(active)), _tts_text(spec.t_over_ts), f"{req:.4f}", str(floor))
+        )
 
     widths = [max(len(row[i]) for row in table) for i in range(5)]
     return _Out(

@@ -21,7 +21,7 @@ def require_positive(message: str, *values, zero_ok: bool = False) -> None:
 
 
 class ResourceLimitError(RuntimeError):
-    """Request would exceed a configured enumeration or search budget."""
+    """Request would exceed a fixed enumeration, resolution or period limit."""
 
 
 class UnsupportedCodeError(DomainError):

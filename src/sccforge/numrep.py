@@ -22,7 +22,6 @@ from .errors import DomainError, ResourceLimitError
 
 _ENUMERATION_CELL_LIMIT = 10**7
 _BALANCE_RESOLUTION_LIMIT = 10
-_BALANCE_NODE_BUDGET = 500_000
 
 
 @dataclass(frozen=True, order=True)
@@ -287,106 +286,42 @@ def _matched_cells(m: int, n: int) -> list[SignedDigitCode]:
     return cells
 
 
-def _arrange(cells: list[SignedDigitCode], n: int, strict: bool) -> list[SignedDigitCode] | None:
-    """Order the cell multiset so per-capacitor engagements alternate in sign.
+def _arrange(cells: list[SignedDigitCode], n: int) -> list[SignedDigitCode]:
+    """Order the cell multiset into a balanced cycle, first fit.
 
-    In strict mode consecutive engagements of each capacitor (wrap included)
-    must also be floor(2**n/q) to ceil(2**n/q) rows apart, q being that
-    capacitor's total engagement count over the cycle. The depth-first search
-    keeps its own stack, since a schedule has up to 2**10 rows; it gives up
-    (None) after _BALANCE_NODE_BUDGET candidate placements.
+    Row pos takes the first code, in canonical order, that has copies left
+    and is admissible: every capacitor it engages was last engaged with the
+    opposite sign, floor(2**n/q) to ceil(2**n/q) rows earlier, q being that
+    capacitor's engagement count over the cycle. Up to
+    _BALANCE_RESOLUTION_LIMIT this single pass fills every row and closes
+    the cycle with the same alternation and spacing; the tests check both.
     """
     size = 1 << n
-    counts = Counter((c.a0, c.digits) for c in cells)
-    by_key = {(c.a0, c.digits): c for c in cells}
-    order = sorted(counts, key=lambda key: tuple(reversed(key[1])))
-    qcol = [sum(cnt for (_, dg), cnt in counts.items() if dg[k]) for k in range(n)]
-    gmin = [size // q if q else 0 for q in qcol]
-    gmax = [-(-size // q) if q else 0 for q in qcol]
-    last: list[tuple[int, int] | None] = [None] * n
-    first: list[tuple[int, int] | None] = [None] * n
-    seq: list[SignedDigitCode] = []
-    trail: list[tuple[tuple, list]] = []  # per placed row: its key and what it overwrote
+    counts = Counter(cells)
+    order = sorted(counts, key=_canonical_key)
+    left = [counts[code] for code in order]  # copies still to place, by index in order
+    signs = [[(k, 1 if d > 0 else -1) for k, d in enumerate(c.digits) if d] for c in order]
+    q = [sum(cnt for cnt, c in zip(left, order) if c.digits[k]) for k in range(n)]
+    gmin = [size // x if x else 0 for x in q]
+    gmax = [-(-size // x) if x else 0 for x in q]
+    last: list[tuple[int, int] | None] = [None] * n  # per capacitor: (row, sign)
 
-    def admissible(code: SignedDigitCode, pos: int) -> bool:
-        for k in range(n):
-            d = code.digits[k]
-            if d == 0:
-                continue
-            s = 1 if d > 0 else -1
+    def admissible(i: int, pos: int) -> bool:
+        for k, s in signs[i]:
             if last[k] is not None:
                 li, ls = last[k]
-                if ls == s:
-                    return False
-                if strict and not gmin[k] <= pos - li <= gmax[k]:
+                if ls == s or not gmin[k] <= pos - li <= gmax[k]:
                     return False
         return True
 
-    def wrap_ok() -> bool:
-        for k in range(n):
-            if first[k] is None:
-                continue
-            fi, fs = first[k]
-            li, ls = last[k]
-            if fi == li:
-                # engaged exactly once; the only gap is the full cycle
-                if strict and not gmin[k] <= size <= gmax[k]:
-                    return False
-                continue
-            if fs == ls:
-                return False
-            if strict and not gmin[k] <= size - li + fi <= gmax[k]:
-                return False
-        return True
-
-    def place(key, pos: int) -> None:
-        code = by_key[key]
-        trail.append((key, [(k, last[k], first[k]) for k in range(n) if code.digits[k]]))
-        counts[key] -= 1
-        for k in range(n):
-            d = code.digits[k]
-            if d:
-                s = 1 if d > 0 else -1
-                last[k] = (pos, s)
-                if first[k] is None:
-                    first[k] = (pos, s)
-        seq.append(code)
-
-    def unplace() -> None:
-        key, saved = trail.pop()
-        seq.pop()
-        counts[key] += 1
-        for k, l, f in saved:
-            last[k] = l
-            first[k] = f
-
-    nodes = 0
-    tried = [0]  # per open depth: the index in order of the next candidate
-    while tried:
-        pos = len(tried) - 1
-        if pos == size:
-            if wrap_ok():
-                return seq
-            tried.pop()
-            unplace()
-            continue
-        for i in range(tried[pos], len(order)):
-            key = order[i]
-            if counts[key] == 0:
-                continue
-            nodes += 1
-            if nodes > _BALANCE_NODE_BUDGET:
-                return None
-            if admissible(by_key[key], pos):
-                tried[pos] = i + 1
-                place(key, pos)
-                tried.append(0)
-                break
-        else:
-            tried.pop()
-            if seq:
-                unplace()
-    return None
+    seq: list[SignedDigitCode] = []
+    for pos in range(size):
+        i = next(i for i in range(len(order)) if left[i] and admissible(i, pos))
+        left[i] -= 1
+        for k, s in signs[i]:
+            last[k] = (pos, s)
+        seq.append(order[i])
+    return seq
 
 
 def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
@@ -395,9 +330,7 @@ def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
     Defined for radix 2 only. Each code of the ratio appears 2**(n - s) times,
     s being its engaged-digit count, so the schedule exercises the whole
     family. Consecutive engagements of every capacitor alternate in sign
-    around the cycle and fall at near-uniform spacing; if no arrangement
-    satisfies the spacing bound, an alternation-only arrangement is returned
-    instead.
+    around the cycle and fall at near-uniform spacing.
     """
     if ratio.radix != 2:
         raise DomainError("balanced sequencing is defined for radix 2 only")
@@ -407,9 +340,4 @@ def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
             f"balanced sequence of 2**{n} rows exceeds the supported resolution "
             f"{_BALANCE_RESOLUTION_LIMIT}"
         )
-    cells = _matched_cells(ratio.m, n)
-    for strict in (True, False):
-        seq = _arrange(cells, n, strict)
-        if seq is not None:
-            return tuple(seq)
-    raise ResourceLimitError("no balanced arrangement found within the search budget")
+    return tuple(_arrange(_matched_cells(ratio.m, n), n))

@@ -124,6 +124,18 @@ class RatioChoice(NamedTuple):
         return str(self.ratio)
 
 
+def _first_true(lo: int, hi: int, pred) -> int:
+    """Smallest m in [lo, hi) with pred(m), or hi; pred is false, then true."""
+    # plain ints: bisect on a range would need len(), which overflows past 2**63
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
+
+
 def ldo_select_ratio(
     vin: float,
     vout: float,
@@ -133,9 +145,11 @@ def ldo_select_ratio(
 ) -> RatioChoice:
     """Smallest conversion gain that still clears the regulator's dropout.
 
-    Scans the step-down lattice m/2**n in ascending gain, then (when
-    allowed) the step-up lattice 2**n/m. Headroom beyond vout + dropout is
-    pure dissipation, so smaller sufficient gain means better efficiency.
+    Takes the lowest step-down ratio m/2**n that clears vout + dropout,
+    else (when allowed) the lowest step-up ratio 2**n/m. Headroom beyond
+    vout + dropout is pure dissipation, so smaller sufficient gain means
+    better efficiency. Both tests are monotone in m, so each lattice is
+    bisected rather than scanned.
     """
     require_positive("vin and vout must be positive", vin, vout)
     require_positive("dropout must be non-negative", dropout, zero_ok=True)
@@ -143,13 +157,14 @@ def ldo_select_ratio(
         raise DomainError("resolution must be at least 1")
     need = vout + dropout
     denom = 2**resolution
-    for m in range(1, denom):
-        if Fraction(m, denom) * vin >= need:
-            return RatioChoice(TargetRatio(m, 2, resolution), False)
+    m = _first_true(1, denom, lambda m: Fraction(m, denom) * vin >= need)
+    if m < denom:
+        return RatioChoice(TargetRatio(m, 2, resolution), False)
     if allow_step_up:
-        for m in range(denom - 1, 0, -1):
-            if Fraction(denom, m) * vin >= need:
-                return RatioChoice(TargetRatio(m, 2, resolution), True)
+        # the largest m whose gain 2**n/m still clears the need
+        m = _first_true(1, denom, lambda m: Fraction(denom, m) * vin < need) - 1
+        if m >= 1:
+            return RatioChoice(TargetRatio(m, 2, resolution), True)
     raise DomainError(
         f"no ratio at resolution {resolution} lifts {vin:g} V to {need:g} V"
         + ("" if allow_step_up else " without step-up")

@@ -87,11 +87,9 @@ class SwitchStates:
         return iter(self.states)
 
 
-def code_to_topology(code: SignedDigitCode, radix: int | None = None) -> Topology:
+def code_to_topology(code: SignedDigitCode) -> Topology:
     """Wiring implied by a code: sign picks the mode, magnitude the stack depth."""
-    r = code.radix if radix is None else radix
-    if r != code.radix:
-        raise DomainError("radix disagrees with the code")
+    r = code.radix
     groups = []
     for d in code.digits:
         if d == 0:

@@ -3,8 +3,9 @@
 These deliberately take different routes than the library: the dither oracle
 enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
-matrix solve, and the elimination oracle works in Fractions where the library
-kernel stays in integers. Keep them dumb.
+matrix solve, the elimination oracle works in Fractions where the library
+kernel stays in integers, and the LDO oracle scans the lattice the library
+bisects. Keep them dumb.
 """
 
 from fractions import Fraction
@@ -101,3 +102,21 @@ def matched_cells_by_scan(n):
             cells[m][j] = (a0, digits)
     assert all(None not in found for found in cells.values()), "sign pattern matched no mask"
     return cells
+
+
+def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):
+    """(m, step_up) of the lowest gain that lifts vin to vout + dropout, or None.
+
+    Walks the step-down gains m/2**n upward, then the step-up gains 2**n/m
+    upward (m downward), and stops at the first that clears the need.
+    """
+    need = vout + dropout
+    denom = 2**resolution
+    for m in range(1, denom):
+        if Fraction(m, denom) * vin >= need:
+            return m, False
+    if allow_step_up:
+        for m in range(denom - 1, 0, -1):
+            if Fraction(denom, m) * vin >= need:
+                return m, True
+    return None

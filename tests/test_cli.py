@@ -426,6 +426,21 @@ def test_balanced_schedule_at_the_resolution_limit():
 
 
 @pytest.mark.parametrize(
+    "argv, code, text",
+    [
+        (["--vin", "10"], 0, "ratio 362838837167/1099511627776 step-down"),
+        (["--vin", "1"], 0, "ratio 1099511627776/333185341750 step-up"),
+        (["--vin", "1", "--no-step-up"], 3, "no ratio at resolution 40 lifts 1 V"),
+    ],
+    ids=["step-down", "step-up", "no-step-up"],
+)
+def test_ldo_at_resolution_40_answers_promptly(argv, code, text):
+    done = run_cli("ldo", *argv, "--vout", "3.3", "--n", "40")
+    assert done.returncode == code
+    assert text in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize(
     "argv, line, flag",
     [
         (["codes", "--ratio", "3/8"], "format = xml", "format"),

@@ -1,9 +1,10 @@
+import hashlib
 import itertools
 from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sccforge.errors import DomainError, ResourceLimitError
 from sccforge.numrep import (
@@ -17,7 +18,12 @@ from sccforge.numrep import (
 )
 from sccforge.numrep import _matched_cells
 
-from golden import BALANCED_TABLE_N3, CODE_FAMILY_R2_N3, CODE_FAMILY_R3_N2
+from golden import (
+    BALANCED_DIGEST_N1_7,
+    BALANCED_TABLE_N3,
+    CODE_FAMILY_R2_N3,
+    CODE_FAMILY_R3_N2,
+)
 from oracles import matched_cells_by_scan
 
 
@@ -263,6 +269,27 @@ def test_balanced_invariants_up_to_n5():
         for m in range(1, 2**n):
             ratio = TargetRatio(m, 2, n)
             check_balanced(balanced_sequence(ratio), ratio)
+
+
+def test_balanced_row_order_is_pinned_up_to_n7():
+    digest = hashlib.sha256()
+    for n in range(1, 8):
+        for m in range(1, 2**n):
+            for code in balanced_sequence(TargetRatio(m, 2, n)):
+                digest.update(f"{m}/{2**n} {code.to_text()}\n".encode())
+    assert digest.hexdigest() == BALANCED_DIGEST_N1_7
+
+
+@st.composite
+def high_resolution_ratios(draw):
+    n = draw(st.integers(6, 10))
+    return TargetRatio(draw(st.integers(1, 2**n - 1)), 2, n)
+
+
+@settings(max_examples=10)
+@given(high_resolution_ratios())
+def test_balanced_invariants_up_to_the_resolution_limit(ratio):
+    check_balanced(balanced_sequence(ratio), ratio)
 
 
 def test_balanced_rejects_other_radices():

@@ -14,7 +14,7 @@ from sccforge.regulation import (
     ldo_select_ratio,
 )
 
-from oracles import brute_force_dither
+from oracles import brute_force_dither, ldo_select_by_scan
 
 F = Fraction
 
@@ -196,6 +196,24 @@ def test_selected_gain_is_minimal(vin, vout, dropout, allow_step_up):
     for g in all_gains(3, allow_step_up):
         if g < choice.gain:
             assert g * vin < need
+
+
+@given(
+    st.floats(0.1, 50.0),
+    st.floats(0.1, 50.0),
+    st.floats(0.0, 2.0),
+    st.integers(1, 12),
+    st.booleans(),
+)
+def test_selection_matches_the_lattice_scan(vin, vout, dropout, resolution, allow_step_up):
+    want = ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up)
+    try:
+        choice = ldo_select_ratio(vin, vout, dropout, resolution, allow_step_up)
+    except DomainError:
+        assert want is None
+        return
+    assert (choice.ratio.m, choice.step_up) == want
+    assert choice.ratio.resolution == resolution
 
 
 def test_selection_validation():
