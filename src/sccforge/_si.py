@@ -19,6 +19,10 @@ _PREFIXES = {
     "G": 1e9,
 }
 
+# numerator or denominator digits that parse_fraction admits; far above any
+# ratio a bank can reach, and far below Python's 4,300-digit int-to-str limit
+_FRACTION_DIGITS = 1000
+
 # unit letters that may trail a magnitude ("4.7uF", "100kHz", "1.2Ohm")
 _UNIT_SUFFIXES = ("ohm", "Ohm", "OHM", "Hz", "hz", "F", "V", "A", "s", "S")
 
@@ -53,8 +57,21 @@ def parse_quantity(text: str) -> float:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Parse "3/8", "0.4", or "2" into an exact Fraction."""
+    """Parse "3/8", "0.4", "2" or "4e-1" into an exact Fraction.
+
+    Neither numerator nor denominator can have more digits than the text
+    before the exponent plus the exponent's size; text where that exceeds
+    _FRACTION_DIGITS is rejected before the Fraction is built, so
+    "1e-9999999" costs nothing.
+    """
     s = text.strip()
+    mantissa, _, exponent = s.lower().partition("e")
+    try:
+        size = len(mantissa) + abs(int(exponent or 0))
+    except ValueError:
+        raise DomainError(f"cannot parse fraction {text!r}") from None
+    if size > _FRACTION_DIGITS:
+        raise DomainError(f"fraction {text!r} exceeds the {_FRACTION_DIGITS}-digit limit")
     try:
         if "/" in s:
             num, den = s.split("/")

@@ -5,6 +5,10 @@ one packet of charge Q move instantaneously; switch and wire resistance only
 shapes the current waveform, not where the voltages settle, so the lossless
 step captures the steady state exactly. Cycling a code sequence drives the
 bank to the voltages the loop equations pin, from any starting point.
+
+This is the only module that uses numpy, and it imports numpy on the first
+simulation rather than at import time, so the rest of the package starts on
+the standard library alone.
 """
 
 from __future__ import annotations
@@ -13,21 +17,18 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, NamedTuple, Sequence, TextIO
-
-import numpy as np
-from numpy.linalg import _umath_linalg
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DomainError, require_positive
 from .numrep import SignedDigitCode
 
-# The LAPACK gufunc np.linalg.solve dispatches to for a 1-D right-hand side.
-# Called directly, a slot skips the wrapper's per-call array conversion, dtype
-# resolution and errstate entry, and gets the same bits.
-_solve = _umath_linalg.solve1
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _singular(err: str, flag: int) -> None:
+    import numpy as np
+
     raise np.linalg.LinAlgError("Singular matrix")
 
 
@@ -113,6 +114,8 @@ def _slot_matrix(state: BankState, code: SignedDigitCode) -> tuple[np.ndarray, t
     engaged = [j for j, d in enumerate(code.digits) if d != 0]
     if not engaged and not code.a0:
         raise DomainError("code engages nothing")
+    import numpy as np
+
     e = len(engaged)
     a = np.zeros((e + 2, e + 2))
     for row, j in enumerate(engaged):
@@ -162,6 +165,13 @@ def run(
     require_positive("tolerance must be positive", tol)
     if max_periods < 0:
         raise DomainError("max_periods must be non-negative")
+    import numpy as np
+    from numpy.linalg import _umath_linalg
+
+    # The LAPACK gufunc np.linalg.solve dispatches to for a 1-D right-hand
+    # side. Called directly, a slot skips the wrapper's per-call array
+    # conversion, dtype resolution and errstate entry, and gets the same bits.
+    solve = _umath_linalg.solve1
     matrices = {code: _slot_matrix(state, code) for code in dict.fromkeys(seq)}
     plan = [(*matrices[code], -code.a0 * vin) for code in seq]
     n = state.size
@@ -176,7 +186,7 @@ def run(
             before = tuple(volts)
             for a, written, drive in plan:
                 rhs = [*map(volts.__getitem__, written), drive]
-                *settled, charge = _solve(a, rhs, signature="dd->d").tolist()
+                *settled, charge = solve(a, rhs, signature="dd->d").tolist()
                 for i, v in zip(written, settled):
                     volts[i] = v
                 buffer.extend(volts)

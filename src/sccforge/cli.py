@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import sys
@@ -40,6 +41,9 @@ EXIT_DOMAIN = 3
 EXIT_NO_CONVERGENCE = 4
 
 _REQUIRED = object()
+# Largest --n for the whole-lattice req table (1,023 rows); each step past it
+# doubles the table.
+_REQ_TABLE_LIMIT = 10
 
 
 class _UsageError(Exception):
@@ -224,6 +228,10 @@ def _cmd_req(o) -> _Out:
     if o.n < 1:
         raise _UsageError("--n must be at least 1")
     if o.ratio is None:
+        if o.n > _REQ_TABLE_LIMIT:
+            raise ResourceLimitError(
+                f"a table at --n {o.n} has 2**{o.n} - 1 rows; the limit is --n {_REQ_TABLE_LIMIT}"
+            )
         ratios = [TargetRatio(m, 2, o.n) for m in range(1, 2**o.n)]
     else:
         ratios = [_target(o.ratio, 2)]
@@ -315,7 +323,7 @@ _OPTIONS = {
     "ron": (_QUANTITY, _REQUIRED, "switch on-resistance"),
     "switches": (_int, _REQUIRED, "switches per charge loop"),
     "slot": (_si.parse_slot, None, "slot duration: Ts/N or seconds (default even split)"),
-    "n": (_int, "3", "bank resolution (req: the table covers every m/2**n)"),
+    "n": (_int, "3", "bank resolution, n <= 1000 (req: the table of every m/2**n, n <= 10)"),
     "target": (_si.parse_fraction, _REQUIRED, "target ratio in (0, 1), e.g. 0.4 or 2/5"),
     "max_period": (_int, "8", "longest plan"),
     "vout": (_QUANTITY, _REQUIRED, "regulator output voltage"),
@@ -345,7 +353,9 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args keeps no state between calls
     parser = argparse.ArgumentParser(
         prog="scc-forge",
         description="Switched-capacitor converter design tools",

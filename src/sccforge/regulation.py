@@ -16,6 +16,17 @@ from .errors import DomainError, ResourceLimitError, require_positive
 from .numrep import TargetRatio
 
 _MAX_PERIOD_LIMIT = 10_000
+# Finest lattice planned on: every gain 2**n/m stays a finite float (2**1024
+# overflows), and 2**1000 prints in 302 digits, far inside Python's
+# 4,300-digit int-to-str limit.
+_RESOLUTION_LIMIT = 1000
+
+
+def _check_resolution(resolution: int) -> None:
+    if resolution < 1:
+        raise DomainError("resolution must be at least 1")
+    if resolution > _RESOLUTION_LIMIT:
+        raise ResourceLimitError(f"resolution {resolution} beyond the limit {_RESOLUTION_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -69,9 +80,10 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
     ties go to the shorter schedule, then to the lower average. A target
     sitting exactly on the lattice returns the single-ratio plan. Targets
     outside [1/2**n, (2**n - 1)/2**n] are unreachable and rejected.
+    Resolution is capped at _RESOLUTION_LIMIT and max_period at
+    _MAX_PERIOD_LIMIT.
     """
-    if resolution < 1:
-        raise DomainError("resolution must be at least 1")
+    _check_resolution(resolution)
     if max_period < 1:
         raise DomainError("max_period must be at least 1")
     if max_period > _MAX_PERIOD_LIMIT:
@@ -149,12 +161,11 @@ def ldo_select_ratio(
     else (when allowed) the lowest step-up ratio 2**n/m. Headroom beyond
     vout + dropout is pure dissipation, so smaller sufficient gain means
     better efficiency. Both tests are monotone in m, so each lattice is
-    bisected rather than scanned.
+    bisected rather than scanned. Resolution is capped at _RESOLUTION_LIMIT.
     """
     require_positive("vin and vout must be positive", vin, vout)
     require_positive("dropout must be non-negative", dropout, zero_ok=True)
-    if resolution < 1:
-        raise DomainError("resolution must be at least 1")
+    _check_resolution(resolution)
     need = vout + dropout
     denom = 2**resolution
     m = _first_true(1, denom, lambda m: Fraction(m, denom) * vin >= need)

@@ -5,6 +5,7 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from numpy.linalg import _umath_linalg
 
 from sccforge import chargesim
 from sccforge.chargesim import (
@@ -154,12 +155,13 @@ def test_step_matches_direct_formula(case):
     )
 )
 def test_slot_kernel_is_numpy_solve(case):
-    # run calls np.linalg.solve's LAPACK gufunc directly; a numpy release that
-    # routes a 1-D solve elsewhere would change simulate's bits
+    # run calls np.linalg.solve's LAPACK gufunc directly (test_run_validation
+    # counts those calls); a numpy release that routes a 1-D solve elsewhere
+    # would change simulate's bits
     state, code, rhs = case
     a, written = chargesim._slot_matrix(state, code)
     rhs = rhs[: len(written) + 1]
-    direct = chargesim._solve(a, rhs, signature="dd->d").tolist()
+    direct = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
     assert repr(direct) == repr(np.linalg.solve(a, rhs).tolist())
 
 
@@ -269,8 +271,8 @@ def test_run_validation(monkeypatch):
     # the budget, and the final state's finite check raises
     tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
     solves = []
-    kernel = chargesim._solve
-    monkeypatch.setattr(chargesim, "_solve", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
+    kernel = _umath_linalg.solve1
+    monkeypatch.setattr(_umath_linalg, "solve1", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
     with pytest.raises(DomainError, match="voltages must be finite"):
         run(tiny, SEQ_38, VIN, max_periods=10**4)
     assert len(solves) == len(SEQ_38)

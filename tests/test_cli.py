@@ -4,8 +4,10 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -384,14 +386,29 @@ def test_bad_quantity_is_a_usage_error(capsys):
     assert "bad value for --vin" in capsys.readouterr().err
 
 
-def run_cli(*argv: str) -> subprocess.CompletedProcess:
-    """The CLI in a child process, so a hang fails the test instead of stalling it."""
+def _cap_memory() -> None:
+    # a runaway allocation ends in the child's MemoryError, not the host's
+    resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))
+
+
+def run_python(code: str, *argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
+    """Python code in a child process, so a hang fails the test instead of stalling it."""
     src = str(Path(sccforge.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
-    code = "import sys; from sccforge.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run(
-        [sys.executable, "-c", code, *argv], capture_output=True, text=True, env=env, timeout=30
+        [sys.executable, "-c", code, *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=timeout,
+        preexec_fn=_cap_memory,
     )
+
+
+def run_cli(*argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
+    """The CLI in a fresh child process."""
+    code = "import sys; from sccforge.cli import main; sys.exit(main(sys.argv[1:]))"
+    return run_python(code, *argv, timeout=timeout)
 
 
 @pytest.mark.parametrize("radix", ["1", "0"])
@@ -440,6 +457,90 @@ def test_ldo_at_resolution_40_answers_promptly(argv, code, text):
     assert text in done.stdout + done.stderr
 
 
+# Runs argv lists through main in one child process; reports whether numpy
+# is loaded after the imports, then per run the exit code, stdout, stderr and
+# whether numpy is loaded by then.
+ONE_PROCESS = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import sccforge, sccforge.cli
+    runs = ["numpy" in sys.modules]
+    for argv in json.loads(sys.argv[1]):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = sccforge.cli.main(argv)
+        runs.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+    print(json.dumps(runs))
+    """
+)
+
+
+def run_in_one_process(argvs, timeout: float = 30) -> list:
+    done = run_python(ONE_PROCESS, json.dumps(argvs), timeout=timeout)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_only_simulate_loads_numpy():
+    first = [["codes", "--ratio", "3/8"], ["solve", "--ratio", "3/8"], REQ_ARGS]
+    first += [["dither", "--target", "0.4"], ["ldo", "--vin", "10", "--vout", "3.3"]]
+    imported, *runs = run_in_one_process(first + [SIM_ARGS])
+    assert not imported
+    assert [[code, numpy] for code, _, _, numpy in runs] == [[0, False]] * len(first) + [[0, True]]
+
+
+# a success, argparse's own usage error, a domain error, two more commands
+# and a help page
+SESSION = [
+    ["codes", "--ratio", "3/8"],
+    ["codes", "--ratio", "3/8", "--bogus"],
+    ["dither", "--target", "0.05"],
+    ["solve", "--ratio", "3/8", "--format", "json"],
+    ["ldo", "--vin", "10", "--vout", "3.3"],
+    ["solve", "--help"],
+]
+
+
+def test_repeated_main_calls_match_fresh_processes(monkeypatch, capsys):
+    # main builds its parser once per process; every later call must behave
+    # like the first call of a fresh process
+    monkeypatch.setenv("COLUMNS", "80")  # the help page wraps alike in both
+    fresh = [run_cli(*argv) for argv in SESSION]
+    for _ in range(2):
+        for argv, done in zip(SESSION, fresh):
+            code = main(argv)
+            captured = capsys.readouterr()
+            assert (code, captured.out, captured.err) == (done.returncode, done.stdout, done.stderr)
+    assert [done.returncode for done in fresh] == [0, 2, 3, 0, 0, 0]
+
+
+OVERSIZED = [
+    (REQ_ARGS + ["--n", "40"], 3, "error: a table at --n 40 has 2**40 - 1 rows"),
+    (REQ_ARGS + ["--n", "11"], 3, "the limit is --n 10"),
+    (["dither", "--target", "0.4", "--n", "100000"], 3, "resolution 100000 beyond the limit"),
+    (["ldo", "--vin", "10", "--vout", "3.3", "--n", "100000"], 3, "resolution 100000 beyond"),
+    (["dither", "--target", "1e-9999"], 2, "fraction '1e-9999' exceeds the 1000-digit limit"),
+    (["dither", "--target", "1e5000"], 2, "fraction '1e5000' exceeds the 1000-digit limit"),
+    (["dither", "--target", "1e-9999999"], 2, "fraction '1e-9999999' exceeds"),
+]
+
+
+def test_oversized_input_is_refused_before_any_work():
+    # in a child with a timeout and a memory cap: before these limits the
+    # cases ran out of memory, ran for minutes or ended in a traceback
+    _, *runs = run_in_one_process([argv for argv, _, _ in OVERSIZED], timeout=10)
+    for (argv, want, text), (code, out, err, _) in zip(OVERSIZED, runs):
+        assert (code, out, len(err.splitlines())) == (want, "", 1), argv
+        assert text in err
+
+
+def test_resolution_40_still_plans_a_dither(capsys):
+    assert main(["dither", "--target", "0.4", "--n", "40"]) == 0
+    assert lines_of(capsys) == [
+        "3x 439804651110/1099511627776 + 2x 439804651111/1099511627776 = 2/5"
+    ]
+
+
 @pytest.mark.parametrize(
     "argv, line, flag",
     [
@@ -463,6 +564,9 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
 MALFORMED = ["abc", "NaN", "-1", "0", "1/0", ""]
 RATIOS = ["3/8", "5/16", "21/64", "4/8", "1/2", "4/9", "63/64", "9/8", "3/7"]
 QUANTITIES = ["8", "3.3", "1.8", "0.3", "4.7u", "47u", "1m", "100k", "1.2"]
+# 40 is past the req table's limit (10) but within ldo's and dither's (1000);
+# 100000 is past all three
+RESOLUTIONS = ["1", "3", "5", "40", "100000"]
 VALUES = {
     "codes": {
         "--ratio": RATIOS,
@@ -488,18 +592,18 @@ VALUES = {
         "--switches": ["4", "2"],
         "--slot": ["Ts/4", "Ts/2", "2u"],
         "--ratio": RATIOS,
-        "--n": ["1", "3", "5"],
+        "--n": RESOLUTIONS,
     },
     "dither": {
-        "--target": ["0.4", "2/5", "0.05", "0.95", "1.2"],
-        "--n": ["1", "3", "5"],
+        "--target": ["0.4", "2/5", "0.05", "0.95", "1.2", "1e-9999"],
+        "--n": RESOLUTIONS,
         "--max-period": ["1", "8", "50"],
     },
     "ldo": {
         "--vin": QUANTITIES,
         "--vout": QUANTITIES,
         "--dropout": QUANTITIES,
-        "--n": ["1", "3", "5"],
+        "--n": RESOLUTIONS,
     },
 }
 SWITCHES = {"codes": ["--check"], "solve": ["--stepup", "--eliminate"], "ldo": ["--no-step-up"]}

@@ -227,6 +227,18 @@ def test_selection_validation():
         ldo_select_ratio(10.0, 3.3, 0.3, 0)
 
 
+def test_resolution_limit():
+    # at the limit every gain 2**n/m is still a finite float, so a supply no
+    # ratio can lift ends in a DomainError, not an OverflowError
+    assert dither_plan(F(2, 5), 1000, 8).ratios[0].resolution == 1000
+    with pytest.raises(DomainError, match="no ratio at resolution 1000"):
+        ldo_select_ratio(5e-324, 3.3, 0.0, 1000)
+    with pytest.raises(ResourceLimitError):
+        dither_plan(F(2, 5), 1001, 8)
+    with pytest.raises(ResourceLimitError):
+        ldo_select_ratio(10.0, 3.3, 0.3, 1001)
+
+
 def test_efficiency_bound():
     assert ldo_efficiency_bound(3.3, 0.3) == pytest.approx(3.3 / 3.6, rel=1e-12)
     assert ldo_efficiency_bound(5.0, 0.5) == pytest.approx(10.0 / 11.0, rel=1e-12)
