@@ -235,6 +235,12 @@ def _cmd_req(o) -> _Out:
         ratios = [TargetRatio(m, 2, o.n) for m in range(1, 2**o.n)]
     else:
         ratios = [_target(o.ratio, 2)]
+        # the ratio's denominator sets the resolution; a different explicit --n is a conflict
+        if "n" in o.given and o.n != ratios[0].resolution:
+            raise _UsageError(
+                f"--n {o.n} does not match --ratio {o.ratio}, "
+                f"whose resolution is {ratios[0].resolution}"
+            )
 
     rows = []
     table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
@@ -415,6 +421,7 @@ def main(argv=None) -> int:
     try:
         values = {name: _pick(args, cfg, name) for name in (*options, "format")}
         values |= {name: getattr(args, name) for name in argv_only}
+        values["given"] = {name for name in options if getattr(args, name) is not None or name in cfg}
         out = handler(argparse.Namespace(**values))
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)

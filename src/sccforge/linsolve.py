@@ -7,13 +7,19 @@ is what lets the bank self-adjust with no feedback. Ranks, solutions,
 redundancy scores and the charge balance of lossmodel all come from one
 integer fraction-free Gauss-Jordan kernel. Loop rows are integers from
 topology.kvl_row to the kernel; Fractions are built only from its final
-numerators and common denominator.
+numerators and common denominator, and the redundancy test compares
+integers. Inside the kernel each row is one packed int, column j in a
+signed field of k bits, where k holds Hadamard's bound r**(r/2) * max|a|**r
+(r = min(rows, cols)) and its sign, so a row update costs three big-int
+operations whatever the width.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
+from operator import lshift
 from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
@@ -62,7 +68,7 @@ class KvlSystem:
             raise DomainError("right-hand side length does not match the matrix")
         if self.codes and len(self.codes) != len(matrix):
             raise DomainError("one code per row, or no codes at all")
-        if any(type(x) is not int for row in (*matrix, rhs) for x in row):
+        if not {int}.issuperset(map(type, chain(rhs, *matrix))):
             raise DomainError("matrix and rhs entries must be ints")
 
     @property
@@ -142,32 +148,63 @@ def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     Pivot rule: columns left to right, smallest available row index. Returns
     (m, pivots, d): the reduced row echelon form is m / d, and pivots lists
     the pivot column of each leading row.
+
+    Each row is held as one int, the sum of a_j * 2**(k*j) (Kronecker
+    substitution), so a row update is three big-int operations and reading
+    one entry is a biased shift and mask. With r = min(rows, cols), every
+    entry kept is a minor of order at most r, bounded by Hadamard's
+    r**(r/2) * max|a|**r; k holds that bound and its sign, so every field
+    decodes exactly for any ints. The product p*row - f*top may overflow
+    its fields, but it is exact as one int and is divided exactly by prev
+    before anything is read back. Raises DomainError for an empty or ragged
+    matrix.
     """
-    m = [list(row) for row in rows]
-    nrows, ncols = len(m), len(m[0])
+    if not rows or not rows[0]:
+        raise DomainError("empty matrix")
+    nrows, ncols = len(rows), len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise DomainError("ragged matrix")
+    order = min(nrows, ncols)
+    big = max(max(map(abs, row)) for row in rows)
+    k = ((order**order * big ** (2 * order)).bit_length() + 1) // 2 + 1
+    half, mask = 1 << (k - 1), (1 << k) - 1
+    bias = half * (((1 << (k * ncols)) - 1) // mask)
+    shifts = range(0, k * ncols, k)
+    m = [sum(map(lshift, row, shifts)) for row in rows]
     pivots: list[int] = []
     prev = 1
     for col in range(ncols):
         r = len(pivots)
         if r >= nrows:
             break
-        piv = next((i for i in range(r, nrows) if m[i][col]), None)
+        shift = k * col
+        # rows below the last pivot are zero left of col, so no borrow reaches field col
+        piv = next((i for i in range(r, nrows) if m[i] >> shift & mask), None)
         if piv is None:
             continue
         m[r], m[piv] = m[piv], m[r]
         top = m[r]
-        p = top[col]
+        p = ((top + bias) >> shift & mask) - half
         for i in range(nrows):
             if i == r:
                 continue
-            f = m[i][col]
+            f = ((m[i] + bias) >> shift & mask) - half
             if f:
-                m[i] = [(p * a - f * b) // prev for a, b in zip(m[i], top)]
+                m[i] = (p * m[i] - f * top) // prev
             elif p != prev:
-                m[i] = [p * a // prev for a in m[i]]
+                m[i] = p * m[i] // prev
         prev = p
         pivots.append(col)
-    return m, pivots, prev
+    out = []
+    for packed in m:
+        row = [0] * ncols
+        if packed:
+            packed += bias
+            for j in range(ncols):
+                row[j] = (packed & mask) - half
+                packed >>= k
+        out.append(row)
+    return out, pivots, prev
 
 
 def _eliminate(system: KvlSystem) -> tuple[SolvabilityReport, list[list[int]], int]:
@@ -195,20 +232,26 @@ def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
     return tuple(Fraction(m[i][-1], d) for i in range(system.unknowns))
 
 
+def _dependence(system: KvlSystem) -> tuple[list[int], int]:
+    """Column sums of |rref(A transposed)| numerators, and |d|: one per row."""
+    m, _, d = fraction_free_rref(list(zip(*system.matrix)))
+    return [sum(map(abs, col)) for col in zip(*m)], abs(d)
+
+
 def redundancy_scores(system: KvlSystem) -> tuple[Fraction, ...]:
     """Per-row dependence scores: column sums of |rref(A transposed)|.
 
     A score of 1 marks a row every solution needs; a score above 1 marks a
     row expressible through the others.
     """
-    m, _, d = fraction_free_rref(list(zip(*system.matrix)))
-    d = abs(d)
-    return tuple(Fraction(sum(abs(x) for x in col), d) for col in zip(*m))
+    sums, d = _dependence(system)
+    return tuple(Fraction(s, d) for s in sums)
 
 
 def find_redundant(system: KvlSystem) -> list[int]:
     """0-based indices of rows that can be eliminated without losing rank."""
-    return [i for i, s in enumerate(redundancy_scores(system)) if s > 1]
+    sums, d = _dependence(system)
+    return [i for i, s in enumerate(sums) if s > d]
 
 
 def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[SignedDigitCode]:

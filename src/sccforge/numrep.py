@@ -96,17 +96,19 @@ class SignedDigitCode:
     radix: int = 2
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "digits", tuple(int(d) for d in self.digits))
+        digits = tuple(map(int, self.digits))
+        object.__setattr__(self, "digits", digits)
         if self.a0 not in (0, 1):
             raise DomainError(f"a0 must be 0 or 1, got {self.a0}")
         if self.radix < 2:
             raise DomainError(f"radix must be at least 2, got {self.radix}")
-        if not self.digits:
+        if not digits:
             raise DomainError("a code needs at least one fractional digit")
         limit = self.radix - 1
-        for j, d in enumerate(self.digits, start=1):
-            if not -limit <= d <= limit:
-                raise DomainError(f"digit {j} outside [-{limit}, {limit}]: {d}")
+        if min(digits) < -limit or max(digits) > limit:
+            for j, d in enumerate(digits, start=1):
+                if not -limit <= d <= limit:
+                    raise DomainError(f"digit {j} outside [-{limit}, {limit}]: {d}")
 
     @property
     def resolution(self) -> int:
@@ -121,7 +123,7 @@ class SignedDigitCode:
 
     @property
     def zero_count(self) -> int:
-        return sum(1 for d in self.digits if d == 0)
+        return self.digits.count(0)
 
     @property
     def engaged_count(self) -> int:

@@ -259,6 +259,27 @@ def test_req_single_ratio(capsys):
     assert float(rows[0][3]) == pytest.approx(5.4282, abs=1e-3)
 
 
+def test_req_n_at_the_ratios_resolution_changes_nothing(capsys):
+    assert main(REQ_ARGS + ["--ratio", "3/8"]) == 0
+    plain = capsys.readouterr()
+    assert main(REQ_ARGS + ["--ratio", "3/8", "--n", "3"]) == 0
+    assert capsys.readouterr() == plain
+
+
+@pytest.mark.parametrize("n, source", [("40", "flag"), ("4", "flag"), ("5", "config")])
+def test_req_conflicting_resolution_is_a_usage_error(tmp_path, capsys, n, source):
+    if source == "flag":
+        extra = ["--n", n]
+    else:
+        cfg = tmp_path / "req.cfg"
+        cfg.write_text(f"n = {n}\n")
+        extra = ["--config", str(cfg)]
+    assert main(REQ_ARGS + ["--ratio", "3/8"] + extra) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"scc-forge req: error: --n {n} does not match --ratio 3/8, whose resolution is 3\n"
+
+
 def test_req_fixed_slot_override(capsys):
     assert main(REQ_ARGS + ["--slot", "Ts/4"]) == 0
     rows = {row[0]: row for row in req_rows(capsys)}

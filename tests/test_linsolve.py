@@ -180,7 +180,8 @@ def test_rank_routes_agree(subset):
 
 # -- elimination kernel against the rational oracle --------------------------------
 
-entries = st.integers(-6, 6)
+# small entries make rank deficiency common; 10**30 makes the packed field widths large
+entries = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
 
 
 @st.composite
@@ -204,6 +205,38 @@ def test_kernel_on_a_known_matrix():
     m, pivots, d = fraction_free_rref([[0, 2, 4], [1, 2, 0], [1, 4, 4]])
     assert pivots == [0, 1]
     assert [[F(x, d) for x in row] for row in m] == [[1, 0, -4], [0, 1, 2], [0, 0, 0]]
+
+
+def sylvester_hadamard(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-x for x in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("form", ["H", "[H | I]"])
+def test_kernel_at_the_hadamard_bound(form):
+    # det H_8 = 8**4 = 4096 is exactly Hadamard's bound r**(r/2) * max|a|**r,
+    # the largest entry a packed field must hold, and d is that determinant;
+    # m / d alone cannot tell +4096 from a field that wrapped to -4096
+    rows = sylvester_hadamard(8)
+    if form == "[H | I]":
+        rows = [row + [int(i == j) for j in range(8)] for i, row in enumerate(rows)]
+    m, pivots, d = fraction_free_rref(rows)
+    reduced, oracle_pivots = rational_rref(rows)
+    assert d == 4096
+    assert pivots == oracle_pivots == list(range(8))
+    assert [[F(x, d) for x in row] for row in m] == reduced
+
+
+@pytest.mark.parametrize(
+    "rows, what",
+    [([], "empty"), ([[]], "empty"), ([[1], [3, 4]], "ragged"), ([[1, 2], [3]], "ragged")],
+    ids=["[]", "[[]]", "[[1], [3, 4]]", "[[1, 2], [3]]"],
+)
+def test_kernel_rejects_empty_and_ragged_matrices(rows, what):
+    with pytest.raises(DomainError, match=what):
+        fraction_free_rref(rows)
 
 
 @given(integer_matrices())
@@ -242,6 +275,19 @@ def test_square_full_rank_has_no_redundancy():
     system = build_system(spawn_codes(TargetRatio(1, 2, 3)))
     assert system.rows == 4
     assert find_redundant(system) == []
+
+
+def sorted_families():
+    return st.sampled_from(
+        [(m, radix, n) for radix, top in ((2, 6), (3, 3)) for n in range(1, top + 1) for m in range(1, radix**n)]
+    ).map(lambda key: sort_codes_by_zeros(spawn_codes(TargetRatio(*key))))
+
+
+@given(st.one_of(code_subsets(), sorted_families()))
+def test_redundant_rows_are_the_scores_above_one(codes):
+    system = build_system(codes)
+    scores = redundancy_scores(system)
+    assert find_redundant(system) == [i for i, s in enumerate(scores) if s > 1]
 
 
 def test_elimination_preserves_the_solution():
