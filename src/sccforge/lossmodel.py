@@ -12,6 +12,11 @@ output current. As beta_k grows the charge transfer completes within the
 slot and R_eq approaches the slow-switching floor
 (T_s / t) * R * sum (I_k/I_o)**2; the floor is exact in rationals here.
 Equivalent-series resistance of the capacitors is folded into r_on.
+
+A digit d moves charge through |d| stacked units, so slot k changes the
+charge of digit j's group by d_j * I_k. The currents are those that leave
+every group's charge unchanged over a period; with them the input delivers
+ratio * I_o, as a lossless converter must (sum of a0 * I_k == ratio).
 """
 
 from __future__ import annotations
@@ -123,31 +128,28 @@ def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
 def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     """Slot currents, in output-current units, that balance every capacitor.
 
-    Over one period each capacitor must shed exactly the charge it takes on:
-    for capacitor position k, sum over slots of sign(A_k) * I_k = 0, with the
-    discharge direction counted positive; the slot currents themselves sum to
-    the output current. Solved exactly; a negative entry means the slot runs
-    charge backward (legitimate for some schedules). The codes passed in are
-    the ACTIVE slots only; with a dependent slot still present the system is
+    Over one period each capacitor group must shed exactly the charge it
+    takes on: for position k, sum over slots of A_k * I_k = 0, with the
+    discharge direction counted positive; the slot currents themselves sum
+    to the output current. These are the columns of the loop system, so
+    the balance is build_system(codes) transposed, with right-hand side 0
+    for each V_k column and -1 for the Vo column (Tellegen's theorem). Solved
+    exactly; a negative entry means the slot runs charge backward
+    (legitimate for some schedules). The codes passed in are the ACTIVE
+    slots only; with a dependent slot still present the system is
     underdetermined and the error names candidates to eliminate.
     """
-    seq = tuple(codes)
-    if not seq:
-        raise DomainError("no codes")
-    n = seq[0].resolution
-    if any(c.resolution != n for c in seq):
-        raise DomainError("codes mix resolutions")
-    w = len(seq)
-    rows = [[_sign(c.digits[k]) for c in seq] + [0] for k in range(n)]
-    rows.append([1] * (w + 1))
+    system = build_system(codes)
+    w = system.rows
+    rows = [[*col, 0] for col in zip(*system.matrix)]
+    rows[-1][-1] = -1
     reduced, pivots, d = fraction_free_rref(rows)
     if w in pivots:
         raise SingularSystemError("no current assignment balances these codes")
     if len(pivots) < w:
-        candidates = find_redundant(build_system(seq))
         raise SingularSystemError(
             "charge balance is underdetermined; eliminate dependent slots first "
-            f"(candidate row indices, 0-based: {candidates})"
+            f"(candidate row indices, 0-based: {find_redundant(system)})"
         )
     solution = [Fraction(0)] * w
     for i, col in enumerate(pivots):
@@ -169,10 +171,6 @@ def active_schedule(
     ordered = sort_codes_by_zeros(codes)
     drop = set(find_redundant(build_system(ordered)))
     return [code for i, code in enumerate(ordered) if i not in drop]
-
-
-def _sign(d: int) -> int:
-    return (d > 0) - (d < 0)
 
 
 def slot_cap_ratios(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:

@@ -291,37 +291,29 @@ def _matched_cells(m: int, n: int) -> list[SignedDigitCode]:
 def _arrange(cells: list[SignedDigitCode], n: int) -> list[SignedDigitCode]:
     """Order the cell multiset into a balanced cycle, first fit.
 
-    Row pos takes the first code, in canonical order, that has copies left
+    Each row takes the first code, in canonical order, that has copies left
     and is admissible: every capacitor it engages was last engaged with the
-    opposite sign, floor(2**n/q) to ceil(2**n/q) rows earlier, q being that
-    capacitor's engagement count over the cycle. Up to
-    _BALANCE_RESOLUTION_LIMIT this single pass fills every row and closes
-    the cycle with the same alternation and spacing; the tests check both.
+    opposite sign, or not yet. Up to _BALANCE_RESOLUTION_LIMIT this single
+    pass fills every row and closes the cycle alternating. It does not
+    enforce spacing, yet each capacitor's engagements fall floor(2**n/q) to
+    ceil(2**n/q) rows apart (q being its count over the cycle); the tests
+    check both properties.
     """
-    size = 1 << n
     counts = Counter(cells)
     order = sorted(counts, key=_canonical_key)
     left = [counts[code] for code in order]  # copies still to place, by index in order
-    signs = [[(k, 1 if d > 0 else -1) for k, d in enumerate(c.digits) if d] for c in order]
-    q = [sum(cnt for cnt, c in zip(left, order) if c.digits[k]) for k in range(n)]
-    gmin = [size // x if x else 0 for x in q]
-    gmax = [-(-size // x) if x else 0 for x in q]
-    last: list[tuple[int, int] | None] = [None] * n  # per capacitor: (row, sign)
-
-    def admissible(i: int, pos: int) -> bool:
-        for k, s in signs[i]:
-            if last[k] is not None:
-                li, ls = last[k]
-                if ls == s or not gmin[k] <= pos - li <= gmax[k]:
-                    return False
-        return True
+    # bit k stands for capacitor k: pos[i] and neg[i] hold the capacitors code i
+    # engages with each sign, up and down those last engaged with each sign
+    pos = [sum(1 << k for k, d in enumerate(c.digits) if d > 0) for c in order]
+    neg = [sum(1 << k for k, d in enumerate(c.digits) if d < 0) for c in order]
+    up = down = 0
 
     seq: list[SignedDigitCode] = []
-    for pos in range(size):
-        i = next(i for i in range(len(order)) if left[i] and admissible(i, pos))
+    for _ in range(1 << n):
+        i = next(i for i in range(len(order)) if left[i] and not (pos[i] & up or neg[i] & down))
         left[i] -= 1
-        for k, s in signs[i]:
-            last[k] = (pos, s)
+        up = up & ~neg[i] | pos[i]
+        down = down & ~pos[i] | neg[i]
         seq.append(order[i])
     return seq
 
@@ -332,7 +324,8 @@ def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
     Defined for radix 2 only. Each code of the ratio appears 2**(n - s) times,
     s being its engaged-digit count, so the schedule exercises the whole
     family. Consecutive engagements of every capacitor alternate in sign
-    around the cycle and fall at near-uniform spacing.
+    around the cycle; that is the only rule the pass follows, and the
+    near-uniform spacing that comes with it is checked by the tests.
     """
     if ratio.radix != 2:
         raise DomainError("balanced sequencing is defined for radix 2 only")

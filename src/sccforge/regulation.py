@@ -68,9 +68,10 @@ def dither_average(plan: DitherPlan) -> Fraction:
 
 def _as_fraction(target) -> Fraction:
     # floats are read at their printed decimal value, not their binary one
-    if isinstance(target, float):
-        return Fraction(str(target))
-    return Fraction(target)
+    try:
+        return Fraction(str(target) if isinstance(target, float) else target)
+    except (ValueError, OverflowError):
+        raise DomainError(f"target {target} is not a finite number") from None
 
 
 def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
@@ -82,6 +83,12 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
     outside [1/2**n, (2**n - 1)/2**n] are unreachable and rejected.
     Resolution is capped at _RESOLUTION_LIMIT and max_period at
     _MAX_PERIOD_LIMIT.
+
+    Running (m_lo + 1)/2**n for k of p periods and m_lo/2**n, the lattice
+    ratio below target, for the rest averages (p*m_lo + k) / (p * 2**n), so
+    the best plan is the best rational approximation k/p, p <= max_period,
+    of the fractional part of target * 2**n: Fraction.limit_denominator,
+    a continued-fraction walk of O(log max_period) steps.
     """
     _check_resolution(resolution)
     if max_period < 1:
@@ -95,21 +102,15 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
             f"target {t} outside the reachable band "
             f"[1/{denom}, {denom - 1}/{denom}]"
         )
-    scaled = t * denom
-    if scaled.denominator == 1:
-        return DitherPlan((TargetRatio(int(scaled), 2, resolution),), (1,))
-    m_lo = int(scaled)  # floor; scaled is positive and non-integer here
-    best = None  # (error, period, average, k)
-    for period in range(1, max_period + 1):
-        ideal = (scaled - m_lo) * period
-        for k in {int(ideal), int(ideal) + 1}:
-            if not 0 <= k <= period:
-                continue
-            average = Fraction(period * m_lo + k, period * denom)
-            key = (abs(t - average), period, average)
-            if best is None or key < best[0]:
-                best = (key, period, k)
-    _, period, k = best
+    m_lo, rest = divmod(t * denom, 1)
+    # The closest k/p comes out reduced, so p is the shortest period giving
+    # that average. Two different fractions at the same distance are the
+    # last convergent and a semiconvergent of larger denominator, and on a
+    # tie CPython returns the convergent: the shorter period. The only
+    # same-period tie, 0/1 against 1/1 at rest = 1/2 with max_period 1,
+    # returns the floor 0/1: the lower average.
+    best = rest.limit_denominator(max_period)
+    k, period = best.numerator, best.denominator
     lo = TargetRatio(m_lo, 2, resolution)
     if k == 0:
         return DitherPlan((lo,), (1,))

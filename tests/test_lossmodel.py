@@ -149,6 +149,10 @@ def test_balance_of_the_sorted_schedule():
     three, four = (active_schedule(TargetRatio(m, 2, 3)) for m in (3, 4))
     assert current_balance(three) == (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
     assert current_balance(four) == (F(1, 2), F(1, 2))
+    # 5/9 runs 1 -1 -1, 0 2 -1 and 1 -2 2: a digit of 2 moves charge
+    # through two units of its group
+    five_ninths = active_schedule(TargetRatio(5, 3, 2))
+    assert current_balance(five_ninths) == (F(2, 9), F(4, 9), F(1, 3))
 
 
 def test_balance_of_the_measurement_row_order():
@@ -169,6 +173,18 @@ def test_balance_zeroes_every_capacitor(m):
             for i, d in zip(currents, (c.digits[k] for c in active))
         )
         assert flow == 0
+
+
+def test_balance_conserves_energy():
+    # lossless: the input delivers ratio * I_o, all of it in the a0 = 1 slots
+    for radix, top in ((2, 8), (3, 4)):
+        for n in range(1, top + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                active = active_schedule(ratio)
+                currents = current_balance(active)
+                drawn = sum(c.a0 * i for c, i in zip(active, currents))
+                assert drawn == ratio.value, str(ratio)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -201,6 +217,8 @@ def test_balance_validation():
         current_balance([])
     with pytest.raises(DomainError):
         current_balance([SignedDigitCode(0, (1,)), SignedDigitCode(0, (1, 0))])
+    with pytest.raises(DomainError):
+        current_balance([SignedDigitCode(0, (1,)), SignedDigitCode(0, (1,), 3)])
 
 
 def test_slot_cap_ratios():

@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -59,6 +61,9 @@ def test_worked_plan():
         assert plan.weights == (4, 1)
         assert plan.period == 5
         assert dither_average(plan) == F(2, 5)
+    # 10**-300 off 2/5 with 10,000 periods allowed: still 2/5, found at once
+    near = F(2, 5) + F(1, 10**300)
+    assert dither_plan(near, 40, 10_000) == dither_plan(F(2, 5), 40, 10_000)
 
 
 def test_exact_plan_with_larger_remainder():
@@ -73,6 +78,10 @@ def test_midpoint_tie_prefers_the_lower_ratio():
     plan = dither_plan(F(7, 16), 3, 1)
     assert plan.ratios == (R(3),)
     assert plan.weights == (1,)
+    # 3/8 at n = 2 sits midway between 1/4 and 2/4
+    plan = dither_plan(F(3, 8), 2, 1)
+    assert plan.ratios == (R(1, 2),)
+    assert plan.weights == (1,)
 
 
 def test_period_ties_prefer_short_schedules():
@@ -80,6 +89,10 @@ def test_period_ties_prefer_short_schedules():
     assert plan.period == 3
     assert plan.weights == (2, 1)
     assert dither_average(plan) == F(5, 12)
+    # 7/16 at n = 2 misses 3/8 (period 2) and 2/4 (period 1) by 1/16 each
+    plan = dither_plan(F(7, 16), 2, 2)
+    assert plan.ratios == (R(2, 2),)
+    assert plan.weights == (1,)
 
 
 def test_unreachable_targets():
@@ -89,6 +102,9 @@ def test_unreachable_targets():
         dither_plan(F(15, 16), 3, 8)
     with pytest.raises(DomainError):
         dither_plan(0.9, 3, 8)
+    for target in (math.nan, math.inf, -math.inf, Decimal("Infinity")):
+        with pytest.raises(DomainError, match="not a finite number"):
+            dither_plan(target, 3, 8)
 
 
 def test_planner_guards():
@@ -117,26 +133,35 @@ def plan_key(target, plan):
 
 
 def test_planner_matches_exhaustive_scan_on_a_grid():
-    for resolution in (2, 3):
+    # every target of denominator 41 or <= 16, budgets 1..16; the second set
+    # holds twelve exact ties between two periods
+    grid = {F(p, q) for q in (*range(2, 17), 41) for p in range(1, q)}
+    for resolution in (1, 2, 3):
         denom = 2**resolution
-        for num in range(1, 41):
-            target = F(num, 41)
-            if not F(1, denom) <= target <= F(denom - 1, denom):
-                continue
-            plan = dither_plan(target, resolution, 12)
-            ms, weights = brute_force_dither(target, resolution, 12)
-            assert tuple(r.m for r in plan.ratios) == ms
-            assert plan.weights == weights
+        for target in sorted(t for t in grid if F(1, denom) <= t <= F(denom - 1, denom)):
+            for max_period in range(1, 17):
+                plan = dither_plan(target, resolution, max_period)
+                ms, weights = brute_force_dither(target, resolution, max_period)
+                assert tuple(r.m for r in plan.ratios) == ms
+                assert plan.weights == weights
 
 
-@given(
-    st.fractions(min_value=F(1, 8), max_value=F(7, 8), max_denominator=64),
-    st.integers(1, 10),
-)
-def test_planner_is_optimal(target, max_period):
-    plan = dither_plan(target, 3, max_period)
-    ms, weights = brute_force_dither(target, 3, max_period)
-    oracle = DitherPlan(tuple(R(m) for m in ms), weights)
+@st.composite
+def dither_cases(draw):
+    resolution = draw(st.integers(1, 4))
+    denom = 2**resolution
+    target = draw(
+        st.fractions(F(1, denom), F(denom - 1, denom), max_denominator=256)
+    )
+    return target, resolution, draw(st.integers(1, 40))
+
+
+@given(dither_cases())
+def test_planner_is_optimal(case):
+    target, resolution, max_period = case
+    plan = dither_plan(target, resolution, max_period)
+    ms, weights = brute_force_dither(target, resolution, max_period)
+    oracle = DitherPlan(tuple(R(m, resolution) for m in ms), weights)
     assert plan_key(target, plan) == plan_key(target, oracle)
     assert plan.weights == weights
 
