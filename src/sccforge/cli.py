@@ -44,6 +44,8 @@ _REQUIRED = object()
 # Largest --n for the whole-lattice req table (1,023 rows); each step past it
 # doubles the table.
 _REQ_TABLE_LIMIT = 10
+# Largest --ratio denominator; at 2**16 the largest code family holds 2,584 codes.
+_RATIO_DENOMINATOR_LIMIT = 2**16
 
 
 class _UsageError(Exception):
@@ -92,9 +94,12 @@ def _target(text: str | None, radix: int) -> TargetRatio:
     except ValueError:
         raise _UsageError(f"ratio must be two integers, got {text!r}") from None
     try:
-        return TargetRatio.from_fraction(num, den, radix)
+        ratio = TargetRatio.from_fraction(num, den, radix)
     except DomainError as exc:
         raise _UsageError(str(exc)) from None
+    if den > _RATIO_DENOMINATOR_LIMIT:
+        raise ResourceLimitError(f"ratio {text} is past the denominator limit 2**16")
+    return ratio
 
 
 def _trace_lines(trace):

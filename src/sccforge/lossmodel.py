@@ -30,6 +30,8 @@ from .errors import DomainError, FitError, SingularSystemError, require_positive
 from .linsolve import build_system, find_redundant, fraction_free_rref, sort_codes_by_zeros
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
+_NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
+
 
 @dataclass(frozen=True)
 class RcParams:
@@ -239,6 +241,13 @@ class ReqSpec:
                 f"slot duration {shown} of a period does not fit "
                 f"{len(self.slots)} slots"
             )
+        # a product can leave the float range although each factor lies in it;
+        # normal (not subnormal) values keep req_multi's divisors off zero
+        rc, fc = self.loop_resistance * self.c, self.f_s * self.c
+        if not (_NORMAL_MIN <= rc < math.inf and _NORMAL_MIN <= fc < math.inf):
+            raise DomainError(f"operating point out of float range: R*C = {rc:g}, f_s*C = {fc:g}")
+        if not _NORMAL_MIN <= self.beta < math.inf:
+            raise DomainError(f"operating point out of float range: beta = {self.beta:g}")
 
     @property
     def period(self) -> float:
@@ -286,6 +295,8 @@ def req_multi(spec: ReqSpec) -> float:
         share = float(slot.current_ratio) ** 2
         half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(slot.cap_ratio))
         total += share * half_period_cap * _coth(slot.series_count * beta / 2.0)
+    if not math.isfinite(total):
+        raise DomainError(f"R_eq is {total} at this operating point, out of float range")
     return total
 
 

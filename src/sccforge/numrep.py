@@ -6,15 +6,15 @@ A ratio m / radix**n admits many representations of the form
 
 and each one corresponds to a distinct way of stacking the flying capacitors
 of an n-capacitor bank. This module generates the complete code family of a
-ratio by two independent routes (carry spawning and full lattice enumeration)
-and, for binary banks, produces a cyclic schedule that balances how often and
+ratio by two independent routes (a digit-by-digit construction from the least
+significant digit up, and a full sweep of the digit lattice) and, for binary
+banks, arranges that family into a cyclic schedule that balances how often and
 in which direction each capacitor is engaged.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -207,41 +207,37 @@ def conventional_code(m: int, radix: int, resolution: int) -> SignedDigitCode:
 
 
 def spawn_codes(ratio: TargetRatio) -> CodeSet:
-    """Every code of the ratio, found by carry spawning.
+    """Every code of the ratio, built digit by digit from the least significant.
 
-    Each positive digit of a known code spawns a child with that digit
-    lowered by the radix and a +1 carry sent one position left. The carry
-    cascades while it pushes a digit past radix - 1; a carry falling off the
-    left end raises a0. Starting from the conventional code this closure
-    visits the complete family.
+    With k digits still to place above digit j, the numerator left over must
+    equal digit j modulo the radix, so digit j is the residue or the residue
+    minus the radix: two choices, one when the residue is 0. Every choice
+    leads to a code. The leftover is the value of a0 and the k digits above,
+    and from 1 <= m < radix**n it stays within [0, radix**k], since each
+    digit is smaller than the radix in magnitude; a0 and k digits make any
+    such value. So no partial code is a dead end, and once every digit is
+    placed the leftover is a0. Taking the lower choice first yields the
+    family in canonical order. Partial codes share their lower digits as a
+    chain (digit, lower chain), so each step costs the same however many
+    digits lie below it.
     """
     r = ratio.radix
-    root = conventional_code(ratio.m, r, ratio.resolution)
-    seen = {(root.a0, root.digits)}
-    frontier = [(root.a0, root.digits)]
-    while frontier:
-        a0, digits = frontier.pop()
-        for j, d in enumerate(digits):
-            if d <= 0:
-                continue
-            child = list(digits)
-            child[j] = d - r
-            b0, k, carry = a0, j - 1, 1
-            while carry:
-                if k < 0:
-                    b0 += 1
-                    carry = 0
-                elif child[k] + 1 > r - 1:
-                    child[k] += 1 - r
-                    k -= 1
-                else:
-                    child[k] += 1
-                    carry = 0
-            key = (b0, tuple(child))
-            if key not in seen:
-                seen.add(key)
-                frontier.append(key)
-    return CodeSet(ratio, tuple(SignedDigitCode(a, d, r) for a, d in seen))
+    partial = [(ratio.m, ())]  # (numerator left over, chain of the digits placed)
+    for _ in range(ratio.resolution):
+        grown = []
+        for rest, low in partial:
+            residue = rest % r
+            for d in (residue - r, residue) if residue else (0,):
+                grown.append(((rest - d) // r, (d, low)))
+        partial = grown
+    codes = []
+    for a0, chain in partial:
+        digits = []
+        while chain:  # the most significant digit heads the chain
+            d, chain = chain
+            digits.append(d)
+        codes.append(SignedDigitCode(a0, tuple(digits), r))
+    return CodeSet(ratio, tuple(codes))
 
 
 def enumerate_codes(ratio: TargetRatio) -> CodeSet:
@@ -270,38 +266,21 @@ def enumerate_codes(ratio: TargetRatio) -> CodeSet:
     return CodeSet(ratio, tuple(found))
 
 
-def _matched_cells(m: int, n: int) -> list[SignedDigitCode]:
-    # One code per sign pattern neg (set bits mark negative digits, the most
-    # significant digit first). Engaging the capacitors of mask with those
-    # signs gives numerator b - neg, where b = mask ^ neg runs over
-    # 0..2**n - 1 once each, so exactly one mask lands on m (a0 = 0) or on
-    # m - 2**n (a0 = 1): a0, b = divmod(m + neg, 2**n).
-    cells: list[SignedDigitCode] = []
-    for neg in range(1 << n):
-        a0, b = divmod(m + neg, 1 << n)
-        mask = b ^ neg
-        digits = []
-        for k in range(n - 1, -1, -1):
-            bit = (mask >> k) & 1
-            digits.append(-bit if (neg >> k) & 1 else bit)
-        cells.append(SignedDigitCode(a0, tuple(digits), 2))
-    return cells
+def _arrange(family: CodeSet) -> list[SignedDigitCode]:
+    """Order the family into a balanced cycle of 2**n rows, first fit.
 
-
-def _arrange(cells: list[SignedDigitCode], n: int) -> list[SignedDigitCode]:
-    """Order the cell multiset into a balanced cycle, first fit.
-
-    Each row takes the first code, in canonical order, that has copies left
-    and is admissible: every capacitor it engages was last engaged with the
-    opposite sign, or not yet. Up to _BALANCE_RESOLUTION_LIMIT this single
-    pass fills every row and closes the cycle alternating. It does not
-    enforce spacing, yet each capacitor's engagements fall floor(2**n/q) to
-    ceil(2**n/q) rows apart (q being its count over the cycle); the tests
-    check both properties.
+    Each code fills 2**zero_count rows; the copies add up to 2**n, n being
+    the resolution, because each sign pattern of the n digits matches exactly
+    one code. Each row takes the first code, in the family's canonical order,
+    that has copies left and is admissible: every capacitor it engages was
+    last engaged with the opposite sign, or not yet. Up to
+    _BALANCE_RESOLUTION_LIMIT this single pass fills every row and closes the
+    cycle alternating. It does not enforce spacing, yet each capacitor's
+    engagements fall floor(2**n/q) to ceil(2**n/q) rows apart (q being its
+    count over the cycle); the tests check both properties.
     """
-    counts = Counter(cells)
-    order = sorted(counts, key=_canonical_key)
-    left = [counts[code] for code in order]  # copies still to place, by index in order
+    order = family.codes
+    left = [1 << c.zero_count for c in order]  # copies still to place, by index in order
     # bit k stands for capacitor k: pos[i] and neg[i] hold the capacitors code i
     # engages with each sign, up and down those last engaged with each sign
     pos = [sum(1 << k for k, d in enumerate(c.digits) if d > 0) for c in order]
@@ -309,7 +288,7 @@ def _arrange(cells: list[SignedDigitCode], n: int) -> list[SignedDigitCode]:
     up = down = 0
 
     seq: list[SignedDigitCode] = []
-    for _ in range(1 << n):
+    for _ in range(1 << family.ratio.resolution):
         i = next(i for i in range(len(order)) if left[i] and not (pos[i] & up or neg[i] & down))
         left[i] -= 1
         up = up & ~neg[i] | pos[i]
@@ -321,11 +300,12 @@ def _arrange(cells: list[SignedDigitCode], n: int) -> list[SignedDigitCode]:
 def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
     """Cyclic schedule of 2**n codes that balances capacitor activity.
 
-    Defined for radix 2 only. Each code of the ratio appears 2**(n - s) times,
-    s being its engaged-digit count, so the schedule exercises the whole
-    family. Consecutive engagements of every capacitor alternate in sign
-    around the cycle; that is the only rule the pass follows, and the
-    near-uniform spacing that comes with it is checked by the tests.
+    Defined for radix 2 only. The rows are the family from spawn_codes, each
+    code taken 2**(n - s) times, s being its engaged-digit count, so the
+    schedule exercises the whole family. Consecutive engagements of every
+    capacitor alternate in sign around the cycle; that is the only rule the
+    pass follows, and the near-uniform spacing that comes with it is checked
+    by the tests.
     """
     if ratio.radix != 2:
         raise DomainError("balanced sequencing is defined for radix 2 only")
@@ -335,4 +315,4 @@ def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
             f"balanced sequence of 2**{n} rows exceeds the supported resolution "
             f"{_BALANCE_RESOLUTION_LIMIT}"
         )
-    return tuple(_arrange(_matched_cells(ratio.m, n), n))
+    return tuple(_arrange(spawn_codes(ratio)))

@@ -4,8 +4,10 @@ These deliberately take different routes than the library: the dither oracle
 enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
 matrix solve, the elimination oracle works in Fractions where the library
-kernel stays in integers, and the LDO oracle scans the lattice the library
-bisects. Keep them dumb.
+kernel stays in integers, the LDO oracle scans the lattice the library
+bisects, and the cell oracle tries every engagement mask for every sign
+pattern where the library builds the code family digit by digit. Keep them
+dumb.
 """
 
 from fractions import Fraction

@@ -299,6 +299,30 @@ def test_req_oversized_slot(capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "extra, text",
+    [
+        # R*C underflows to 0
+        (["--fs", "100k", "--c", "1e-300", "--ron", "1e-300", "--switches", "4"], "R*C = 0"),
+        # R*C and f_s*C overflow, so beta would be 0
+        (["--fs", "1e300", "--c", "1e300", "--ron", "1e300", "--switches", "4"], "R*C = inf"),
+        # f_s*C underflows to 0
+        (["--fs", "1e-300", "--c", "1e-300", "--ron", "1", "--switches", "4"], "f_s*C = 0"),
+        # beta is subnormal, and its coth overflows
+        (REQ_ARGS[1:] + ["--slot", "1e-320"], "beta = 4.43257e-316"),
+        # every product is in range, but R_eq itself overflows
+        (["--fs", "1", "--c", "1e-300", "--ron", "4e307", "--switches", "4"], "R_eq is inf"),
+    ],
+    ids=["rc-underflow", "overflow", "fc-underflow", "tiny-slot", "req-overflow"],
+)
+def test_req_out_of_float_range_is_a_domain_error(capsys, extra, text):
+    assert main(["req", *extra, "--ratio", "3/8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and text in captured.err
+    assert len(captured.err.splitlines()) == 1
+
+
 def test_req_csv(capsys):
     assert main(REQ_ARGS + ["--format", "csv"]) == 0
     got = lines_of(capsys)
@@ -543,6 +567,13 @@ OVERSIZED = [
     (["dither", "--target", "1e-9999"], 2, "fraction '1e-9999' exceeds the 1000-digit limit"),
     (["dither", "--target", "1e5000"], 2, "fraction '1e5000' exceeds the 1000-digit limit"),
     (["dither", "--target", "1e-9999999"], 2, "fraction '1e-9999999' exceeds"),
+    # before the --ratio denominator limit: 52 s and 832,040 codes, 18 s, 16 s,
+    # and 20 s growing with n
+    (["codes", "--ratio", "89478485/268435456"], 3, "past the denominator limit 2**16"),
+    (["solve", "--ratio", "349525/1048576"], 3, "past the denominator limit"),
+    (REQ_ARGS + ["--ratio", "349525/1048576"], 3, "past the denominator limit"),
+    (["solve", "--ratio", f"1/{2**200}"], 3, "past the denominator limit"),
+    (["codes", "--radix", "3", "--ratio", "1/177147"], 3, "ratio 1/177147 is past"),
 ]
 
 
@@ -583,7 +614,7 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
 # -- argv fuzz ------------------------------------------------------------------------
 
 MALFORMED = ["abc", "NaN", "-1", "0", "1/0", ""]
-RATIOS = ["3/8", "5/16", "21/64", "4/8", "1/2", "4/9", "63/64", "9/8", "3/7"]
+RATIOS = ["3/8", "5/16", "21/64", "4/8", "1/2", "4/9", "63/64", "9/8", "3/7", "1/131072"]
 QUANTITIES = ["8", "3.3", "1.8", "0.3", "4.7u", "47u", "1m", "100k", "1.2"]
 # 40 is past the req table's limit (10) but within ldo's and dither's (1000);
 # 100000 is past all three
@@ -607,11 +638,12 @@ VALUES = {
         "--order": ["spawn", "sorted", "balanced"],
     },
     "req": {
-        "--fs": ["100k", "1M"],
-        "--c": ["4.7u", "1u"],
-        "--ron": ["1.2", "10m"],
+        # 1e-300 and 1e300 push R*C, f_s*C or beta out of the float range
+        "--fs": ["100k", "1M", "1e-300", "1e300"],
+        "--c": ["4.7u", "1u", "1e-300", "1e300"],
+        "--ron": ["1.2", "10m", "1e-300", "1e300"],
         "--switches": ["4", "2"],
-        "--slot": ["Ts/4", "Ts/2", "2u"],
+        "--slot": ["Ts/4", "Ts/2", "2u", "1e-320"],
         "--ratio": RATIOS,
         "--n": RESOLUTIONS,
     },

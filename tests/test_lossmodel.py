@@ -252,6 +252,25 @@ def test_slot_and_spec_validation():
         ReqSpec(1e5, 4.7e-6, 1.2, 0, F(1, 2), slots)
     with pytest.raises(DomainError):
         ReqSpec(-1e5, 4.7e-6, 1.2, 4, F(1, 2), slots)
+    # each factor is a finite positive float, but a product is not
+    with pytest.raises(DomainError, match=r"R\*C = 0"):
+        ReqSpec(1e5, 1e-300, 1e-300, 4, F(1, 2), slots)
+    with pytest.raises(DomainError, match=r"f_s\*C = 0"):
+        ReqSpec(1e-300, 1e-300, 1.0, 4, F(1, 2), slots)
+    with pytest.raises(DomainError, match=r"R\*C = inf, f_s\*C = inf"):
+        ReqSpec(1e300, 1e300, 1e300, 4, F(1, 2), slots)
+    with pytest.raises(DomainError, match="beta = 5e-309"):
+        ReqSpec(1.0, 1.0, 2.5e307, 4, F(1, 2), slots)
+    # a subnormal beta halves to 0 in req_multi
+    with pytest.raises(DomainError, match="beta"):
+        ReqSpec(1.0, 1.0, 0.25, 4, F(5e-324), slots)
+
+
+def test_req_multi_refuses_an_overflowing_result():
+    slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
+    assert req_multi(ReqSpec(1.0, 1e-300, 2e307, 4, F(1, 2), slots)) == pytest.approx(8e307)
+    with pytest.raises(DomainError, match="R_eq is inf"):
+        req_multi(ReqSpec(1.0, 1e-300, 4e307, 4, F(1, 4), slots))
 
 
 def test_spec_fills_betas_by_stack_depth():
