@@ -18,8 +18,10 @@ from .errors import (
 from .linsolve import (
     KvlSystem,
     SolvabilityReport,
+    active_schedule,
     build_system,
     check_solvable,
+    current_balance,
     find_redundant,
     redundancy_scores,
     solve_unique,
@@ -30,12 +32,10 @@ from .lossmodel import (
     RcParams,
     ReqSpec,
     TopologySlot,
-    active_schedule,
     average_extracted_req,
     build_req_spec,
     cap_to_cap_response,
     charging_response,
-    current_balance,
     efficiency,
     extract_req,
     load_line_fit,

@@ -1,8 +1,9 @@
-"""Parsing helpers for quantities, fractions, and flat config files."""
+"""Parsing helpers for quantities, fractions, and flat config files; short fraction text."""
 
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -93,6 +94,17 @@ def parse_slot(text: str) -> Fraction | float:
             raise DomainError(f"slot divisor must be positive, got {den}")
         return Fraction(1, den)
     return parse_quantity(s)
+
+
+def fraction_text(value: Fraction) -> str:
+    """value as m/d up to d = 64, else to four significant digits.
+
+    A float-born Fraction has an unreadable denominator. A value past the
+    float range keeps its exact text.
+    """
+    if value.denominator <= 64 or abs(value) > sys.float_info.max:
+        return str(value)
+    return f"{float(value):.4g}"
 
 
 def load_config(path: str | Path) -> dict[str, str]:

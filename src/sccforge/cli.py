@@ -23,6 +23,7 @@ from . import _si
 from .chargesim import BankState, charge_locus, run, write_locus_csv, write_trace_csv
 from .errors import DomainError, FitError, ResourceLimitError, SingularSystemError
 from .linsolve import (
+    active_schedule,
     build_system,
     check_solvable,
     find_redundant,
@@ -30,7 +31,7 @@ from .linsolve import (
     sort_codes_by_zeros,
     step_up,
 )
-from .lossmodel import active_schedule, build_req_spec, req_multi, req_zero_beta_multiplier
+from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
 from .numrep import TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
 from .regulation import dither_average, dither_plan, ldo_efficiency_bound, ldo_select_ratio
 
@@ -46,6 +47,9 @@ _REQUIRED = object()
 _REQ_TABLE_LIMIT = 10
 # Largest --ratio denominator; at 2**16 the largest code family holds 2,584 codes.
 _RATIO_DENOMINATOR_LIMIT = 2**16
+# Largest simulate budget, --max-periods times slots per period; it admits the
+# default 500 periods of that largest family.
+_SIM_SLOT_LIMIT = 1_500_000
 
 
 class _UsageError(Exception):
@@ -107,10 +111,6 @@ def _trace_lines(trace):
     buffer = io.StringIO()
     write_trace_csv(trace, buffer)
     yield from buffer.getvalue().splitlines()
-
-
-def _tts_text(value: Fraction) -> str:
-    return str(value) if value.denominator <= 64 else f"{float(value):.4g}"
 
 
 # -- commands; each docstring is the command's help line ---------------------
@@ -195,6 +195,11 @@ def _cmd_simulate(o) -> _Out:
     else:
         sequence = list(spawn_codes(ratio))
 
+    if o.max_periods * len(sequence) > _SIM_SLOT_LIMIT:
+        raise ResourceLimitError(
+            f"--max-periods {o.max_periods} at {len(sequence)} slots a period is past "
+            f"the limit of {_SIM_SLOT_LIMIT:,} slots"
+        )
     state = BankState(tuple(o.caps), o.cout, tuple(init[:n]), init[n])
     trace = run(state, sequence, o.vin, tol=o.tol, max_periods=o.max_periods)
 
@@ -267,9 +272,8 @@ def _cmd_req(o) -> _Out:
                 "floor_over_r": str(floor),
             }
         )
-        table.append(
-            (str(ratio), str(len(active)), _tts_text(spec.t_over_ts), f"{req:.4f}", str(floor))
-        )
+        tts = _si.fraction_text(spec.t_over_ts)
+        table.append((str(ratio), str(len(active)), tts, f"{req:.4f}", str(floor)))
 
     widths = [max(len(row[i]) for row in table) for i in range(5)]
     return _Out(

@@ -4,14 +4,15 @@ Every code of a ratio contributes one loop equation over the per-capacitor
 voltages x_1..x_n (in input-voltage units) and the output x_o. A complete
 family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
 is what lets the bank self-adjust with no feedback. Ranks, solutions,
-redundancy scores and the charge balance of lossmodel all come from one
-integer fraction-free Gauss-Jordan kernel. Loop rows are integers from
-topology.kvl_row to the kernel; Fractions are built only from its final
-numerators and common denominator, and the redundancy test compares
-integers. Inside the kernel each row is one packed int, column j in a
-signed field of k bits, where k holds Hadamard's bound r**(r/2) * max|a|**r
-(r = min(rows, cols)) and its sign, so a row update costs three big-int
-operations whatever the width.
+redundancy scores, the active schedule (the zero-sorted family less its
+dependent rows) and its charge balance (the transposed system) all come
+from one integer fraction-free Gauss-Jordan kernel, read out in one place.
+Loop rows are integers from topology.kvl_row to the kernel; Fractions are
+built only from its final numerators and common denominator, and the
+redundancy test compares integers. Inside the kernel each row is one packed
+int, column j in a signed field of k bits, where k holds Hadamard's bound
+r**(r/2) * max|a|**r (r = min(rows, cols)) and its sign, so a row update
+costs three big-int operations whatever the width.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from operator import lshift
 from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
-from .numrep import CodeSet, SignedDigitCode
+from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 from .topology import kvl_row
 
 @dataclass(frozen=True)
@@ -207,29 +208,34 @@ def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
     return out, pivots, prev
 
 
-def _eliminate(system: KvlSystem) -> tuple[SolvabilityReport, list[list[int]], int]:
-    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
-    m, pivots, d = fraction_free_rref(augmented)
-    rank_a = sum(1 for p in pivots if p < system.unknowns)
-    return SolvabilityReport(rank_a, len(pivots), system.unknowns), m, d
+def _solve_rows(rows, unknowns: int) -> tuple[SolvabilityReport, tuple[Fraction, ...] | None]:
+    """Ranks of A and [A|b] from the rows of [A|b], and the exact solution if unique."""
+    m, pivots, d = fraction_free_rref(rows)
+    report = SolvabilityReport(sum(1 for p in pivots if p < unknowns), len(pivots), unknowns)
+    solution = tuple(Fraction(m[i][-1], d) for i in range(unknowns)) if report.unique else None
+    return report, solution
+
+
+def _augmented(system: KvlSystem) -> list[tuple[int, ...]]:
+    return [row + (b,) for row, b in zip(system.matrix, system.rhs)]
 
 
 def check_solvable(system: KvlSystem) -> SolvabilityReport:
     """Ranks of A and [A|b]; unique iff both equal the unknown count."""
-    return _eliminate(system)[0]
+    return _solve_rows(_augmented(system), system.unknowns)[0]
 
 
 def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
     """Exact solution (V1..Vn, Vo) of a uniquely solvable system."""
-    report, m, d = _eliminate(system)
-    if not report.unique:
+    report, solution = _solve_rows(_augmented(system), system.unknowns)
+    if solution is None:
         raise SingularSystemError(
             "system is not uniquely solvable: rank(A) = "
             f"{report.rank_a}, rank([A|b]) = {report.rank_augmented}, "
             f"unknowns = {report.unknowns}",
             report,
         )
-    return tuple(Fraction(m[i][-1], d) for i in range(system.unknowns))
+    return solution
 
 
 def _dependence(system: KvlSystem) -> tuple[list[int], int]:
@@ -261,6 +267,50 @@ def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[Sign
     measurement tables are reported in.
     """
     return sorted(codes, key=lambda c: -c.zero_count)
+
+
+def active_schedule(
+    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
+) -> list[SignedDigitCode]:
+    """The slots a schedule runs: codes sorted by zeros, dependent rows dropped.
+
+    A TargetRatio is expanded with spawn_codes first. The rows find_redundant
+    flags in the zero-sorted system are removed; the rest keep their order.
+    """
+    if isinstance(codes_or_ratio, TargetRatio):
+        codes_or_ratio = spawn_codes(codes_or_ratio)
+    ordered = sort_codes_by_zeros(codes_or_ratio)
+    drop = set(find_redundant(build_system(ordered)))
+    return [code for i, code in enumerate(ordered) if i not in drop]
+
+
+def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
+    """Slot currents, in output-current units, that balance every capacitor.
+
+    Over one period each capacitor group must shed exactly the charge it
+    takes on, and a digit d moves d units of it: for position k, sum over
+    slots of A_k * I_k = 0, with the discharge direction counted positive;
+    the currents sum to the output current, so the input delivers ratio *
+    I_o (sum of a0 * I_k == ratio). The balance is build_system(codes)
+    transposed, with right-hand side 0 for each V_k column and -1 for the
+    Vo column (Tellegen's theorem). Solved exactly; a negative entry means
+    the slot runs charge backward (legitimate for some schedules). The
+    codes passed in are the ACTIVE slots only; with a dependent slot still
+    present the system is underdetermined and the error names candidates
+    to eliminate.
+    """
+    system = build_system(codes)
+    rows = [[*col, 0] for col in zip(*system.matrix)]
+    rows[-1][-1] = -1
+    report, currents = _solve_rows(rows, system.rows)
+    if report.rank_augmented > report.rank_a:
+        raise SingularSystemError("no current assignment balances these codes")
+    if currents is None:
+        raise SingularSystemError(
+            "charge balance is underdetermined; eliminate dependent slots first "
+            f"(candidate row indices, 0-based: {find_redundant(system)})"
+        )
+    return currents
 
 
 def step_up(system: KvlSystem) -> KvlSystem:

@@ -13,22 +13,21 @@ slot and R_eq approaches the slow-switching floor
 (T_s / t) * R * sum (I_k/I_o)**2; the floor is exact in rationals here.
 Equivalent-series resistance of the capacitors is folded into r_on.
 
-A digit d moves charge through |d| stacked units, so slot k changes the
-charge of digit j's group by d_j * I_k. The currents are those that leave
-every group's charge unchanged over a period; with them the input delivers
-ratio * I_o, as a lossless converter must (sum of a0 * I_k == ratio).
+The slot currents I_k come from linsolve.current_balance, exactly.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
-from .errors import DomainError, FitError, SingularSystemError, require_positive
-from .linsolve import build_system, find_redundant, fraction_free_rref, sort_codes_by_zeros
-from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
+from ._si import fraction_text
+from .errors import DomainError, FitError, require_positive
+from .linsolve import current_balance
+from .numrep import SignedDigitCode
 
 _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
@@ -124,55 +123,16 @@ def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
     """
     require_positive("frequency and capacitance must be positive", f_s, c)
     require_positive("beta must be positive", beta1, beta2)
-    return (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * f_s * c)
-
-
-def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
-    """Slot currents, in output-current units, that balance every capacitor.
-
-    Over one period each capacitor group must shed exactly the charge it
-    takes on: for position k, sum over slots of A_k * I_k = 0, with the
-    discharge direction counted positive; the slot currents themselves sum
-    to the output current. These are the columns of the loop system, so
-    the balance is build_system(codes) transposed, with right-hand side 0
-    for each V_k column and -1 for the Vo column (Tellegen's theorem). Solved
-    exactly; a negative entry means the slot runs charge backward
-    (legitimate for some schedules). The codes passed in are the ACTIVE
-    slots only; with a dependent slot still present the system is
-    underdetermined and the error names candidates to eliminate.
-    """
-    system = build_system(codes)
-    w = system.rows
-    rows = [[*col, 0] for col in zip(*system.matrix)]
-    rows[-1][-1] = -1
-    reduced, pivots, d = fraction_free_rref(rows)
-    if w in pivots:
-        raise SingularSystemError("no current assignment balances these codes")
-    if len(pivots) < w:
-        raise SingularSystemError(
-            "charge balance is underdetermined; eliminate dependent slots first "
-            f"(candidate row indices, 0-based: {find_redundant(system)})"
-        )
-    solution = [Fraction(0)] * w
-    for i, col in enumerate(pivots):
-        solution[col] = Fraction(reduced[i][-1], d)
-    return tuple(solution)
-
-
-def active_schedule(
-    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
-) -> list[SignedDigitCode]:
-    """The slots a schedule runs: codes sorted by zeros, dependent rows dropped.
-
-    A TargetRatio is expanded with spawn_codes first. The rows find_redundant
-    flags in the zero-sorted system are removed; the rest keep their order.
-    """
-    codes = codes_or_ratio
-    if isinstance(codes, TargetRatio):
-        codes = spawn_codes(codes)
-    ordered = sort_codes_by_zeros(codes)
-    drop = set(find_redundant(build_system(ordered)))
-    return [code for i, code in enumerate(ordered) if i not in drop]
+    # normal (not subnormal) values, as in ReqSpec, keep the divisors off zero
+    fc = f_s * c
+    if not _NORMAL_MIN <= fc < math.inf:
+        raise DomainError(f"operating point out of float range: f_s*C = {fc:g}")
+    if min(beta1, beta2) < _NORMAL_MIN:
+        raise DomainError(f"operating point out of float range: beta = {min(beta1, beta2):g}")
+    r_eq = (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * fc)
+    if not math.isfinite(r_eq):
+        raise DomainError(f"R_eq is {r_eq} at this operating point, out of float range")
+    return r_eq
 
 
 def slot_cap_ratios(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
@@ -231,15 +191,13 @@ class ReqSpec:
         t_over_ts = Fraction(self.t_over_ts)
         object.__setattr__(self, "t_over_ts", t_over_ts)
         if not 0 < t_over_ts <= Fraction(1, len(self.slots)):
-            # a float-born Fraction has an unreadable denominator
-            shown = (
-                str(t_over_ts)
-                if t_over_ts.denominator <= 64
-                else f"{float(t_over_ts):.4g}"
-            )
             raise DomainError(
-                f"slot duration {shown} of a period does not fit "
+                f"slot duration {fraction_text(t_over_ts)} of a period does not fit "
                 f"{len(self.slots)} slots"
+            )
+        if self.switches_per_loop > sys.float_info.max:
+            raise DomainError(
+                "operating point out of float range: switches_per_loop above the largest float"
             )
         # a product can leave the float range although each factor lies in it;
         # normal (not subnormal) values keep req_multi's divisors off zero

@@ -14,7 +14,9 @@ from fractions import Fraction
 from sccforge.chargesim import BankState, run
 from sccforge.errors import UnsupportedCodeError
 from sccforge.linsolve import (
+    active_schedule,
     build_system,
+    current_balance,
     find_redundant,
     redundancy_scores,
     solve_unique,
@@ -23,9 +25,7 @@ from sccforge.linsolve import (
 from sccforge.lossmodel import (
     ReqSpec,
     TopologySlot,
-    active_schedule,
     build_req_spec,
-    current_balance,
     extract_req,
     load_line_fit,
     req_follower,

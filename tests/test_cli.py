@@ -5,6 +5,7 @@ import math
 import os
 import re
 import resource
+import shlex
 import subprocess
 import sys
 import textwrap
@@ -312,8 +313,20 @@ def test_req_oversized_slot(capsys):
         (REQ_ARGS[1:] + ["--slot", "1e-320"], "beta = 4.43257e-316"),
         # every product is in range, but R_eq itself overflows
         (["--fs", "1", "--c", "1e-300", "--ron", "4e307", "--switches", "4"], "R_eq is inf"),
+        # the switch count alone is past the float range
+        (REQ_ARGS[1:-1] + ["1" + "0" * 400], "switches_per_loop above the largest float"),
+        # the slot is past the float range in periods, with a denominator above 64
+        (["--fs", "1.057"] + REQ_ARGS[3:] + ["--slot", "1.75e308"], "does not fit 4 slots"),
     ],
-    ids=["rc-underflow", "overflow", "fc-underflow", "tiny-slot", "req-overflow"],
+    ids=[
+        "rc-underflow",
+        "overflow",
+        "fc-underflow",
+        "tiny-slot",
+        "req-overflow",
+        "huge-switches",
+        "huge-slot",
+    ],
 )
 def test_req_out_of_float_range_is_a_domain_error(capsys, extra, text):
     assert main(["req", *extra, "--ratio", "3/8"]) == 3
@@ -574,6 +587,9 @@ OVERSIZED = [
     (REQ_ARGS + ["--ratio", "349525/1048576"], 3, "past the denominator limit"),
     (["solve", "--ratio", f"1/{2**200}"], 3, "past the denominator limit"),
     (["codes", "--radix", "3", "--ratio", "1/177147"], 3, "ratio 1/177147 is past"),
+    # before the simulate slot limit: this run never converges, 3.7 s and 48 MB
+    # per 100,000 periods
+    (SIM_ARGS[:-1] + ["1k", "--max-periods", "10000000"], 3, "past the limit of 1,500,000 slots"),
 ]
 
 
@@ -611,6 +627,41 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
     assert f"bad value for --{flag}: expected one of" in captured.err
 
 
+# -- README ---------------------------------------------------------------------------
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_transcripts() -> list[tuple[str, str]]:
+    """(command, stdout) of each `$ scc-forge ...` transcript in the README.
+
+    The output runs to the next blank line or code fence, less the prompt's
+    indent (one transcript sits in an indented list item).
+    """
+    lines = README.read_text().splitlines()
+    found = []
+    for i, line in enumerate(lines):
+        indent, prompt, command = line.partition("$ scc-forge ")
+        if not prompt or indent.strip():
+            continue
+        out = []
+        for follow in lines[i + 1 :]:
+            body = follow.removeprefix(indent)
+            if not body.strip() or body.startswith("```"):
+                break
+            out.append(body + "\n")
+        found.append((command, "".join(out)))
+    return found
+
+
+def test_readme_transcripts_replay(capsys):
+    transcripts = readme_transcripts()
+    assert len(transcripts) == 9
+    for command, want in transcripts:
+        code = main(shlex.split(command))
+        assert (code, capsys.readouterr().out) == (0, want), command
+
+
 # -- argv fuzz ------------------------------------------------------------------------
 
 MALFORMED = ["abc", "NaN", "-1", "0", "1/0", ""]
@@ -642,7 +693,8 @@ VALUES = {
         "--fs": ["100k", "1M", "1e-300", "1e300"],
         "--c": ["4.7u", "1u", "1e-300", "1e300"],
         "--ron": ["1.2", "10m", "1e-300", "1e300"],
-        "--switches": ["4", "2"],
+        # the 400-digit count is past the float range
+        "--switches": ["4", "2", "1" + "0" * 400],
         "--slot": ["Ts/4", "Ts/2", "2u", "1e-320"],
         "--ratio": RATIOS,
         "--n": RESOLUTIONS,

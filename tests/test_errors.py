@@ -4,9 +4,9 @@ import pytest
 
 from sccforge.chargesim import BankState, run
 from sccforge.errors import DomainError
+from sccforge.linsolve import active_schedule
 from sccforge.lossmodel import (
     RcParams,
-    active_schedule,
     build_req_spec,
     charging_response,
     redistribution_loss,

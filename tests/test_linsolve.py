@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sccforge
 from sccforge.errors import DomainError, SingularSystemError
 from sccforge.linsolve import (
     KvlSystem,
@@ -227,6 +230,24 @@ def test_kernel_at_the_hadamard_bound(form):
     assert d == 4096
     assert pivots == oracle_pivots == list(range(8))
     assert [[F(x, d) for x in row] for row in m] == reduced
+
+
+def names_in(path: Path):
+    """Every imported, loaded or attribute name in a module's source."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.alias):
+            yield node.name
+        elif isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+def test_only_linsolve_names_the_kernel():
+    # one exact elimination kernel, called from its own module only
+    sources = sorted(Path(sccforge.__file__).parent.glob("*.py"))
+    users = [path.stem for path in sources if "fraction_free_rref" in set(names_in(path))]
+    assert users == ["linsolve"]
 
 
 @pytest.mark.parametrize(

@@ -6,17 +6,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sccforge.errors import DomainError, FitError, SingularSystemError
-from sccforge.linsolve import sort_codes_by_zeros
+from sccforge.linsolve import active_schedule, current_balance, sort_codes_by_zeros
 from sccforge.lossmodel import (
     RcParams,
     ReqSpec,
     TopologySlot,
-    active_schedule,
     average_extracted_req,
     build_req_spec,
     cap_to_cap_response,
     charging_response,
-    current_balance,
     efficiency,
     extract_req,
     load_line_fit,
@@ -135,6 +133,26 @@ def test_follower_limits():
         req_follower(-f_s, c, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "args, text",
+    [
+        # 5e-324 halved to 0 in coth (ZeroDivisionError); 1e-310 gave R_eq inf
+        ((1.0, 1.0, 5e-324, 1.0), "beta = 4.94066e-324"),
+        ((1.0, 1.0, 1.0, 1e-310), "beta = 1e-310"),
+        # f_s*C underflowed to a zero divisor, or overflowed to R_eq 0
+        ((1e-200, 1e-200, 1.0, 1.0), "f_s*C = 0"),
+        ((1e300, 1e300, 1.0, 1.0), "f_s*C = inf"),
+        # normal betas whose two coth terms sum past the float range
+        ((1.0, 1.0, 2.0**-1022, 2.0**-1022), "R_eq is inf"),
+    ],
+    ids=["beta-5e-324", "beta-1e-310", "fc-underflow", "fc-overflow", "req-overflow"],
+)
+def test_follower_refuses_an_operating_point_out_of_float_range(args, text):
+    with pytest.raises(DomainError, match="out of float range") as err:
+        req_follower(*args)
+    assert text in str(err.value)
+
+
 # -- charge balance -----------------------------------------------------------------
 
 
@@ -162,17 +180,18 @@ def test_balance_of_the_measurement_row_order():
     assert slot_cap_ratios(active) == UNSORTED_38_CAPS
 
 
-@pytest.mark.parametrize("m", range(1, 8))
-def test_balance_zeroes_every_capacitor(m):
-    active = active_schedule(TargetRatio(m, 2, 3))
-    currents = current_balance(active)
-    assert sum(currents) == 1
-    for k in range(3):
-        flow = sum(
-            ((d > 0) - (d < 0)) * i
-            for i, d in zip(currents, (c.digits[k] for c in active))
-        )
-        assert flow == 0
+@pytest.mark.parametrize("n", range(1, 9))
+def test_balance_zeroes_every_capacitor(n):
+    # a digit d moves d units of its group's charge, so the flows are
+    # digit-weighted; radix 3 has digits of magnitude 2
+    for radix in (2, 3) if n <= 4 else (2,):
+        for m in range(1, radix**n):
+            active = active_schedule(TargetRatio(m, radix, n))
+            currents = current_balance(active)
+            assert sum(currents) == 1
+            for j in range(n):
+                flow = sum(c.digits[j] * i for c, i in zip(active, currents))
+                assert flow == 0, (m, radix, n, j)
 
 
 def test_balance_conserves_energy():
