@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -97,14 +98,18 @@ def parse_slot(text: str) -> Fraction | float:
 
 
 def fraction_text(value: Fraction) -> str:
-    """value as m/d up to d = 64, else to four significant digits.
+    """value as m/d when d <= 64 and |value| <= 1, else to four significant digits.
 
-    A float-born Fraction has an unreadable denominator. A value past the
-    float range keeps its exact text.
+    A float-born Fraction has an unreadable denominator, and a large value
+    an unreadable numerator. A value past the float range is rounded from
+    its integers.
     """
-    if value.denominator <= 64 or abs(value) > sys.float_info.max:
+    if value.denominator <= 64 and abs(value) <= 1:
         return str(value)
-    return f"{float(value):.4g}"
+    if abs(value) <= sys.float_info.max:
+        return f"{float(value):.4g}"
+    rounded = Context(prec=4).divide(Decimal(value.numerator), Decimal(value.denominator))
+    return f"{rounded.normalize():g}"
 
 
 def load_config(path: str | Path) -> dict[str, str]:

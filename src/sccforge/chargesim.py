@@ -17,6 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DomainError, require_positive
@@ -172,10 +173,30 @@ def run(
     # side. Called directly, a slot skips the wrapper's per-call array
     # conversion, dtype resolution and errstate entry, and gets the same bits.
     solve = _umath_linalg.solve1
-    matrices = {code: _slot_matrix(state, code) for code in dict.fromkeys(seq)}
-    plan = [(*matrices[code], -code.a0 * vin) for code in seq]
     n = state.size
-    volts = [*state.flying_voltages, state.output_voltage]
+    # A record is one slot's trace entry, (V1 .. Vn, Vo, Q). All index work
+    # is done here, once per distinct code, so a slot is one gather, one
+    # LAPACK call and one merge: gather picks the right-hand side (engaged
+    # voltages, Vo, drive) out of the last record followed by (drive,), and
+    # merge picks the next record out of the last record followed by the
+    # solution (engaged voltages, Vo, Q). Each picks two or more items, so
+    # each returns a tuple. The matrix stays reduced to the engaged
+    # capacitors: a full-width one with identity rows for the bypassed ones
+    # solves the same equations, but from n = 8 up LAPACK then runs other
+    # kernels and simulate's output bits change.
+    steps = {}
+    for code in dict.fromkeys(seq):
+        a, written = _slot_matrix(state, code)
+        solved = {i: n + 2 + k for k, i in enumerate((*written, n + 1))}
+        steps[code] = (
+            a,
+            itemgetter(*written, n + 2),
+            itemgetter(*(solved.get(i, i) for i in range(n + 2))),
+            (-code.a0 * vin,),
+        )
+    plan = [steps[code] for code in seq]
+    record = (*state.flying_voltages, state.output_voltage, 0.0)  # no slot yet, so no Q
+    volts = record[:-1]
     buffer = array("d")
     converged = False
     adjustment: int | None = None
@@ -183,21 +204,19 @@ def run(
     # still raises LinAlgError, and overflow stays silent for the check below
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         for period in range(1, max_periods + 1):
-            before = tuple(volts)
-            for a, written, drive in plan:
-                rhs = [*map(volts.__getitem__, written), drive]
-                *settled, charge = solve(a, rhs, signature="dd->d").tolist()
-                for i, v in zip(written, settled):
-                    volts[i] = v
-                buffer.extend(volts)
-                buffer.append(charge)
+            before = volts
+            for a, gather, merge, drive in plan:
+                solution = solve(a, gather(record + drive), signature="dd->d").tolist()
+                record = merge(record + tuple(solution))
+                buffer.extend(record)
+            volts = record[:-1]
             if not all(map(math.isfinite, volts)):
                 break  # overflowed; the final BankState rejects it instead of spending the budget
             if max(abs(x - y) for x, y in zip(volts, before)) < tol:
                 converged = True
                 adjustment = (period - 1) * len(seq)
                 break
-    final = BankState(state.flying_caps, state.output_cap, tuple(volts[:n]), volts[n])
+    final = BankState(state.flying_caps, state.output_cap, record[:n], record[n])
     periods = len(buffer) // ((n + 2) * len(seq))
     return SimTrace(buffer, periods, converged, adjustment, final)
 
@@ -217,16 +236,21 @@ def charge_locus(trace: SimTrace, topologies: int) -> list[tuple[float, float]]:
     ]
 
 
-def write_trace_csv(trace: SimTrace, stream: TextIO) -> None:
-    """iteration,V1..Vn,Vo,Q rows; header included."""
+def trace_csv_lines(trace: SimTrace) -> list[str]:
+    """The header iteration,V1..Vn,Vo,Q, then one row per slot; no newlines."""
     size = trace.final_state.size
-    header = ["iteration"] + [f"V{j}" for j in range(1, size + 1)] + ["Vo", "Q"]
-    stream.write(",".join(header) + "\n")
     width = size + 2
-    row = "{}," + ",".join(["{:.12g}"] * width) + "\n"
+    row = "%d," + ",".join(["%.12g"] * width)
     buf = trace.buffer
-    for i, k in enumerate(range(0, len(buf), width)):
-        stream.write(row.format(i, *buf[k : k + width]))
+    return [
+        ",".join(["iteration", *(f"V{j}" for j in range(1, size + 1)), "Vo", "Q"]),
+        *[row % (i, *buf[k : k + width]) for i, k in enumerate(range(0, len(buf), width))],
+    ]
+
+
+def write_trace_csv(trace: SimTrace, stream: TextIO) -> None:
+    """trace_csv_lines, one per line."""
+    stream.write("\n".join(trace_csv_lines(trace)) + "\n")
 
 
 def write_locus_csv(points: Iterable[tuple[float, float]], stream: TextIO) -> None:

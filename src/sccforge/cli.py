@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import _si
-from .chargesim import BankState, charge_locus, run, write_locus_csv, write_trace_csv
+from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv, write_trace_csv
 from .errors import DomainError, FitError, ResourceLimitError, SingularSystemError
 from .linsolve import (
     active_schedule,
@@ -108,9 +107,7 @@ def _target(text: str | None, radix: int) -> TargetRatio:
 
 def _trace_lines(trace):
     # a generator, so the per-slot rows are formatted only when CSV is chosen
-    buffer = io.StringIO()
-    write_trace_csv(trace, buffer)
-    yield from buffer.getvalue().splitlines()
+    yield from trace_csv_lines(trace)
 
 
 # -- commands; each docstring is the command's help line ---------------------

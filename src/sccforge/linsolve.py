@@ -123,13 +123,8 @@ class KvlSystem:
         }
 
 
-def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
-    """One loop row per code, in the order given.
-
-    A CodeSet contributes its codes in canonical order; a plain sequence is
-    taken verbatim so callers control the row order. All codes must share
-    radix and resolution.
-    """
+def _uniform(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[SignedDigitCode, ...]:
+    """The codes as a tuple; raises unless there are some and all share radix and resolution."""
     seq = tuple(codes)
     if not seq:
         raise DomainError("no codes")
@@ -137,8 +132,19 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
     for code in seq:
         if code.radix != radix or code.resolution != resolution:
             raise DomainError("codes mix radix or resolution")
+    return seq
+
+
+def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
+    """One loop row per code, in the order given.
+
+    A CodeSet contributes its codes in canonical order; a plain sequence is
+    taken verbatim so callers control the row order. All codes must share
+    radix and resolution.
+    """
+    seq = _uniform(codes)
     rows, rhs = zip(*(kvl_row(code) for code in seq))
-    return KvlSystem(rows, rhs, seq, radix)
+    return KvlSystem(rows, rhs, seq, seq[0].radix)
 
 
 def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -293,22 +299,22 @@ def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     the currents sum to the output current, so the input delivers ratio *
     I_o (sum of a0 * I_k == ratio). The balance is build_system(codes)
     transposed, with right-hand side 0 for each V_k column and -1 for the
-    Vo column (Tellegen's theorem). Solved exactly; a negative entry means
-    the slot runs charge backward (legitimate for some schedules). The
-    codes passed in are the ACTIVE slots only; with a dependent slot still
-    present the system is underdetermined and the error names candidates
-    to eliminate.
+    Vo column (Tellegen's theorem); its rows are read straight off the
+    digits. Solved exactly; a negative entry means the slot runs charge
+    backward (legitimate for some schedules). The codes passed in are the
+    ACTIVE slots only; with a dependent slot still present the system is
+    underdetermined and the error names candidates to eliminate.
     """
-    system = build_system(codes)
-    rows = [[*col, 0] for col in zip(*system.matrix)]
-    rows[-1][-1] = -1
-    report, currents = _solve_rows(rows, system.rows)
+    seq = _uniform(codes)
+    rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
+    rows.append([-1] * (len(seq) + 1))
+    report, currents = _solve_rows(rows, len(seq))
     if report.rank_augmented > report.rank_a:
         raise SingularSystemError("no current assignment balances these codes")
     if currents is None:
         raise SingularSystemError(
             "charge balance is underdetermined; eliminate dependent slots first "
-            f"(candidate row indices, 0-based: {find_redundant(system)})"
+            f"(candidate row indices, 0-based: {find_redundant(build_system(seq))})"
         )
     return currents
 

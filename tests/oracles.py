@@ -6,10 +6,14 @@ redistribution oracle uses the closed-form charge expression instead of a
 matrix solve, the elimination oracle works in Fractions where the library
 kernel stays in integers, the LDO oracle scans the lattice the library
 bisects, and the cell oracle tries every engagement mask for every sign
-pattern where the library builds the code family digit by digit. Keep them
-dumb.
+pattern where the library builds the code family digit by digit, and the
+run oracle builds each slot's right-hand side as a list and scatters the
+solution back voltage by voltage where the library picks both through index
+maps built once per code. Keep them dumb.
 """
 
+import math
+from array import array
 from fractions import Fraction
 
 
@@ -122,3 +126,37 @@ def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):
             if Fraction(denom, m) * vin >= need:
                 return m, True
     return None
+
+
+def reference_run(state, sequence, vin, tol, max_periods):
+    """chargesim.run's slot loop with per-slot list building and scatter.
+
+    Same slot matrices and LAPACK kernel as the library, so the results must
+    agree bit for bit. Returns (buffer, periods, converged,
+    adjustment_iterations, volts) with volts the final V1..Vn, Vo, unchecked.
+    """
+    import numpy as np
+    from numpy.linalg import _umath_linalg
+
+    from sccforge.chargesim import _singular, _slot_matrix
+
+    plan = [(*_slot_matrix(state, code), -code.a0 * vin) for code in sequence]
+    volts = [*state.flying_voltages, state.output_voltage]
+    buffer = array("d")
+    converged, adjustment = False, None
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        for period in range(1, max_periods + 1):
+            before = list(volts)
+            for a, written, drive in plan:
+                rhs = [volts[i] for i in written] + [drive]
+                solution = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
+                for i, v in zip(written, solution):
+                    volts[i] = v
+                buffer.extend(volts)
+                buffer.append(solution[-1])
+            if not all(map(math.isfinite, volts)):
+                break
+            if max(abs(x - y) for x, y in zip(volts, before)) < tol:
+                converged, adjustment = True, (period - 1) * len(plan)
+                break
+    return buffer, len(buffer) // ((len(volts) + 1) * len(plan)), converged, adjustment, volts

@@ -1,6 +1,8 @@
 import io
 import math
 import random
+from array import array
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from sccforge.chargesim import (
     charge_locus,
     run,
     step,
+    trace_csv_lines,
     write_locus_csv,
     write_trace_csv,
 )
@@ -29,7 +32,7 @@ from golden import (
     DEPENDENT_ROW_ORDER_38,
     STEP_EXAMPLE,
 )
-from oracles import closed_form_step
+from oracles import closed_form_step, reference_run
 
 SEQ_38 = [SignedDigitCode(a0, digits) for a0, digits in DEPENDENT_ROW_ORDER_38]
 VIN = 8.0
@@ -155,12 +158,12 @@ def test_step_matches_direct_formula(case):
     )
 )
 def test_slot_kernel_is_numpy_solve(case):
-    # run calls np.linalg.solve's LAPACK gufunc directly (test_run_validation
-    # counts those calls); a numpy release that routes a 1-D solve elsewhere
-    # would change simulate's bits
+    # run calls np.linalg.solve's LAPACK gufunc directly, with the right-hand
+    # side as a tuple (test_run_validation counts those calls); a numpy
+    # release that routes a 1-D solve elsewhere would change simulate's bits
     state, code, rhs = case
     a, written = chargesim._slot_matrix(state, code)
-    rhs = rhs[: len(written) + 1]
+    rhs = tuple(rhs[: len(written) + 1])
     direct = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
     assert repr(direct) == repr(np.linalg.solve(a, rhs).tolist())
 
@@ -203,6 +206,52 @@ def test_run_is_step_chained_over_the_sequence(case):
     assert trace.converged or done == len(records)
     assert trace.records == tuple(records[:done])
     assert trace.final_state == states[done]
+
+
+def assert_matches_reference(state, seq, vin, tol, periods):
+    trace = run(state, seq, vin, tol=tol, max_periods=periods)
+    if tol is None:
+        tol = 1e-9 * abs(vin)
+    buffer, done, converged, adjustment, volts = reference_run(state, seq, vin, tol, periods)
+    assert trace.buffer.tobytes() == buffer.tobytes()
+    assert (trace.periods, trace.converged, trace.adjustment_iterations) == (done, converged, adjustment)
+    final = (*trace.final_state.flying_voltages, trace.final_state.output_voltage)
+    assert array("d", final).tobytes() == array("d", volts).tobytes()
+    return trace
+
+
+@st.composite
+def reference_cases(draw):
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(engaging_codes(n), min_size=1, max_size=4))
+    seq = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=8))
+    tol = draw(st.none() | st.floats(1e-6, 10.0))
+    return draw(banks(n)), seq, draw(st.floats(0.5, 12.0)), tol, draw(st.integers(0, 3))
+
+
+@given(reference_cases())
+def test_run_matches_the_reference_loop_bit_for_bit(case):
+    assert_matches_reference(*case)
+
+
+def test_run_matches_the_reference_loop_on_edge_cases(monkeypatch):
+    # a code that engages only the output writes one voltage
+    state = bank((4.7e-6,), 47e-6, (0.5,), 0.25)
+    assert_matches_reference(state, [SignedDigitCode(1, (0,))], VIN, None, 3)
+    assert_matches_reference(state, [SignedDigitCode(1, (0,)), SignedDigitCode(0, (1,))], VIN, None, 3)
+    # the README run, converged
+    state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
+    assert_matches_reference(state, SEQ_38, VIN, None, CONVERGENCE_MAX_PERIODS)
+    # the overflow stop: the final BankState would refuse the voltages, so a
+    # stand-in without the finite check lets the trace be compared
+    monkeypatch.setattr(
+        chargesim,
+        "BankState",
+        lambda caps, cout, volts, vout: SimpleNamespace(flying_voltages=volts, output_voltage=vout, size=len(caps)),
+    )
+    tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
+    trace = assert_matches_reference(tiny, SEQ_38, VIN, None, 10**4)
+    assert trace.periods == 1 and not all(map(math.isfinite, trace.buffer))
 
 
 def test_limits_match_the_loop_equations():
@@ -321,6 +370,19 @@ def test_trace_csv_format():
     first = lines[1].split(",")
     assert first[0] == "0"
     assert float(first[-1]) == pytest.approx(trace.records[0].charge, rel=1e-11)
+
+
+def test_trace_csv_rows_match_format_on_special_values():
+    specials = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.2250738585072014e-308]
+    specials += [1.7976931348623157e308, -1.7976931348623157e308, 1 / 3, -2e-13, 123456789012.5]
+    state = bank((4.7e-6, 1e-6), 470e-6, (0.0, 0.0), 0.0)
+    trace = chargesim.SimTrace(array("d", specials), 1, False, None, state)
+    rows = [specials[k : k + 4] for k in range(0, len(specials), 4)]
+    want = [f"{i}," + ",".join(format(x, ".12g") for x in row) for i, row in enumerate(rows)]
+    assert trace_csv_lines(trace) == ["iteration,V1,V2,Vo,Q", *want]
+    out = io.StringIO()
+    write_trace_csv(trace, out)
+    assert out.getvalue() == "\n".join(["iteration,V1,V2,Vo,Q", *want]) + "\n"
 
 
 def test_locus_csv_format():

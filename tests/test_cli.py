@@ -317,6 +317,9 @@ def test_req_oversized_slot(capsys):
         (REQ_ARGS[1:-1] + ["1" + "0" * 400], "switches_per_loop above the largest float"),
         # the slot is past the float range in periods, with a denominator above 64
         (["--fs", "1.057"] + REQ_ARGS[3:] + ["--slot", "1.75e308"], "does not fit 4 slots"),
+        # the same with a denominator of 5, and a huge slot inside the float range
+        (["--fs", "1.1"] + REQ_ARGS[3:] + ["--slot", "1.7e308"], "slot duration 1.87e+308 of"),
+        (["--fs", "1.1"] + REQ_ARGS[3:] + ["--slot", "1e300"], "slot duration 1.1e+300 of"),
     ],
     ids=[
         "rc-underflow",
@@ -326,6 +329,8 @@ def test_req_oversized_slot(capsys):
         "req-overflow",
         "huge-switches",
         "huge-slot",
+        "huge-slot-small-denominator",
+        "huge-slot-in-range",
     ],
 )
 def test_req_out_of_float_range_is_a_domain_error(capsys, extra, text):
@@ -334,6 +339,7 @@ def test_req_out_of_float_range_is_a_domain_error(capsys, extra, text):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and text in captured.err
     assert len(captured.err.splitlines()) == 1
+    assert len(captured.err) < 120
 
 
 def test_req_csv(capsys):
