@@ -101,12 +101,12 @@ def fraction_text(value: Fraction) -> str:
     """value as m/d when d <= 64 and |value| <= 1, else to four significant digits.
 
     A float-born Fraction has an unreadable denominator, and a large value
-    an unreadable numerator. A value past the float range is rounded from
-    its integers.
+    an unreadable numerator. A value past the float range, or too small
+    for a normal float, is rounded from its integers.
     """
     if value.denominator <= 64 and abs(value) <= 1:
         return str(value)
-    if abs(value) <= sys.float_info.max:
+    if sys.float_info.min <= abs(value) <= sys.float_info.max:
         return f"{float(value):.4g}"
     rounded = Context(prec=4).divide(Decimal(value.numerator), Decimal(value.denominator))
     return f"{rounded.normalize():g}"

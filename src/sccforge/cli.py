@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import _si
-from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv, write_trace_csv
+from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
 from .errors import DomainError, FitError, ResourceLimitError, SingularSystemError
 from .linsolve import (
     active_schedule,
@@ -103,11 +103,6 @@ def _target(text: str | None, radix: int) -> TargetRatio:
     if den > _RATIO_DENOMINATOR_LIMIT:
         raise ResourceLimitError(f"ratio {text} is past the denominator limit 2**16")
     return ratio
-
-
-def _trace_lines(trace):
-    # a generator, so the per-slot rows are formatted only when CSV is chosen
-    yield from trace_csv_lines(trace)
 
 
 # -- commands; each docstring is the command's help line ---------------------
@@ -200,10 +195,11 @@ def _cmd_simulate(o) -> _Out:
     state = BankState(tuple(o.caps), o.cout, tuple(init[:n]), init[n])
     trace = run(state, sequence, o.vin, tol=o.tol, max_periods=o.max_periods)
 
+    rows = trace_csv_lines(trace) if o.trace or o.format == "csv" else None
     try:
         if o.trace:
             with open(o.trace, "w") as handle:
-                write_trace_csv(trace, handle)
+                handle.write("\n".join(rows) + "\n")
         if o.locus:
             with open(o.locus, "w") as handle:
                 write_locus_csv(charge_locus(trace, len(sequence)), handle)
@@ -224,10 +220,10 @@ def _cmd_simulate(o) -> _Out:
     }
     if not trace.converged:
         err = f"did not converge within {o.max_periods} periods"
-        return _Out(payload, _trace_lines(trace), text, EXIT_NO_CONVERGENCE, err)
+        return _Out(payload, rows, text, EXIT_NO_CONVERGENCE, err)
     adjust = f"({trace.adjustment_iterations} iterations to adjust)"
     text.insert(0, f"converged after {periods} periods {adjust}")
-    return _Out(payload, _trace_lines(trace), text)
+    return _Out(payload, rows, text)
 
 
 def _cmd_req(o) -> _Out:

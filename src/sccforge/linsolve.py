@@ -46,6 +46,9 @@ class KvlSystem:
     codes are; the solutions are Fractions. Unknowns are labelled V1..Vn
     then Vo; the last matrix column always belongs to the output. codes may
     be empty for hand-built systems, in which case step_up is unavailable.
+    Hand-built systems and drop_rows are checked; build_system and step_up
+    skip the checks, which rows of codes of one radix and resolution always
+    pass, a code's fields being ints.
     """
 
     matrix: tuple[tuple[int, ...], ...]
@@ -140,11 +143,18 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
 
     A CodeSet contributes its codes in canonical order; a plain sequence is
     taken verbatim so callers control the row order. All codes must share
-    radix and resolution.
+    radix and resolution; the rows of such codes need no KvlSystem check.
     """
     seq = _uniform(codes)
     rows, rhs = zip(*(kvl_row(code) for code in seq))
-    return KvlSystem(rows, rhs, seq, seq[0].radix)
+    return _system(rows, rhs, seq, seq[0].radix)
+
+
+def _system(*fields) -> KvlSystem:
+    system = object.__new__(KvlSystem)
+    for name, value in zip(("matrix", "rhs", "codes", "radix"), fields):
+        object.__setattr__(system, name, value)
+    return system
 
 
 def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
@@ -329,5 +339,5 @@ def step_up(system: KvlSystem) -> KvlSystem:
     """
     if not system.codes:
         raise DomainError("step_up needs the generating codes")
-    rows = tuple((*code.digits, code.a0) for code in system.codes)
-    return KvlSystem(rows, (1,) * len(rows), system.codes, system.radix)
+    rows = tuple((*code.digits, code.a0) for code in _uniform(system.codes))
+    return _system(rows, (1,) * len(rows), system.codes, system.radix)

@@ -15,6 +15,7 @@ in which direction each capacitor is engaged.
 from __future__ import annotations
 
 import itertools
+from operator import index
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -100,6 +101,7 @@ class SignedDigitCode:
         object.__setattr__(self, "digits", digits)
         if self.a0 not in (0, 1):
             raise DomainError(f"a0 must be 0 or 1, got {self.a0}")
+        object.__setattr__(self, "a0", int(self.a0))
         if self.radix < 2:
             raise DomainError(f"radix must be at least 2, got {self.radix}")
         if not digits:
@@ -151,10 +153,11 @@ def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
 class CodeSet:
     """A duplicate-free set of codes of one ratio, in canonical order.
 
-    spawn_codes and enumerate_codes return the complete family. A hand-built
-    set is checked for radix, resolution, value and duplicates, not for
-    completeness. Codes are kept in canonical order regardless of
-    construction order.
+    spawn_codes and enumerate_codes return the complete family. The
+    constructor sorts the codes into canonical order and checks radix,
+    resolution, value and duplicates (not completeness) for hand-built sets
+    and enumerate_codes; spawn_codes, whose family passes by construction,
+    sets the fields directly.
     """
 
     ratio: TargetRatio
@@ -219,10 +222,12 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
     placed the leftover is a0. Taking the lower choice first yields the
     family in canonical order. Partial codes share their lower digits as a
     chain (digit, lower chain), so each step costs the same however many
-    digits lie below it.
+    digits lie below it. The codes and the set are built without their
+    constructors' checks, none of which can fail here: every digit and a0
+    is an int in range, and two codes differ where their choices first did.
     """
-    r = ratio.radix
-    partial = [(ratio.m, ())]  # (numerator left over, chain of the digits placed)
+    r = index(ratio.radix)
+    partial = [(index(ratio.m), ())]  # (numerator left over, chain of the digits placed)
     for _ in range(ratio.resolution):
         grown = []
         for rest, low in partial:
@@ -230,14 +235,22 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
             for d in (residue - r, residue) if residue else (0,):
                 grown.append(((rest - d) // r, (d, low)))
         partial = grown
+    new, put = object.__new__, object.__setattr__
     codes = []
     for a0, chain in partial:
         digits = []
         while chain:  # the most significant digit heads the chain
             d, chain = chain
             digits.append(d)
-        codes.append(SignedDigitCode(a0, tuple(digits), r))
-    return CodeSet(ratio, tuple(codes))
+        code = new(SignedDigitCode)
+        put(code, "a0", a0)
+        put(code, "digits", tuple(digits))
+        put(code, "radix", r)
+        codes.append(code)
+    family = new(CodeSet)
+    put(family, "ratio", ratio)
+    put(family, "codes", tuple(codes))
+    return family
 
 
 def enumerate_codes(ratio: TargetRatio) -> CodeSet:

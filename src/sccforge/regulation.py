@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
+from ._si import fraction_text
 from .errors import DomainError, ResourceLimitError, require_positive
 from .numrep import TargetRatio
 
@@ -98,10 +99,10 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
     t = _as_fraction(target)
     denom = 2**resolution
     if not Fraction(1, denom) <= t <= Fraction(denom - 1, denom):
-        raise DomainError(
-            f"target {t} outside the reachable band "
-            f"[1/{denom}, {denom - 1}/{denom}]"
-        )
+        low, high = f"1/{denom}", f"{denom - 1}/{denom}"
+        if denom > 64:
+            low, high = f"2**-{resolution}", f"1 - 2**-{resolution}"
+        raise DomainError(f"target {fraction_text(t)} outside the reachable band [{low}, {high}]")
     m_lo, rest = divmod(t * denom, 1)
     # The closest k/p comes out reduced, so p is the shortest period giving
     # that average. Two different fractions at the same distance are the

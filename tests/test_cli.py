@@ -223,6 +223,14 @@ def test_simulate_output_comes_from_the_trace_buffer(monkeypatch, tmp_path, caps
     assert main(SIM_ARGS + ["--trace", str(trace), "--locus", str(points)]) == 0
     assert trace.read_text() == "\n".join(rows) + "\n"
     assert points.read_text() == "\n".join(locus) + "\n"
+    capsys.readouterr()
+    # a trace file and CSV output share one formatting pass over the buffer
+    passes = []
+    format_rows = sccforge.cli.trace_csv_lines
+    monkeypatch.setattr(sccforge.cli, "trace_csv_lines", lambda t: passes.append(t) or format_rows(t))
+    assert main(SIM_ARGS + ["--trace", str(trace), "--format", "csv"]) == 0
+    assert capsys.readouterr().out == trace.read_text() == "\n".join(rows) + "\n"
+    assert len(passes) == 1
 
 
 def test_simulate_cap_count_mismatch(capsys):
@@ -386,6 +394,25 @@ def test_dither_rejects_targets_outside_unit_interval(capsys):
 def test_dither_unreachable_band_is_a_domain_error(capsys):
     assert main(["dither", "--target", "0.05"]) == 3
     assert "outside the reachable band" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, band",
+    [
+        ([], "[1/8, 7/8]"),
+        (["--n", "6"], "[1/64, 63/64]"),
+        (["--n", "7"], "[2**-7, 1 - 2**-7]"),
+        (["--n", "1000"], "[2**-1000, 1 - 2**-1000]"),
+    ],
+    ids=["n3", "n6", "n7", "n1000"],
+)
+def test_dither_band_error_stays_short(capsys, extra, band):
+    # a 401-digit denominator once made this line 455 characters long
+    assert main(["dither", "--target", "1e-400", *extra]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: target 1e-400 outside the reachable band {band}\n"
+    assert len(captured.err) < 120
 
 
 # -- ldo ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from sccforge.linsolve import (
     sort_codes_by_zeros,
     step_up,
 )
-from sccforge.numrep import SignedDigitCode, TargetRatio, spawn_codes
+from sccforge.numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
 from golden import (
     DEPENDENT_38_MATRIX,
@@ -405,3 +405,24 @@ def test_json_export_shape():
     assert data["matrix"][0] == ["-1", "-1", "1", "-1"]
     assert data["rhs"] == ["-1", "0", "-1", "0", "0"]
     assert len(data["codes"]) == 5
+
+
+def test_generated_objects_pass_their_constructors():
+    # spawn_codes, build_system and step_up skip the constructors' checks; rebuilding
+    # each result through the checked constructors must give it back unchanged
+    for radix, max_n in ((2, 10), (3, 5)):
+        for n in range(1, max_n + 1):
+            for m in range(1, radix**n):
+                family = spawn_codes(TargetRatio(m, radix, n))
+                codes = tuple(SignedDigitCode(c.a0, c.digits, c.radix) for c in family)
+                assert CodeSet(family.ratio, codes).codes == codes == family.codes
+                assert all(type(x) is int for c in family for x in (c.a0, *c.digits))
+                for system in (build_system(family), step_up(build_system(family))):
+                    assert KvlSystem(system.matrix, system.rhs, system.codes, system.radix) == system
+
+
+def test_step_up_rejects_codes_of_mixed_resolution():
+    codes = codes_of([(0, (1,)), (0, (1, 1))])
+    system = KvlSystem(((1, -1), (1, -1)), (0, 0), tuple(codes), 2)
+    with pytest.raises(DomainError, match="mix radix or resolution"):
+        step_up(system)

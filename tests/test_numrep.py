@@ -3,6 +3,7 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -97,6 +98,15 @@ def test_code_validation():
     SignedDigitCode(0, (2, -2), radix=3)  # fine at radix 3
 
 
+def test_code_fields_are_ints():
+    code = SignedDigitCode(1.0, (1.0, True, -1))
+    assert (code.a0, code.digits) == (1, (1, 1, -1))
+    assert all(type(x) is int for x in (code.a0, *code.digits))
+    # spawn_codes builds its codes unchecked, so it reads the ratio's numbers as ints itself
+    family = spawn_codes(TargetRatio(np.int64(3), np.int64(2), 3))
+    assert all(type(x) is int for c in family for x in (c.a0, *c.digits, c.radix))
+
+
 def test_code_text_and_json_round_trip():
     code = SignedDigitCode(1, (-1, 0, -1))
     assert code.to_text() == "1 -1 0 -1"
@@ -161,7 +171,7 @@ def test_enumerate_example_and_equivalence():
         for n in range(1, max_n + 1):
             for m in range(1, radix**n):
                 ratio = TargetRatio(m, radix, n)
-                assert spawn_codes(ratio).as_set() == enumerate_codes(ratio).as_set()
+                assert spawn_codes(ratio).codes == enumerate_codes(ratio).codes
 
 
 def test_enumerate_guard():
@@ -171,7 +181,8 @@ def test_enumerate_guard():
 
 @given(target_ratios(max_radix=5, max_resolution=4))
 def test_generators_agree(ratio):
-    assert spawn_codes(ratio).as_set() == enumerate_codes(ratio).as_set()
+    # enumerate_codes goes through the checked CodeSet, so this pins canonical order too
+    assert spawn_codes(ratio).codes == enumerate_codes(ratio).codes
 
 
 @given(target_ratios())
