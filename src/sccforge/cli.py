@@ -22,7 +22,7 @@ from . import _si
 from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
 from .errors import DomainError, FitError, ResourceLimitError, SingularSystemError
 from .linsolve import (
-    active_schedule,
+    SolvabilityReport,
     build_system,
     check_solvable,
     find_redundant,
@@ -146,8 +146,10 @@ def _cmd_solve(o) -> _Out:
     redundant = find_redundant(system)
     if o.eliminate:
         system = system.drop_rows(redundant)
-    report = check_solvable(system)
     solution = solve_unique(step_up(system) if o.stepup else system)
+    # a unique solution of this system has rank(A) = rank([A|b]) = unknowns
+    n = system.unknowns
+    report = check_solvable(system) if o.stepup else SolvabilityReport(n, n, n)
 
     pairs = list(zip(system.labels, solution))
     line = " ".join(f"{name}={value}" for name, value in pairs)
@@ -247,26 +249,25 @@ def _cmd_req(o) -> _Out:
 
     rows = []
     table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
+    if o.slot is None or isinstance(o.slot, Fraction):
+        t_over_ts = o.slot
+    else:
+        t_over_ts = Fraction(o.slot) * Fraction(str(o.fs))
     for ratio in ratios:
-        active = active_schedule(ratio)
-        if o.slot is None or isinstance(o.slot, Fraction):
-            t_over_ts = o.slot
-        else:
-            t_over_ts = Fraction(o.slot) * Fraction(str(o.fs))
-        spec = build_req_spec(active, o.fs, o.c, o.ron, o.switches, t_over_ts)
+        spec = build_req_spec(ratio, o.fs, o.c, o.ron, o.switches, t_over_ts)
         req = req_multi(spec)
         floor = req_zero_beta_multiplier(spec)
         rows.append(
             {
                 "ratio": str(ratio),
-                "slots": len(active),
+                "slots": len(spec.slots),
                 "t_over_ts": str(spec.t_over_ts),
                 "req_ohm": req,
                 "floor_over_r": str(floor),
             }
         )
         tts = _si.fraction_text(spec.t_over_ts)
-        table.append((str(ratio), str(len(active)), tts, f"{req:.4f}", str(floor)))
+        table.append((str(ratio), str(len(spec.slots)), tts, f"{req:.4f}", str(floor)))
 
     widths = [max(len(row[i]) for row in table) for i in range(5)]
     return _Out(

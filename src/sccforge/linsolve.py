@@ -6,13 +6,14 @@ family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
 is what lets the bank self-adjust with no feedback. Ranks, solutions,
 redundancy scores, the active schedule (the zero-sorted family less its
 dependent rows) and its charge balance (the transposed system) all come
-from one integer fraction-free Gauss-Jordan kernel, read out in one place.
-Loop rows are integers from topology.kvl_row to the kernel; Fractions are
-built only from its final numerators and common denominator, and the
-redundancy test compares integers. Inside the kernel each row is one packed
-int, column j in a signed field of k bits, where k holds Hadamard's bound
-r**(r/2) * max|a|**r (r = min(rows, cols)) and its sign, so a row update
-costs three big-int operations whatever the width.
+from one integer fraction-free Gauss-Jordan kernel, and the schedule and
+its balance from one elimination of the transposed system. Loop rows are
+integers from topology.kvl_row to the kernel; Fractions are built only from
+its final numerators and common denominator, and the redundancy test
+compares integers. Inside the kernel each row is one packed int, column j
+in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
+max|a|**r (r = min(rows, cols)) and its sign, so a row update costs three
+big-int operations whatever the width.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from operator import lshift
 from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
-from .numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
+from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family, spawn_codes
 from .topology import kvl_row
 
 @dataclass(frozen=True)
@@ -157,14 +158,17 @@ def _system(*fields) -> KvlSystem:
     return system
 
 
-def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], list[int], int]:
+def fraction_free_rref(
+    rows: Sequence[Sequence[int]], first_column: int = 0
+) -> tuple[list[list[int]], list[int], int]:
     """Reduced row echelon form of an integer matrix by fraction-free elimination (Bareiss 1968).
 
     Every pivot eliminates its column above and below; dividing by the
     previous pivot is exact because every entry stays a minor of the input.
     Pivot rule: columns left to right, smallest available row index. Returns
     (m, pivots, d): the reduced row echelon form is m / d, and pivots lists
-    the pivot column of each leading row.
+    the pivot column of each leading row. m holds the columns from
+    first_column on, so a solve unpacks only its right-hand side.
 
     Each row is held as one int, the sum of a_j * 2**(k*j) (Kronecker
     substitution), so a row update is three big-int operations and reading
@@ -214,36 +218,32 @@ def fraction_free_rref(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], 
         pivots.append(col)
     out = []
     for packed in m:
-        row = [0] * ncols
+        row = [0] * (ncols - first_column)
         if packed:
-            packed += bias
-            for j in range(ncols):
+            packed = (packed + bias) >> k * first_column
+            for j in range(len(row)):
                 row[j] = (packed & mask) - half
                 packed >>= k
         out.append(row)
     return out, pivots, prev
 
 
-def _solve_rows(rows, unknowns: int) -> tuple[SolvabilityReport, tuple[Fraction, ...] | None]:
-    """Ranks of A and [A|b] from the rows of [A|b], and the exact solution if unique."""
-    m, pivots, d = fraction_free_rref(rows)
-    report = SolvabilityReport(sum(1 for p in pivots if p < unknowns), len(pivots), unknowns)
-    solution = tuple(Fraction(m[i][-1], d) for i in range(unknowns)) if report.unique else None
-    return report, solution
-
-
-def _augmented(system: KvlSystem) -> list[tuple[int, ...]]:
-    return [row + (b,) for row, b in zip(system.matrix, system.rhs)]
+def _solve(system: KvlSystem) -> tuple[SolvabilityReport, tuple[Fraction, ...] | None]:
+    """Ranks of A and [A|b], and the exact solution if unique."""
+    n = system.unknowns
+    m, pivots, d = fraction_free_rref([row + (b,) for row, b in zip(system.matrix, system.rhs)], n)
+    report = SolvabilityReport(sum(1 for p in pivots if p < n), len(pivots), n)
+    return report, tuple(Fraction(row[0], d) for row in m[:n]) if report.unique else None
 
 
 def check_solvable(system: KvlSystem) -> SolvabilityReport:
     """Ranks of A and [A|b]; unique iff both equal the unknown count."""
-    return _solve_rows(_augmented(system), system.unknowns)[0]
+    return _solve(system)[0]
 
 
 def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
     """Exact solution (V1..Vn, Vo) of a uniquely solvable system."""
-    report, solution = _solve_rows(_augmented(system), system.unknowns)
+    report, solution = _solve(system)
     if solution is None:
         raise SingularSystemError(
             "system is not uniquely solvable: rank(A) = "
@@ -285,19 +285,47 @@ def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[Sign
     return sorted(codes, key=lambda c: -c.zero_count)
 
 
-def active_schedule(
-    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
-) -> list[SignedDigitCode]:
-    """The slots a schedule runs: codes sorted by zeros, dependent rows dropped.
+def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction, ...] | None]:
+    """Pivot columns of [A transposed | e] over seq and the currents at them, None if e pivots.
 
-    A TargetRatio is expanded with spawn_codes first. The rows find_redundant
-    flags in the zero-sorted system are removed; the rest keep their order.
+    A is the loop matrix of seq; e is 0 on each capacitor row, -1 on the Vo row.
+    """
+    rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
+    rows.append([-1] * (len(seq) + 1))
+    m, pivots, d = fraction_free_rref(rows, len(seq))
+    if pivots[-1] == len(seq):
+        return pivots[:-1], None
+    return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)])
+
+
+def schedule_currents(
+    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
+) -> tuple[list[SignedDigitCode], tuple[Fraction, ...] | None]:
+    """The active schedule and its current_balance (None if none), from one elimination.
+
+    A TargetRatio is expanded with spawn_codes; a plain sequence must hold
+    distinct codes of one ratio. Of the zero-sorted codes, the pivot columns
+    of [A transposed | e] are the schedule. Every loop row ends in -1, so a
+    dependent column is an affine combination of pivot columns, and its
+    find_redundant score is 1 only if the combination is convex. No code of
+    a family is a convex mix of others: codes that agree below digit j take
+    digit j from the same two values. So find_redundant flags exactly the
+    non-pivot columns.
     """
     if isinstance(codes_or_ratio, TargetRatio):
         codes_or_ratio = spawn_codes(codes_or_ratio)
+    elif not isinstance(codes_or_ratio, CodeSet):
+        check_family(codes_or_ratio)
     ordered = sort_codes_by_zeros(codes_or_ratio)
-    drop = set(find_redundant(build_system(ordered)))
-    return [code for i, code in enumerate(ordered) if i not in drop]
+    pivots, currents = _tableau(ordered)
+    return [ordered[j] for j in pivots], currents
+
+
+def active_schedule(
+    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
+) -> list[SignedDigitCode]:
+    """The slots a schedule runs (see schedule_currents): zero-sorted, dependent rows dropped."""
+    return schedule_currents(codes_or_ratio)[0]
 
 
 def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
@@ -316,12 +344,10 @@ def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     underdetermined and the error names candidates to eliminate.
     """
     seq = _uniform(codes)
-    rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
-    rows.append([-1] * (len(seq) + 1))
-    report, currents = _solve_rows(rows, len(seq))
-    if report.rank_augmented > report.rank_a:
-        raise SingularSystemError("no current assignment balances these codes")
+    pivots, currents = _tableau(seq)
     if currents is None:
+        raise SingularSystemError("no current assignment balances these codes")
+    if len(pivots) < len(seq):
         raise SingularSystemError(
             "charge balance is underdetermined; eliminate dependent slots first "
             f"(candidate row indices, 0-based: {find_redundant(build_system(seq))})"

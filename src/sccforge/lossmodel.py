@@ -13,7 +13,7 @@ slot and R_eq approaches the slow-switching floor
 (T_s / t) * R * sum (I_k/I_o)**2; the floor is exact in rationals here.
 Equivalent-series resistance of the capacitors is folded into r_on.
 
-The slot currents I_k come from linsolve.current_balance, exactly.
+The slot currents I_k come from linsolve's exact charge balance.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from ._si import fraction_text
 from .errors import DomainError, FitError, require_positive
-from .linsolve import current_balance
-from .numrep import SignedDigitCode
+from .linsolve import current_balance, schedule_currents
+from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family
 
 _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
@@ -225,7 +225,7 @@ class ReqSpec:
 
 
 def build_req_spec(
-    codes: Sequence[SignedDigitCode],
+    codes: TargetRatio | CodeSet | Sequence[SignedDigitCode],
     f_s: float,
     c: float,
     r_on: float,
@@ -234,10 +234,19 @@ def build_req_spec(
 ) -> ReqSpec:
     """Assemble the model inputs for an active (post-elimination) schedule.
 
+    A TargetRatio stands for its active schedule, which comes with its
+    currents from one elimination (schedule_currents). Codes are taken as
+    the schedule; a plain sequence must hold distinct codes of one ratio.
     Currents come from the exact charge balance, capacitance ratios from the
     stack depths. The slot duration defaults to an even split of the period.
     """
-    currents = current_balance(codes)
+    currents = None
+    if isinstance(codes, TargetRatio):
+        codes, currents = schedule_currents(codes)
+    elif not isinstance(codes, CodeSet):
+        check_family(codes)
+    if currents is None:  # for a ratio: nothing balances it, which current_balance reports
+        currents = current_balance(codes)
     caps = slot_cap_ratios(codes)
     if t_over_ts is None:
         t_over_ts = Fraction(1, len(codes))
@@ -260,8 +269,11 @@ def req_multi(spec: ReqSpec) -> float:
 
 def req_zero_beta_multiplier(spec: ReqSpec) -> Fraction:
     """Slow-switching floor of req_multi in units of the loop resistance, exact."""
-    shares = sum((slot.current_ratio**2 for slot in spec.slots), Fraction(0))
-    return shares / spec.t_over_ts
+    # one Fraction at the end: a Fraction per slot made this 5x slower at n = 10
+    currents = [slot.current_ratio for slot in spec.slots]
+    den = math.lcm(*(i.denominator for i in currents))
+    shares = sum((i.numerator * (den // i.denominator)) ** 2 for i in currents)
+    return Fraction(shares * spec.t_over_ts.denominator, den * den * spec.t_over_ts.numerator)
 
 
 def req_zero_beta_limit(spec: ReqSpec) -> float:

@@ -18,6 +18,7 @@ import itertools
 from operator import index
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 from .errors import DomainError, ResourceLimitError
 
@@ -34,6 +35,11 @@ class TargetRatio:
     resolution: int
 
     def __post_init__(self) -> None:
+        for name in ("m", "radix", "resolution"):
+            try:
+                object.__setattr__(self, name, index(getattr(self, name)))
+            except TypeError:
+                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
         if self.radix < 2:
             raise DomainError(f"radix must be at least 2, got {self.radix}")
         if self.resolution < 1:
@@ -143,6 +149,14 @@ class SignedDigitCode:
         return cls(data["a0"], tuple(data["digits"]), data.get("radix", 2))
 
 
+def _numerator(code: SignedDigitCode) -> int:
+    # a0*r**n + sum_j d_j*r**(n-j): the code's value times r**n, in integers
+    m, r = code.a0, code.radix
+    for d in code.digits:
+        m = m * r + d
+    return m
+
+
 def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
     # ascending by the digit tuple read least-significant first; this is the
     # order a full factorial sweep with the last digit fastest meets matches
@@ -175,11 +189,7 @@ class CodeSet:
                 raise DomainError("code radix does not match the ratio")
             if code.resolution != self.ratio.resolution:
                 raise DomainError("code resolution does not match the ratio")
-            # a0*r**n + sum_j d_j*r**(n-j) == m, the exact value test in integers
-            numerator = code.a0
-            for d in code.digits:
-                numerator = numerator * r + d
-            if numerator != self.ratio.m:
+            if _numerator(code) != self.ratio.m:
                 raise DomainError(f"code {code.to_text()!r} does not represent {self.ratio}")
             key = (code.a0, code.digits)
             if key in seen:
@@ -200,6 +210,16 @@ class CodeSet:
 
     def as_set(self) -> frozenset[tuple[int, tuple[int, ...]]]:
         return frozenset((c.a0, c.digits) for c in self.codes)
+
+
+def check_family(codes: Sequence[SignedDigitCode]) -> None:
+    """Raise DomainError unless there are codes, all distinct and all of one ratio."""
+    if not codes:
+        raise DomainError("no codes")
+    if len({(c.radix, len(c.digits), _numerator(c)) for c in codes}) > 1:
+        raise DomainError("codes mix ratios")
+    if len({c.digits for c in codes}) < len(codes):
+        raise DomainError("duplicate codes")
 
 
 def conventional_code(m: int, radix: int, resolution: int) -> SignedDigitCode:
@@ -226,8 +246,8 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
     constructors' checks, none of which can fail here: every digit and a0
     is an int in range, and two codes differ where their choices first did.
     """
-    r = index(ratio.radix)
-    partial = [(index(ratio.m), ())]  # (numerator left over, chain of the digits placed)
+    r = ratio.radix
+    partial = [(ratio.m, ())]  # (numerator left over, chain of the digits placed)
     for _ in range(ratio.resolution):
         grown = []
         for rest, low in partial:

@@ -102,7 +102,10 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
         low, high = f"1/{denom}", f"{denom - 1}/{denom}"
         if denom > 64:
             low, high = f"2**-{resolution}", f"1 - 2**-{resolution}"
-        raise DomainError(f"target {fraction_text(t)} outside the reachable band [{low}, {high}]")
+        text = fraction_text(t)
+        if text == "1" and t != 1:  # rounded to 1, so told from 1 by its distance
+            text = f"1 {'-' if t < 1 else '+'} {fraction_text(abs(1 - t))}"
+        raise DomainError(f"target {text} outside the reachable band [{low}, {high}]")
     m_lo, rest = divmod(t * denom, 1)
     # The closest k/p comes out reduced, so p is the shortest period giving
     # that average. Two different fractions at the same distance are the

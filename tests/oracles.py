@@ -4,12 +4,14 @@ These deliberately take different routes than the library: the dither oracle
 enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
 matrix solve, the elimination oracle works in Fractions where the library
-kernel stays in integers, the LDO oracle scans the lattice the library
-bisects, and the cell oracle tries every engagement mask for every sign
-pattern where the library builds the code family digit by digit, and the
-run oracle builds each slot's right-hand side as a list and scatters the
-solution back voltage by voltage where the library picks both through index
-maps built once per code. Keep them dumb.
+kernel stays in integers, the schedule oracle drops the dependent rows and
+then balances what is left where the library reads both off one elimination,
+the LDO oracle scans the lattice the library bisects, and the cell oracle
+tries every engagement mask for every sign pattern where the library builds
+the code family digit by digit, and the run oracle builds each slot's
+right-hand side as a list and scatters the solution back voltage by voltage
+where the library picks both through index maps built once per code. Keep
+them dumb.
 """
 
 import math
@@ -83,6 +85,24 @@ def rational_rref(rows):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
     return m, pivots
+
+
+def two_elimination_schedule(codes, dropped):
+    """Active schedule and its currents by two eliminations, the second over Fractions.
+
+    dropped holds the rows find_redundant flags in the loop system of codes;
+    the other codes, in order, are the schedule. Its charge balance (per
+    capacitor, the digit-weighted currents sum to 0; the currents sum to 1)
+    goes through rational_rref. Currents are None unless that system has
+    exactly one solution.
+    """
+    active = [code for i, code in enumerate(codes) if i not in set(dropped)]
+    rows = [[*col, 0] for col in zip(*(code.digits for code in active))]
+    rows.append([1] * (len(active) + 1))
+    m, pivots = rational_rref(rows)
+    if pivots != list(range(len(active))):
+        return active, None
+    return active, tuple(m[i][-1] for i in range(len(active)))
 
 
 def matched_cells_by_scan(n):

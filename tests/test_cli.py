@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sccforge
+from sccforge import linsolve
 from sccforge.cli import main
 
 from golden import (
@@ -268,6 +269,32 @@ def test_req_single_ratio(capsys):
     assert float(rows[0][3]) == pytest.approx(5.4282, abs=1e-3)
 
 
+@pytest.mark.parametrize(
+    "argv, calls",
+    [
+        (REQ_ARGS + ["--ratio", "3/8"], 1),
+        (REQ_ARGS + ["--n", "3"], 7),
+        (["solve", "--ratio", "85/256"], 2),
+        (["solve", "--ratio", "85/256", "--stepup"], 3),
+    ],
+    ids=["req-3/8", "req-n3", "solve", "solve-stepup"],
+)
+def test_one_elimination_per_answer(monkeypatch, capsys, argv, calls):
+    # req: schedule and currents from one tableau per ratio; solve: the
+    # redundant rows, then ranks and solution from one pass (--stepup
+    # eliminates a second system, so it keeps its own rank check)
+    kernel = linsolve.fraction_free_rref
+    seen = []
+
+    def counted(*args):
+        seen.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(linsolve, "fraction_free_rref", counted)
+    assert main(argv) == 0
+    assert len(seen) == calls
+
+
 def test_req_n_at_the_ratios_resolution_changes_nothing(capsys):
     assert main(REQ_ARGS + ["--ratio", "3/8"]) == 0
     plain = capsys.readouterr()
@@ -413,6 +440,17 @@ def test_dither_band_error_stays_short(capsys, extra, band):
     assert captured.out == ""
     assert captured.err == f"error: target 1e-400 outside the reachable band {band}\n"
     assert len(captured.err) < 120
+
+
+def test_dither_target_just_below_one_is_told_from_one(capsys):
+    # four significant digits round 1 - 1e-25 to 1, which --target refuses
+    assert main(["dither", "--target", "0.9999999999999999999999999", "--n", "12"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    band = "[2**-12, 1 - 2**-12]"
+    assert captured.err == f"error: target 1 - 1e-25 outside the reachable band {band}\n"
+    assert main(["dither", "--target", "0.99999", "--n", "12"]) == 3
+    assert "target 1 - 1e-05 outside" in capsys.readouterr().err
 
 
 # -- ldo ---------------------------------------------------------------------------

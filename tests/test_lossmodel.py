@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from sccforge.errors import DomainError, FitError, SingularSystemError
-from sccforge.linsolve import active_schedule, current_balance, sort_codes_by_zeros
+from sccforge.linsolve import (
+    active_schedule,
+    build_system,
+    current_balance,
+    find_redundant,
+    schedule_currents,
+    sort_codes_by_zeros,
+)
 from sccforge.lossmodel import (
     RcParams,
     ReqSpec,
@@ -27,7 +34,7 @@ from sccforge.lossmodel import (
     vo_under_load,
     write_load_csv,
 )
-from sccforge.numrep import SignedDigitCode, TargetRatio, spawn_codes
+from sccforge.numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
 from golden import (
     AVERAGED_REQ_ROW,
@@ -46,6 +53,7 @@ from golden import (
     UNSORTED_38_FLOOR,
     UNSORTED_38_REQ,
 )
+from oracles import rational_rref, two_elimination_schedule
 
 F = Fraction
 
@@ -238,6 +246,86 @@ def test_balance_validation():
         current_balance([SignedDigitCode(0, (1,)), SignedDigitCode(0, (1, 0))])
     with pytest.raises(DomainError):
         current_balance([SignedDigitCode(0, (1,)), SignedDigitCode(0, (1,), 3)])
+
+
+@st.composite
+def family_subsets(draw):
+    """Distinct codes of one family, in any order: radix 2 to n = 7, radix 3 to n = 4."""
+    radix = draw(st.sampled_from([2, 3]))
+    n = draw(st.integers(1, 7 if radix == 2 else 4))
+    family = spawn_codes(TargetRatio(draw(st.integers(1, radix**n - 1)), radix, n))
+    picked = draw(st.lists(st.sampled_from(range(len(family))), min_size=1, unique=True))
+    return [family[i] for i in picked]
+
+
+@given(family_subsets())
+def test_one_elimination_matches_two(codes):
+    # within one family a dependent row is never a convex mix of the others,
+    # so find_redundant flags exactly the non-pivot columns of A transposed
+    _, pivots = rational_rref(list(zip(*build_system(codes).matrix)))
+    non_pivots = [j for j in range(len(codes)) if j not in pivots]
+    assert find_redundant(build_system(codes)) == non_pivots
+    # so the one tableau gives what dropping those rows and balancing the rest gives
+    ordered = sort_codes_by_zeros(codes)
+    schedule, currents = two_elimination_schedule(ordered, find_redundant(build_system(ordered)))
+    assert active_schedule(codes) == schedule
+    assert schedule_currents(codes) == (schedule, currents)
+    if currents is None:
+        with pytest.raises(SingularSystemError, match="no current assignment"):
+            current_balance(schedule)
+    else:
+        assert current_balance(schedule) == currents
+
+
+def test_one_elimination_matches_two_on_every_family():
+    for radix, top in ((2, 6), (3, 3)):
+        for n in range(1, top + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                ordered = sort_codes_by_zeros(spawn_codes(ratio))
+                dropped = find_redundant(build_system(ordered))
+                assert schedule_currents(ratio) == two_elimination_schedule(ordered, dropped)
+
+
+def test_schedule_inputs_must_be_one_family():
+    # the tableau read-out is exact within one family only; the old route
+    # silently kept a duplicate slot, so plain lists are checked
+    three, five = (list(spawn_codes(TargetRatio(m, 2, 3))) for m in (3, 5))
+    bad = [
+        (three + three[:1], "duplicate"),
+        (three[:2] + five[:1], "mix ratios"),
+        (three[:2] + [SignedDigitCode(0, (1, 1, 1, -1))], "mix ratios"),
+        (three[:2] + [SignedDigitCode(0, (1, 0), 3)], "mix ratios"),
+        ([], "no codes"),
+    ]
+    for codes, what in bad:
+        with pytest.raises(DomainError, match=what):
+            active_schedule(codes)
+        with pytest.raises(DomainError, match=what):
+            build_req_spec(codes, 1e5, 4.7e-6, 1.2, 4)
+    # a ratio or a CodeSet is one family already
+    ratio = TargetRatio(3, 2, 3)
+    active = active_schedule(ratio)
+    assert active_schedule(CodeSet(ratio, tuple(reversed(three)))) == active
+    assert build_req_spec(ratio, 1e5, 4.7e-6, 1.2, 4) == build_req_spec(active, 1e5, 4.7e-6, 1.2, 4)
+
+
+def test_floor_over_one_denominator_is_the_fraction_sum():
+    for radix, top in ((2, 6), (3, 3)):
+        for n in range(1, top + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                for t_over_ts in (None, F(1, 8)):
+                    spec = build_req_spec(ratio, 1e5, 4.7e-6, 1.2, 4, t_over_ts)
+                    assert spec == build_req_spec(active_schedule(ratio), 1e5, 4.7e-6, 1.2, 4, t_over_ts)
+                    shares = sum((slot.current_ratio**2 for slot in spec.slots), F(0))
+                    floor = req_zero_beta_multiplier(spec)
+                    assert floor == shares / spec.t_over_ts
+                    assert str(floor) == str(shares / spec.t_over_ts)
+    # no denominator a multiple of the others: (1/16 + 1/36 + 1/4) * 3 = 49/48
+    slots = tuple(TopologySlot(i, F(1, 2)) for i in (F(1, 4), F(-1, 6), F(1, 2)))
+    spec = ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 3), slots)
+    assert req_zero_beta_multiplier(spec) == F(49, 48)
 
 
 def test_slot_cap_ratios():

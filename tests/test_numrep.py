@@ -57,6 +57,22 @@ def test_ratio_rejects_out_of_range(m, radix, resolution):
         TargetRatio(m, radix, resolution)
 
 
+@pytest.mark.parametrize(
+    "m, radix, resolution, name",
+    [(3.5, 2, 3, "m"), (3.0, 2, 3, "m"), (3, 2.0, 3, "radix"), (3, 2, "3", "resolution")],
+)
+def test_ratio_rejects_non_integers(m, radix, resolution, name):
+    # caught at construction, not as a TypeError from .value or spawn_codes later
+    with pytest.raises(DomainError, match=f"{name} must be an integer"):
+        TargetRatio(m, radix, resolution)
+
+
+def test_ratio_reads_its_numbers_as_ints():
+    ratio = TargetRatio(np.int64(3), np.int64(2), np.int64(3))
+    assert ratio == TargetRatio(3, 2, 3)
+    assert all(type(x) is int for x in (ratio.m, ratio.radix, ratio.resolution))
+
+
 def test_effective_resolution_strips_trailing_zeros():
     assert TargetRatio(4, 2, 3).effective_resolution == 1
     assert TargetRatio(6, 2, 3).effective_resolution == 2
@@ -102,7 +118,7 @@ def test_code_fields_are_ints():
     code = SignedDigitCode(1.0, (1.0, True, -1))
     assert (code.a0, code.digits) == (1, (1, 1, -1))
     assert all(type(x) is int for x in (code.a0, *code.digits))
-    # spawn_codes builds its codes unchecked, so it reads the ratio's numbers as ints itself
+    # spawn_codes builds its codes unchecked; TargetRatio holds its numbers as ints
     family = spawn_codes(TargetRatio(np.int64(3), np.int64(2), 3))
     assert all(type(x) is int for c in family for x in (c.a0, *c.digits, c.radix))
 

@@ -1,4 +1,5 @@
 import math
+import re
 from decimal import Decimal
 from fractions import Fraction
 
@@ -105,6 +106,11 @@ def test_unreachable_targets():
     for target in (math.nan, math.inf, -math.inf, Decimal("Infinity")):
         with pytest.raises(DomainError, match="not a finite number"):
             dither_plan(target, 3, 8)
+    # a target that four significant digits round to 1 is told by its distance to 1
+    tiny = F(1, 10**30)
+    for target, text in ((1 - tiny, "1 - 1e-30"), (1 + tiny, "1 + 1e-30"), (F(1), "1")):
+        with pytest.raises(DomainError, match=rf"^target {re.escape(text)} outside"):
+            dither_plan(target, 12, 8)
 
 
 def test_planner_guards():
