@@ -128,14 +128,12 @@ class KvlSystem:
 
 
 def _uniform(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[SignedDigitCode, ...]:
-    """The codes as a tuple; raises unless there are some and all share radix and resolution."""
+    """Loop-system codes as a tuple: some, all of one radix and resolution, repeats allowed."""
     seq = tuple(codes)
     if not seq:
         raise DomainError("no codes")
-    radix, resolution = seq[0].radix, seq[0].resolution
-    for code in seq:
-        if code.radix != radix or code.resolution != resolution:
-            raise DomainError("codes mix radix or resolution")
+    if len({(code.radix, code.resolution) for code in seq}) > 1:
+        raise DomainError("codes mix radix or resolution")
     return seq
 
 
@@ -263,15 +261,16 @@ def _dependence(system: KvlSystem) -> tuple[list[int], int]:
 def redundancy_scores(system: KvlSystem) -> tuple[Fraction, ...]:
     """Per-row dependence scores: column sums of |rref(A transposed)|.
 
-    A score of 1 marks a row every solution needs; a score above 1 marks a
-    row expressible through the others.
+    A pivot row scores 1; a dependent row, the sum of |weights| of the pivot
+    rows that make it: 1 for a repeat or a convex mix of rows, which
+    find_redundant therefore keeps. No row of one family is either.
     """
     sums, d = _dependence(system)
     return tuple(Fraction(s, d) for s in sums)
 
 
 def find_redundant(system: KvlSystem) -> list[int]:
-    """0-based indices of rows that can be eliminated without losing rank."""
+    """0-based indices of the rows whose redundancy score is above 1: not every dependent row."""
     sums, d = _dependence(system)
     return [i for i, s in enumerate(sums) if s > d]
 
@@ -303,9 +302,9 @@ def schedule_currents(
 ) -> tuple[list[SignedDigitCode], tuple[Fraction, ...] | None]:
     """The active schedule and its current_balance (None if none), from one elimination.
 
-    A TargetRatio is expanded with spawn_codes; a plain sequence must hold
-    distinct codes of one ratio. Of the zero-sorted codes, the pivot columns
-    of [A transposed | e] are the schedule. Every loop row ends in -1, so a
+    A TargetRatio is expanded with spawn_codes; other codes must be one
+    family (check_family). Of the zero-sorted codes, the pivot columns of
+    [A transposed | e] are the schedule. Every loop row ends in -1, so a
     dependent column is an affine combination of pivot columns, and its
     find_redundant score is 1 only if the combination is convex. No code of
     a family is a convex mix of others: codes that agree below digit j take
@@ -314,7 +313,7 @@ def schedule_currents(
     """
     if isinstance(codes_or_ratio, TargetRatio):
         codes_or_ratio = spawn_codes(codes_or_ratio)
-    elif not isinstance(codes_or_ratio, CodeSet):
+    else:
         check_family(codes_or_ratio)
     ordered = sort_codes_by_zeros(codes_or_ratio)
     pivots, currents = _tableau(ordered)
@@ -328,7 +327,7 @@ def active_schedule(
     return schedule_currents(codes_or_ratio)[0]
 
 
-def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
+def current_balance(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     """Slot currents, in output-current units, that balance every capacitor.
 
     Over one period each capacitor group must shed exactly the charge it
@@ -339,18 +338,18 @@ def current_balance(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
     transposed, with right-hand side 0 for each V_k column and -1 for the
     Vo column (Tellegen's theorem); its rows are read straight off the
     digits. Solved exactly; a negative entry means the slot runs charge
-    backward (legitimate for some schedules). The codes passed in are the
-    ACTIVE slots only; with a dependent slot still present the system is
-    underdetermined and the error names candidates to eliminate.
+    backward (legitimate for some schedules). The codes must be one family
+    (check_family), ACTIVE slots only; with a dependent slot left the error
+    names the tableau's non-pivot columns, in one family the find_redundant rows.
     """
-    seq = _uniform(codes)
-    pivots, currents = _tableau(seq)
+    check_family(codes)
+    pivots, currents = _tableau(codes)
     if currents is None:
         raise SingularSystemError("no current assignment balances these codes")
-    if len(pivots) < len(seq):
+    if len(pivots) < len(codes):
         raise SingularSystemError(
             "charge balance is underdetermined; eliminate dependent slots first "
-            f"(candidate row indices, 0-based: {find_redundant(build_system(seq))})"
+            f"(candidate row indices, 0-based: {[j for j in range(len(codes)) if j not in pivots]})"
         )
     return currents
 

@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence, TextIO
 
 from ._si import fraction_text
-from .errors import DomainError, FitError, require_positive
+from .errors import DomainError, FitError, SingularSystemError, require_positive
 from .linsolve import current_balance, schedule_currents
-from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family
+from .numrep import CodeSet, SignedDigitCode, TargetRatio
 
 _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
@@ -236,16 +236,15 @@ def build_req_spec(
 
     A TargetRatio stands for its active schedule, which comes with its
     currents from one elimination (schedule_currents). Codes are taken as
-    the schedule; a plain sequence must hold distinct codes of one ratio.
-    Currents come from the exact charge balance, capacitance ratios from the
-    stack depths. The slot duration defaults to an even split of the period.
+    the schedule and must be one family; their currents come from the exact
+    charge balance (current_balance). Capacitance ratios come from the stack
+    depths. The slot duration defaults to an even split of the period.
     """
-    currents = None
     if isinstance(codes, TargetRatio):
         codes, currents = schedule_currents(codes)
-    elif not isinstance(codes, CodeSet):
-        check_family(codes)
-    if currents is None:  # for a ratio: nothing balances it, which current_balance reports
+        if currents is None:
+            raise SingularSystemError("no current assignment balances these codes")
+    else:
         currents = current_balance(codes)
     caps = slot_cap_ratios(codes)
     if t_over_ts is None:

@@ -124,10 +124,7 @@ class SignedDigitCode:
 
     @property
     def value(self) -> Fraction:
-        acc = Fraction(self.a0)
-        for j, d in enumerate(self.digits, start=1):
-            acc += Fraction(d, self.radix**j)
-        return acc
+        return Fraction(_numerator(self), self.radix**self.resolution)
 
     @property
     def zero_count(self) -> int:
@@ -165,13 +162,12 @@ def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class CodeSet:
-    """A duplicate-free set of codes of one ratio, in canonical order.
+    """Codes of one ratio in canonical order: one family by construction.
 
     spawn_codes and enumerate_codes return the complete family. The
-    constructor sorts the codes into canonical order and checks radix,
-    resolution, value and duplicates (not completeness) for hand-built sets
-    and enumerate_codes; spawn_codes, whose family passes by construction,
-    sets the fields directly.
+    constructor sorts the codes, checks that each represents the ratio, then
+    runs check_family (not completeness); spawn_codes, whose family passes
+    by construction, sets the fields directly.
     """
 
     ratio: TargetRatio
@@ -180,21 +176,11 @@ class CodeSet:
     def __post_init__(self) -> None:
         codes = tuple(sorted(self.codes, key=_canonical_key))
         object.__setattr__(self, "codes", codes)
-        if not codes:
-            raise DomainError("empty code set")
-        seen = set()
-        r = self.ratio.radix
+        want = (self.ratio.radix, self.ratio.resolution, self.ratio.m)
         for code in codes:
-            if code.radix != r:
-                raise DomainError("code radix does not match the ratio")
-            if code.resolution != self.ratio.resolution:
-                raise DomainError("code resolution does not match the ratio")
-            if _numerator(code) != self.ratio.m:
+            if (code.radix, code.resolution, _numerator(code)) != want:
                 raise DomainError(f"code {code.to_text()!r} does not represent {self.ratio}")
-            key = (code.a0, code.digits)
-            if key in seen:
-                raise DomainError(f"duplicate code {code.to_text()!r}")
-            seen.add(key)
+        check_family(codes)
 
     def __iter__(self):
         return iter(self.codes)
@@ -212,8 +198,13 @@ class CodeSet:
         return frozenset((c.a0, c.digits) for c in self.codes)
 
 
-def check_family(codes: Sequence[SignedDigitCode]) -> None:
-    """Raise DomainError unless there are codes, all distinct and all of one ratio."""
+def check_family(codes: CodeSet | Sequence[SignedDigitCode]) -> None:
+    """The one family rule: raise DomainError unless the codes are some, distinct, of one ratio.
+
+    A CodeSet passes at once, being one family by construction.
+    """
+    if isinstance(codes, CodeSet):
+        return
     if not codes:
         raise DomainError("no codes")
     if len({(c.radix, len(c.digits), _numerator(c)) for c in codes}) > 1:

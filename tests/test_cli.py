@@ -15,7 +15,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sccforge
-from sccforge import linsolve
 from sccforge.cli import main
 
 from golden import (
@@ -279,20 +278,12 @@ def test_req_single_ratio(capsys):
     ],
     ids=["req-3/8", "req-n3", "solve", "solve-stepup"],
 )
-def test_one_elimination_per_answer(monkeypatch, capsys, argv, calls):
+def test_one_elimination_per_answer(kernel_calls, capsys, argv, calls):
     # req: schedule and currents from one tableau per ratio; solve: the
     # redundant rows, then ranks and solution from one pass (--stepup
     # eliminates a second system, so it keeps its own rank check)
-    kernel = linsolve.fraction_free_rref
-    seen = []
-
-    def counted(*args):
-        seen.append(args)
-        return kernel(*args)
-
-    monkeypatch.setattr(linsolve, "fraction_free_rref", counted)
     assert main(argv) == 0
-    assert len(seen) == calls
+    assert len(kernel_calls) == calls
 
 
 def test_req_n_at_the_ratios_resolution_changes_nothing(capsys):

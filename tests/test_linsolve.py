@@ -102,6 +102,8 @@ def test_duplicated_rows_change_nothing():
     report = check_solvable(doubled)
     assert (report.rank_a, report.rank_augmented) == (4, 4)
     assert report.unique
+    # a repeated row scores exactly 1, so only the family's dependent row is flagged
+    assert find_redundant(doubled) == [3]
 
 
 def test_wider_radix_rank_equals_unknowns():

@@ -1,3 +1,4 @@
+import ast
 import io
 import math
 from fractions import Fraction
@@ -233,10 +234,22 @@ def test_dependent_slot_blocks_the_balance():
 
 
 def test_unbalanceable_codes_are_reported():
-    pair = [SignedDigitCode(0, (1,)), SignedDigitCode(0, (1,))]
+    # one slot of 1/2: balancing its capacitor forces its current to 0, yet
+    # the slot currents must add up to the output current
     with pytest.raises(SingularSystemError) as err:
-        current_balance(pair)
+        current_balance([SignedDigitCode(0, (1,))])
     assert "no current assignment" in str(err.value)
+
+
+def test_error_paths_eliminate_once(kernel_calls):
+    # the underdetermined report names the tableau's non-pivot columns and
+    # build_req_spec reads a ratio's currents off its one tableau
+    with pytest.raises(SingularSystemError, match="underdetermined"):
+        current_balance(list(spawn_codes(TargetRatio(3, 2, 3))))
+    assert len(kernel_calls) == 1
+    kernel_calls.clear()
+    build_req_spec(TargetRatio(3, 2, 3), 1e5, 4.7e-6, 1.2, 4)
+    assert len(kernel_calls) == 1
 
 
 def test_balance_validation():
@@ -275,6 +288,13 @@ def test_one_elimination_matches_two(codes):
             current_balance(schedule)
     else:
         assert current_balance(schedule) == currents
+    # an underdetermined balance names exactly the rows find_redundant flags
+    try:
+        current_balance(codes)
+    except SingularSystemError as err:
+        if "underdetermined" in str(err):
+            named = ast.literal_eval(str(err).rsplit(": ", 1)[1].rstrip(")"))
+            assert named and named == find_redundant(build_system(codes))
 
 
 def test_one_elimination_matches_two_on_every_family():
@@ -301,6 +321,8 @@ def test_schedule_inputs_must_be_one_family():
     for codes, what in bad:
         with pytest.raises(DomainError, match=what):
             active_schedule(codes)
+        with pytest.raises(DomainError, match=what):
+            current_balance(codes)
         with pytest.raises(DomainError, match=what):
             build_req_spec(codes, 1e5, 4.7e-6, 1.2, 4)
     # a ratio or a CodeSet is one family already
