@@ -123,12 +123,9 @@ def load_config(path: str | Path) -> dict[str, str]:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, value = line.split("=", 1)
-        elif ":" in line:
-            key, value = line.split(":", 1)
-        else:
+        if "=" not in line:
             raise DomainError(f"{path}:{lineno}: expected 'key = value'")
+        key, value = line.split("=", 1)
         key = key.strip().lower().replace("-", "_")
         if not key:
             raise DomainError(f"{path}:{lineno}: empty key")

@@ -248,11 +248,6 @@ def trace_csv_lines(trace: SimTrace) -> list[str]:
     ]
 
 
-def write_trace_csv(trace: SimTrace, stream: TextIO) -> None:
-    """trace_csv_lines, one per line."""
-    stream.write("\n".join(trace_csv_lines(trace)) + "\n")
-
-
 def write_locus_csv(points: Iterable[tuple[float, float]], stream: TextIO) -> None:
     stream.write("angle_rad,abs_charge\n")
     for angle, radius in points:

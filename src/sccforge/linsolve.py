@@ -118,7 +118,6 @@ class KvlSystem:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "scc-forge/1",
             "radix": self.radix,
             "labels": list(self.labels),
             "matrix": [[str(x) for x in row] for row in self.matrix],

@@ -22,7 +22,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence, TextIO
+from typing import NamedTuple, Sequence
 
 from ._si import fraction_text
 from .errors import DomainError, FitError, SingularSystemError, require_positive
@@ -49,10 +49,6 @@ class RcParams:
     @property
     def tau(self) -> float:
         return self.resistance * self.capacitance
-
-    @property
-    def beta(self) -> float:
-        return self.interval / self.tau
 
 
 class CapPairResponse(NamedTuple):
@@ -208,10 +204,6 @@ class ReqSpec:
             raise DomainError(f"operating point out of float range: beta = {self.beta:g}")
 
     @property
-    def period(self) -> float:
-        return 1.0 / self.f_s
-
-    @property
     def loop_resistance(self) -> float:
         return self.switches_per_loop * self.r_on
 
@@ -298,22 +290,13 @@ def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
     return (v_trg / v_o - 1.0) * r_o
 
 
-def efficiency(
-    v_o: float | None,
-    v_trg: float,
-    r_eq: float | None = None,
-    r_o: float | None = None,
-) -> float:
-    """Conversion efficiency v_o / v_trg.
+def efficiency(v_o: float, v_trg: float) -> float:
+    """Conversion efficiency v_o / v_trg of a measured or modelled output v_o.
 
-    Pass a measured v_o directly, or v_o=None with r_eq and r_o to use the
-    divider model. Switching overhead is outside this figure.
+    For the divider model pass vo_under_load(v_trg, r_eq, r_o) as v_o.
+    Switching overhead is outside this figure.
     """
     require_positive("target voltage must be positive", v_trg)
-    if v_o is None:
-        if r_eq is None or r_o is None:
-            raise DomainError("need either v_o or both r_eq and r_o")
-        v_o = vo_under_load(v_trg, r_eq, r_o)
     if not 0 < v_o <= v_trg:
         raise DomainError("output must lie in (0, target]")
     return v_o / v_trg
@@ -359,10 +342,3 @@ def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
         raise FitError("load line implies a non-positive target voltage")
     v_trg = 1.0 / slope
     return v_trg, intercept * v_trg
-
-
-def write_load_csv(rows: Iterable[tuple[str, float, float, float, float]], stream: TextIO) -> None:
-    """ratio,R_o,V_o,R_eq,eta rows; header included."""
-    stream.write("ratio,R_o,V_o,R_eq,eta\n")
-    for ratio, r_o, v_o, r_eq, eta in rows:
-        stream.write(f"{ratio},{r_o:.12g},{v_o:.12g},{r_eq:.12g},{eta:.12g}\n")

@@ -130,20 +130,12 @@ class SignedDigitCode:
     def zero_count(self) -> int:
         return self.digits.count(0)
 
-    @property
-    def engaged_count(self) -> int:
-        return len(self.digits) - self.zero_count
-
     def to_text(self) -> str:
         """Space-separated digits, a0 first: "1 -1 0 -1"."""
         return " ".join(str(x) for x in (self.a0, *self.digits))
 
     def to_json_dict(self) -> dict:
         return {"a0": self.a0, "digits": list(self.digits), "radix": self.radix}
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "SignedDigitCode":
-        return cls(data["a0"], tuple(data["digits"]), data.get("radix", 2))
 
 
 def _numerator(code: SignedDigitCode) -> int:
@@ -190,9 +182,6 @@ class CodeSet:
 
     def __getitem__(self, idx):
         return self.codes[idx]
-
-    def __contains__(self, code) -> bool:
-        return code in self.codes
 
     def as_set(self) -> frozenset[tuple[int, tuple[int, ...]]]:
         return frozenset((c.a0, c.digits) for c in self.codes)

@@ -51,7 +51,6 @@ class DitherPlan:
 
     def to_json_dict(self) -> dict:
         return {
-            "schema": "scc-forge/1",
             "ratios": [str(r) for r in self.ratios],
             "weights": list(self.weights),
             "period": self.period,

@@ -83,9 +83,6 @@ class SwitchStates:
     def as_bits(self) -> str:
         return "".join("1" if s else "0" for s in self.states)
 
-    def __iter__(self):
-        return iter(self.states)
-
 
 def code_to_topology(code: SignedDigitCode) -> Topology:
     """Wiring implied by a code: sign picks the mode, magnitude the stack depth."""

@@ -15,7 +15,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import sccforge
+from sccforge import cli
 from sccforge.cli import main
+from sccforge.numrep import CodeSet
 
 from golden import (
     BALANCED_TABLE_N3,
@@ -63,6 +65,37 @@ def test_codes_rejects_an_unreachable_ratio(capsys):
 def test_codes_cross_check(capsys):
     assert main(["codes", "--ratio", "3/8", "--check"]) == 0
     assert lines_of(capsys) == ["generators agree on 5 codes"]
+
+
+def test_codes_cross_check_mismatch_exits_1(monkeypatch, capsys):
+    full = cli.enumerate_codes
+    monkeypatch.setattr(cli, "enumerate_codes", lambda ratio: CodeSet(ratio, full(ratio).codes[1:]))
+    assert main(["codes", "--ratio", "3/8", "--check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "generator mismatch for 3/8: spawn 5 codes, enumerate 4 codes\n"
+
+
+def test_codes_enumerate_prints_the_spawn_family(capsys):
+    assert main(["codes", "--ratio", "3/8"]) == 0
+    spawned = capsys.readouterr().out
+    assert main(["codes", "--ratio", "3/8", "--generator", "enumerate"]) == 0
+    assert capsys.readouterr().out == spawned
+
+
+@pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["codes"], "missing required option --ratio"),
+        (["codes", "--ratio", "a/8"], "ratio must be two integers, got 'a/8'"),
+    ],
+    ids=["missing", "not-integers"],
+)
+def test_codes_ratio_is_required_and_checked(capsys, argv, text):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scc-forge codes: error: {text}\n"
 
 
 def test_codes_json(capsys):
@@ -164,6 +197,23 @@ def test_simulate_csv_is_the_trace(capsys):
     rows = got.out.splitlines()
     assert rows[0] == "iteration,V1,V2,V3,Vo,Q"
     assert len(rows) == 1 + 2 * 5
+
+
+@pytest.mark.parametrize(
+    "order, head",
+    [
+        ("sorted", "converged after 395 periods (1970 iterations to adjust)"),
+        ("balanced", "converged after 241 periods (1920 iterations to adjust)"),
+    ],
+)
+def test_simulate_slot_orders(capsys, order, head):
+    readme = SIM_ARGS[:-1] + ["470u"]
+    assert main(readme + ["--order", order]) == 0
+    assert lines_of(capsys) == [head, "limits: 4 2 1 | 3 V"]
+    assert main(readme + ["--order", order, "--format", "csv"]) == 0
+    trace = capsys.readouterr().out
+    assert main(readme + ["--format", "csv"]) == 0
+    assert trace != capsys.readouterr().out
 
 
 def test_simulate_budget_exhaustion(tmp_path, capsys):
@@ -398,6 +448,8 @@ def test_dither_accepts_fraction_text(capsys):
 def test_dither_json(capsys):
     assert main(["dither", "--target", "0.4", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
+    assert list(data) == ["schema", "ratios", "weights", "period", "average", "target"]
+    assert data["schema"] == "scc-forge/1"
     assert data["ratios"] == ["3/8", "4/8"]
     assert data["weights"] == [4, 1]
     assert data["average"] == "2/5"
@@ -687,6 +739,20 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"bad value for --{flag}: expected one of" in captured.err
+
+
+@pytest.mark.parametrize(
+    "line, text",
+    [("fs: 100k", "expected 'key = value'"), ("= 100k", "empty key")],
+    ids=["colon", "empty-key"],
+)
+def test_malformed_config_line_is_a_usage_error(tmp_path, capsys, line, text):
+    cfg = tmp_path / "board.cfg"
+    cfg.write_text("# bench setup\n" + line + "\n")
+    assert main(REQ_ARGS + ["--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"scc-forge: error: {cfg}:2: {text}\n"
 
 
 # -- README ---------------------------------------------------------------------------

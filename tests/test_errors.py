@@ -1,7 +1,9 @@
 import math
+from fractions import Fraction
 
 import pytest
 
+from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
 from sccforge.errors import DomainError
 from sccforge.linsolve import active_schedule
@@ -46,8 +48,35 @@ def test_non_finite_quantities_are_domain_errors(call):
 
 
 def test_zero_and_stiff_rail_stay_legal():
-    assert RcParams(1.0, 1.0, 0.0).beta == 0.0
+    assert RcParams(1.0, 1.0, 0.0).interval == 0.0
     assert charging_response(1.0, 0.0, RcParams(1.0, 1.0), t=0.0) == (0.0, 1.0)
     assert ldo_select_ratio(5.0, 2.5, 0.0, 1).ratio == TargetRatio(1, 2, 1)
     assert ldo_efficiency_bound(1.8, 0.0) == 1.0
     assert redistribution_loss(2.0, INF, 1.0) == 1.0
+
+
+@pytest.mark.parametrize(
+    "text, value", [("4.7uF", 4.7e-6), ("100kHz", 1e5), ("1.2Ohm", 1.2), ("10mS", 0.01)]
+)
+def test_quantity_unit_letters_are_stripped(text, value):
+    assert parse_quantity(text) == value
+
+
+MALFORMED_TEXT = {
+    "quantity-unit-only": (lambda: parse_quantity("F"), "cannot parse quantity"),
+    "quantity-prefix-only": (lambda: parse_quantity("mF"), "cannot parse quantity"),
+    "slot-divisor-text": (lambda: parse_slot("Ts/x"), "cannot parse slot spec"),
+    "slot-divisor-zero": (lambda: parse_slot("Ts/0"), "slot divisor must be positive"),
+    "fraction-exponent": (lambda: parse_fraction("1ex"), "cannot parse fraction"),
+    "fraction-digits": (lambda: parse_fraction("1e-1000"), "exceeds the 1000-digit limit"),
+}
+
+
+@pytest.mark.parametrize("call, text", MALFORMED_TEXT.values(), ids=MALFORMED_TEXT)
+def test_malformed_text_is_a_domain_error(call, text):
+    with pytest.raises(DomainError, match=text):
+        call()
+
+
+def test_fraction_digit_limit_is_inclusive():
+    assert parse_fraction("1e-999") == Fraction(1, 10**999)

@@ -79,6 +79,22 @@ def test_system_entries_must_be_ints(entry):
         KvlSystem(((1, -1),), (entry,), (), 2)
 
 
+@pytest.mark.parametrize(
+    "matrix, rhs, codes, text",
+    [
+        ((), (), (), "at least one row"),
+        (((1,),), (0,), (), "at least two unknowns"),
+        (((1, -1), (1,)), (0, 0), (), "ragged matrix"),
+        (((1, -1),), (0, 0), (), "right-hand side length"),
+        (((1, -1), (-1, -1)), (0, -1), (SignedDigitCode(0, (1,)),), "one code per row"),
+    ],
+    ids=["no-rows", "one-unknown", "ragged", "rhs-length", "code-count"],
+)
+def test_hand_built_system_shape_is_checked(matrix, rhs, codes, text):
+    with pytest.raises(DomainError, match=text):
+        KvlSystem(matrix, rhs, codes, 2)
+
+
 @pytest.mark.parametrize("ratio", [TargetRatio(3, 2, 3), TargetRatio(4, 3, 2)])
 def test_derived_systems_carry_ints(ratio):
     system = build_system(spawn_codes(ratio))
@@ -402,7 +418,6 @@ def test_text_export_is_aligned():
 
 def test_json_export_shape():
     data = fixture_system_38().to_json_dict()
-    assert data["schema"] == "scc-forge/1"
     assert data["labels"] == ["V1", "V2", "V3", "Vo"]
     assert data["matrix"][0] == ["-1", "-1", "1", "-1"]
     assert data["rhs"] == ["-1", "0", "-1", "0", "0"]

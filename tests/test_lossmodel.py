@@ -1,5 +1,4 @@
 import ast
-import io
 import math
 from fractions import Fraction
 
@@ -33,7 +32,6 @@ from sccforge.lossmodel import (
     req_zero_beta_multiplier,
     slot_cap_ratios,
     vo_under_load,
-    write_load_csv,
 )
 from sccforge.numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
@@ -405,7 +403,7 @@ def test_req_multi_refuses_an_overflowing_result():
 def test_spec_fills_betas_by_stack_depth():
     spec = operating_spec(1)
     assert spec.loop_resistance == pytest.approx(4.8)
-    assert spec.slot_duration == pytest.approx(spec.period / 4)
+    assert spec.slot_duration == pytest.approx(1 / spec.f_s / 4)
     assert [s.series_count for s in spec.slots] == [1, 2, 3, 3]
 
 
@@ -478,7 +476,7 @@ def test_divider_examples():
     )
     assert got == pytest.approx(EXTRACT_EXAMPLE["req"], abs=EXTRACT_EXAMPLE["tol"])
     assert efficiency(3.816, 4.0) == pytest.approx(0.954)
-    assert efficiency(None, 4.0, r_eq=4.822, r_o=100.0) == pytest.approx(
+    assert efficiency(vo_under_load(4.0, 4.822, 100.0), 4.0) == pytest.approx(
         100.0 / 104.822, rel=1e-9
     )
 
@@ -500,8 +498,6 @@ def test_divider_validation():
         extract_req(4.0, -0.1, 100.0)
     with pytest.raises(DomainError):
         efficiency(5.0, 4.0)
-    with pytest.raises(DomainError):
-        efficiency(None, 4.0, r_eq=1.0)
     with pytest.raises(DomainError):
         efficiency(3.0, 0.0)
 
@@ -555,11 +551,3 @@ def test_fit_error_paths():
             load_line_fit([(bad, 1.0), (1.0, 0.5), (2.0, 0.8)])
         with pytest.raises(FitError, match="measurements must be positive"):
             load_line_fit([(100.0, bad), (1.0, 0.5), (2.0, 0.8)])
-
-
-def test_load_csv_format():
-    out = io.StringIO()
-    write_load_csv([("3/8", 100.0, 2.846, 5.41, 0.9487)], out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "ratio,R_o,V_o,R_eq,eta"
-    assert lines[1].startswith("3/8,100,2.846,")

@@ -111,6 +111,8 @@ def test_code_validation():
         SignedDigitCode(0, (2, 0))  # radix 2 digit bound
     with pytest.raises(DomainError):
         SignedDigitCode(0, ())
+    with pytest.raises(DomainError, match="radix must be at least 2"):
+        SignedDigitCode(0, (1,), radix=1)
     SignedDigitCode(0, (2, -2), radix=3)  # fine at radix 3
 
 
@@ -126,9 +128,9 @@ def test_code_fields_are_ints():
 def test_code_text_and_json_round_trip():
     code = SignedDigitCode(1, (-1, 0, -1))
     assert code.to_text() == "1 -1 0 -1"
-    assert SignedDigitCode.from_json_dict(code.to_json_dict()) == code
+    assert code.to_json_dict() == {"a0": 1, "digits": [-1, 0, -1], "radix": 2}
     assert code.zero_count == 1
-    assert code.engaged_count == 2
+    assert code.resolution - code.zero_count == 2
 
 
 # -- conventional_code -----------------------------------------------------------

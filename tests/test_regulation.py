@@ -125,7 +125,6 @@ def test_planner_guards():
 def test_plan_json_shape():
     data = dither_plan(F(2, 5), 3, 8).to_json_dict()
     assert data == {
-        "schema": "scc-forge/1",
         "ratios": ["3/8", "4/8"],
         "weights": [4, 1],
         "period": 5,

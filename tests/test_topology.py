@@ -45,12 +45,16 @@ def test_group_connection_validation():
         GroupConnection("charge", 0, 1)
     with pytest.raises(DomainError):
         GroupConnection("float", 1, 0)
+    with pytest.raises(DomainError, match="non-negative"):
+        GroupConnection("charge", -1, 0)
 
 
 def test_topology_must_engage_something():
     bypass = GroupConnection("bypass", 0, 1)
     with pytest.raises(DomainError):
         Topology(False, (bypass, bypass))
+    with pytest.raises(DomainError, match="at least one group"):
+        Topology(False, ())
     Topology(True, (bypass,))  # source alone is fine
 
 
