@@ -10,16 +10,8 @@ from pathlib import Path
 
 from .errors import DomainError
 
-_PREFIXES = {
-    "p": 1e-12,
-    "n": 1e-9,
-    "u": 1e-6,
-    "µ": 1e-6,
-    "m": 1e-3,
-    "k": 1e3,
-    "M": 1e6,
-    "G": 1e9,
-}
+# SI prefixes as powers of ten
+_PREFIXES = {"p": -12, "n": -9, "u": -6, "µ": -6, "m": -3, "k": 3, "M": 6, "G": 9}
 
 # numerator or denominator digits that parse_fraction admits; far above any
 # ratio a bank can reach, and far below Python's 4,300-digit int-to-str limit
@@ -29,13 +21,8 @@ _FRACTION_DIGITS = 1000
 _UNIT_SUFFIXES = ("ohm", "Ohm", "OHM", "Hz", "hz", "F", "V", "A", "s", "S")
 
 
-def parse_quantity(text: str) -> float:
-    """Parse a number with an optional SI prefix and unit, e.g. "4.7uF" -> 4.7e-6.
-
-    The unit letter is stripped and ignored; dimensional consistency is the
-    caller's concern. NaN, infinities and values that overflow to infinity
-    are rejected.
-    """
+def _split_quantity(text: str) -> tuple[str, int]:
+    """The number of a quantity and its SI prefix as a power of ten; the unit letter is dropped."""
     s = text.strip()
     if not s:
         raise DomainError("empty quantity")
@@ -43,14 +30,22 @@ def parse_quantity(text: str) -> float:
         if s.endswith(unit) and len(s) > len(unit):
             s = s[: -len(unit)]
             break
-    scale = 1.0
-    if s and s[-1] in _PREFIXES and not s[-1].isdigit():
-        # "1e-3" must not lose its exponent; prefixes never follow 'e'
-        if not (s[-1] in "mM" and len(s) > 1 and s[-2] in "eE"):
-            scale = _PREFIXES[s[-1]]
-            s = s[:-1]
+    # "1e-3" must not lose its exponent; prefixes never follow 'e'
+    if s[-1] in _PREFIXES and not (s[-1] in "mM" and len(s) > 1 and s[-2] in "eE"):
+        return s[:-1], _PREFIXES[s[-1]]
+    return s, 0
+
+
+def parse_quantity(text: str) -> float:
+    """Parse a number with an optional SI prefix and unit, e.g. "4.7uF" -> 4.7e-6.
+
+    The unit letter is stripped and ignored; dimensional consistency is the
+    caller's concern. NaN, infinities and values that overflow to infinity
+    are rejected.
+    """
+    number, power = _split_quantity(text)
     try:
-        value = float(s) * scale
+        value = float(number) * float(f"1e{power}")
     except ValueError:
         raise DomainError(f"cannot parse quantity {text!r}") from None
     if not math.isfinite(value):
@@ -83,8 +78,12 @@ def parse_fraction(text: str) -> Fraction:
         raise DomainError(f"cannot parse fraction {text!r}") from None
 
 
-def parse_slot(text: str) -> Fraction | float:
-    """Parse a slot duration: "Ts/4" -> Fraction(1, 4) of a period, else seconds."""
+def parse_slot(text: str) -> Fraction | Decimal:
+    """Parse a slot duration: "Ts/4" -> Fraction(1, 4) of a period, else seconds.
+
+    Seconds pass parse_quantity's checks and are kept exact, "2.5u" ->
+    Decimal("2.5E-6"); a value that underflows a float reads as 0.
+    """
     s = text.strip()
     if s.lower().startswith("ts/"):
         try:
@@ -94,7 +93,11 @@ def parse_slot(text: str) -> Fraction | float:
         if den < 1:
             raise DomainError(f"slot divisor must be positive, got {den}")
         return Fraction(1, den)
-    return parse_quantity(s)
+    if not parse_quantity(s):
+        return Decimal(0)
+    number, power = _split_quantity(s)
+    sign, digits, exponent = Decimal(number).as_tuple()
+    return Decimal((sign, digits, exponent + power))
 
 
 def fraction_text(value: Fraction) -> str:

@@ -12,15 +12,17 @@ Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
 from . import _si
 from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
-from .errors import DomainError, FitError, ResourceLimitError, SingularSystemError
+from .errors import DomainError, ResourceLimitError, SingularSystemError
 from .linsolve import (
     SolvabilityReport,
     build_system,
@@ -331,7 +333,7 @@ _OPTIONS = {
     "c": (_QUANTITY, _REQUIRED, "flying capacitance"),
     "ron": (_QUANTITY, _REQUIRED, "switch on-resistance"),
     "switches": (_int, _REQUIRED, "switches per charge loop"),
-    "slot": (_si.parse_slot, None, "slot duration: Ts/N or seconds (default even split)"),
+    "slot": (_si.parse_slot, None, "slot duration: Ts/N, or exact seconds (default even split)"),
     "n": (_int, "3", "bank resolution, n <= 1000 (req: the table of every m/2**n, n <= 10)"),
     "target": (_si.parse_fraction, _REQUIRED, "target ratio in (0, 1), e.g. 0.4 or 2/5"),
     "max_period": (_int, "8", "longest plan"),
@@ -429,10 +431,18 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"{parser.prog} {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (DomainError, SingularSystemError, FitError, ResourceLimitError) as exc:
+    except (DomainError, SingularSystemError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    _render(values["format"], out)
+    try:
+        _render(values["format"], out)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone: keep the exit code, and give the flush at exit devnull
+        with contextlib.suppress(AttributeError, ValueError):  # no real file descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
     if out.err:
         print(out.err, file=sys.stderr)
     return out.code

@@ -7,9 +7,10 @@ is what lets the bank self-adjust with no feedback. Ranks, solutions,
 redundancy scores, the active schedule (the zero-sorted family less its
 dependent rows) and its charge balance (the transposed system) all come
 from one integer fraction-free Gauss-Jordan kernel, and the schedule and
-its balance from one elimination of the transposed system. Loop rows are
-integers from topology.kvl_row to the kernel; Fractions are built only from
-its final numerators and common denominator, and the redundancy test
+its balance from one elimination of the transposed system. Solve and
+balance read [A | b] and [A transposed | e] the same way (_basic). Loop
+rows (kvl_row) are built here as integers; Fractions come only from the
+kernel's final numerators and common denominator, and the redundancy test
 compares integers. Inside the kernel each row is one packed int, column j
 in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
 max|a|**r (r = min(rows, cols)) and its sign, so a row update costs three
@@ -26,7 +27,6 @@ from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family, spawn_codes
-from .topology import kvl_row
 
 @dataclass(frozen=True)
 class SolvabilityReport:
@@ -124,6 +124,11 @@ class KvlSystem:
             "rhs": [str(x) for x in self.rhs],
             "codes": [c.to_json_dict() for c in self.codes],
         }
+
+
+def kvl_row(code: SignedDigitCode) -> tuple[tuple[int, ...], int]:
+    """Loop row ((A_1 .. A_n, -1), -a0) of a code: sum_j A_j x_j - x_o = -a0 over V1..Vn, Vo."""
+    return (*code.digits, -1), -code.a0
 
 
 def _uniform(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[SignedDigitCode, ...]:
@@ -225,12 +230,20 @@ def fraction_free_rref(
     return out, pivots, prev
 
 
+def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None]:
+    """Pivot columns of [M | r] left of r and the basic solution at them; None if r pivots."""
+    width = len(rows[0]) - 1
+    m, pivots, d = fraction_free_rref(rows, width)
+    if pivots and pivots[-1] == width:
+        return pivots[:-1], None
+    return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)])
+
+
 def _solve(system: KvlSystem) -> tuple[SolvabilityReport, tuple[Fraction, ...] | None]:
     """Ranks of A and [A|b], and the exact solution if unique."""
-    n = system.unknowns
-    m, pivots, d = fraction_free_rref([row + (b,) for row, b in zip(system.matrix, system.rhs)], n)
-    report = SolvabilityReport(sum(1 for p in pivots if p < n), len(pivots), n)
-    return report, tuple(Fraction(row[0], d) for row in m[:n]) if report.unique else None
+    pivots, basic = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
+    report = SolvabilityReport(len(pivots), len(pivots) + (basic is None), system.unknowns)
+    return report, basic if report.unique else None
 
 
 def check_solvable(system: KvlSystem) -> SolvabilityReport:
@@ -284,16 +297,10 @@ def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[Sign
 
 
 def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction, ...] | None]:
-    """Pivot columns of [A transposed | e] over seq and the currents at them, None if e pivots.
-
-    A is the loop matrix of seq; e is 0 on each capacitor row, -1 on the Vo row.
-    """
+    """_basic over [A transposed | e]: A is the loop matrix of seq, e is 0 per capacitor, -1 for Vo."""
     rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
     rows.append([-1] * (len(seq) + 1))
-    m, pivots, d = fraction_free_rref(rows, len(seq))
-    if pivots[-1] == len(seq):
-        return pivots[:-1], None
-    return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)])
+    return _basic(rows)
 
 
 def schedule_currents(

@@ -34,17 +34,15 @@ _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
 @dataclass(frozen=True)
 class RcParams:
-    """One charging loop: resistance, capacitance, and its allotted interval."""
+    """One charging loop: resistance and capacitance."""
 
     resistance: float
     capacitance: float
-    interval: float = 0.0
 
     def __post_init__(self) -> None:
         require_positive(
             "resistance and capacitance must be positive", self.resistance, self.capacitance
         )
-        require_positive("interval must be non-negative", self.interval, zero_ok=True)
 
     @property
     def tau(self) -> float:
@@ -57,16 +55,12 @@ class CapPairResponse(NamedTuple):
     current: float
 
 
-def charging_response(vs: float, v0: float, rc: RcParams, t: float | None = None) -> tuple[float, float]:
+def charging_response(vs: float, v0: float, rc: RcParams, t: float) -> tuple[float, float]:
     """Voltage and current of an RC charge from v0 toward vs after time t.
-
-    t defaults to the loop's own interval.
 
         v(t) = vs + (v0 - vs) * exp(-t/tau)
         i(t) = (vs - v0) / R * exp(-t/tau)
     """
-    if t is None:
-        t = rc.interval
     require_positive("time must be non-negative", t, zero_ok=True)
     decay = math.exp(-t / rc.tau)
     return vs + (v0 - vs) * decay, (vs - v0) / rc.resistance * decay

@@ -220,31 +220,25 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
     digit is smaller than the radix in magnitude; a0 and k digits make any
     such value. So no partial code is a dead end, and once every digit is
     placed the leftover is a0. Taking the lower choice first yields the
-    family in canonical order. Partial codes share their lower digits as a
-    chain (digit, lower chain), so each step costs the same however many
-    digits lie below it. The codes and the set are built without their
+    family in canonical order. The codes and the set are built without their
     constructors' checks, none of which can fail here: every digit and a0
     is an int in range, and two codes differ where their choices first did.
     """
     r = ratio.radix
-    partial = [(ratio.m, ())]  # (numerator left over, chain of the digits placed)
+    partial = [(ratio.m, ())]  # (numerator left over, the digits placed)
     for _ in range(ratio.resolution):
         grown = []
         for rest, low in partial:
             residue = rest % r
             for d in (residue - r, residue) if residue else (0,):
-                grown.append(((rest - d) // r, (d, low)))
+                grown.append(((rest - d) // r, (d, *low)))
         partial = grown
     new, put = object.__new__, object.__setattr__
     codes = []
-    for a0, chain in partial:
-        digits = []
-        while chain:  # the most significant digit heads the chain
-            d, chain = chain
-            digits.append(d)
+    for a0, digits in partial:
         code = new(SignedDigitCode)
         put(code, "a0", a0)
-        put(code, "digits", tuple(digits))
+        put(code, "digits", digits)
         put(code, "radix", r)
         codes.append(code)
     family = new(CodeSet)

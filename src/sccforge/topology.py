@@ -6,7 +6,8 @@ slot: charge toward the input rail (A_j < 0), discharge into the output
 series; the group's remaining radix - 1 - |A_j| units idle on equalizing
 switches so their voltages track. For the standard double-bridge board
 (radix 2, three flying capacitors) the per-code switch vectors are
-tabulated below.
+tabulated below. A code's voltage-loop equation is linsolve's (kvl_row);
+this module holds only the wiring.
 """
 
 from __future__ import annotations
@@ -95,15 +96,6 @@ def code_to_topology(code: SignedDigitCode) -> Topology:
             mode: Mode = "charge" if d < 0 else "discharge"
             groups.append(GroupConnection(mode, abs(d), r - 1 - abs(d)))
     return Topology(bool(code.a0), tuple(groups))
-
-
-def kvl_row(code: SignedDigitCode) -> tuple[tuple[int, ...], int]:
-    """Voltage-loop row of a code: ((A_1 .. A_n, -1), -a0).
-
-    Unknowns are the per-group voltages in input-voltage units followed by
-    the output; the loop reads sum_j A_j x_j - x_o = -a0.
-    """
-    return (*code.digits, -1), -code.a0
 
 
 # Known-good switch vectors for the standard double-bridge board, radix 2,

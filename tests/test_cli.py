@@ -366,9 +366,20 @@ def test_req_fixed_slot_override(capsys):
 
 
 def test_req_slot_in_seconds(capsys):
+    # 2 us at 100 kHz is exactly a fifth of the period
     assert main(REQ_ARGS + ["--ratio", "3/8", "--slot", "2u"]) == 0
     rows = req_rows(capsys)
-    assert rows[0][2] == "0.2"
+    assert rows[0][2] == "1/5"
+
+
+def test_req_slot_seconds_are_read_exactly(capsys):
+    # 2.5 us at 100 kHz is a quarter period however it is typed
+    outs = []
+    for slot in ("2.5u", "2.5e-6", "Ts/4"):
+        assert main(REQ_ARGS + ["--slot", slot]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] == outs[2]
+    assert "11/8" in outs[0]
 
 
 def test_req_oversized_slot(capsys):
@@ -581,6 +592,29 @@ def run_cli(*argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
     """The CLI in a fresh child process."""
     code = "import sys; from sccforge.cli import main; sys.exit(main(sys.argv[1:]))"
     return run_python(code, *argv, timeout=timeout)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [REQ_ARGS + ["--n", "10"], SIM_ARGS + ["--format", "csv"], ["codes", "--ratio", "3/8"]],
+    ids=["req", "simulate", "short"],
+)
+def test_closed_stdout_is_not_an_error(argv):
+    # the read end is closed before the child can start, so its first write meets a broken
+    # pipe; stdout is block-buffered, so a short output meets it only when main flushes
+    env = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(sccforge.__file__).resolve().parents[1])
+    child = subprocess.Popen(
+        [sys.executable, "-m", "sccforge.cli", *argv],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        preexec_fn=_cap_memory,
+    )
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert child.returncode == 0
+    assert err == b""
 
 
 @pytest.mark.parametrize("radix", ["1", "0"])

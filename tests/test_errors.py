@@ -26,7 +26,6 @@ BANK = BankState((4.7e-6,) * 3, 47e-6, (0.0,) * 3, 0.0)
 # shared finite-and-positive check: accepted, returned nan, or failed elsewhere
 NON_FINITE_CALLS = {
     "rc-resistance-nan": lambda: RcParams(NAN, 1.0),
-    "rc-interval-nan": lambda: RcParams(1.0, 1.0, NAN),
     "bank-cap-nan": lambda: BankState((NAN,), 1.0, (0.0,), 0.0),
     "bank-output-cap-inf": lambda: BankState((1.0,), INF, (0.0,), 0.0),
     "req-spec-fs-nan": lambda: build_req_spec(ACTIVE_38, NAN, 4.7e-6, 1.2, 4),
@@ -48,7 +47,6 @@ def test_non_finite_quantities_are_domain_errors(call):
 
 
 def test_zero_and_stiff_rail_stay_legal():
-    assert RcParams(1.0, 1.0, 0.0).interval == 0.0
     assert charging_response(1.0, 0.0, RcParams(1.0, 1.0), t=0.0) == (0.0, 1.0)
     assert ldo_select_ratio(5.0, 2.5, 0.0, 1).ratio == TargetRatio(1, 2, 1)
     assert ldo_efficiency_bound(1.8, 0.0) == 1.0
@@ -60,6 +58,22 @@ def test_zero_and_stiff_rail_stay_legal():
 )
 def test_quantity_unit_letters_are_stripped(text, value):
     assert parse_quantity(text) == value
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [
+        ("2.5u", Fraction(1, 400_000)),
+        ("2.5e-6", Fraction(1, 400_000)),
+        ("2.5e-3us", Fraction(1, 400_000_000)),
+        ("1e-3", Fraction(1, 1000)),
+        ("0.1ms", Fraction(1, 10_000)),
+        ("1e-400", 0),
+    ],
+)
+def test_slot_seconds_are_the_decimal_typed(text, value):
+    # a float would make 0.1 ms a binary fraction; a float underflow stays 0
+    assert Fraction(parse_slot(text)) == value
 
 
 MALFORMED_TEXT = {

@@ -13,6 +13,7 @@ from sccforge.linsolve import (
     check_solvable,
     find_redundant,
     fraction_free_rref,
+    kvl_row,
     redundancy_scores,
     solve_unique,
     sort_codes_by_zeros,
@@ -41,6 +42,12 @@ def fixture_system_38():
 
 
 # -- build_system ----------------------------------------------------------------
+
+
+def test_kvl_row_examples():
+    assert kvl_row(SignedDigitCode(1, (-1, -1, 1))) == ((-1, -1, 1, -1), -1)
+    assert kvl_row(SignedDigitCode(0, (0, 1, 1))) == ((0, 1, 1, -1), 0)
+    assert kvl_row(SignedDigitCode(1, (-2, 1), radix=3)) == ((-2, 1, -1), -1)
 
 
 def test_build_system_pins_caller_order():

@@ -72,7 +72,7 @@ def operating_spec(m: int, t_over_ts=None) -> ReqSpec:
 
 
 def test_charging_response_limits():
-    rc = RcParams(2.0, 1e-6, interval=3e-6)
+    rc = RcParams(2.0, 1e-6)
     v0, i0 = charging_response(5.0, 1.0, rc, t=0.0)
     assert v0 == pytest.approx(1.0)
     assert i0 == pytest.approx((5.0 - 1.0) / 2.0)
@@ -81,8 +81,6 @@ def test_charging_response_limits():
     assert abs(i_end) < 1e-12
     v5, _ = charging_response(5.0, 1.0, rc, t=5 * rc.tau)
     assert abs(v5 - 5.0) < 0.01 * 4.0
-    # omitting t uses the loop's own interval
-    assert charging_response(5.0, 1.0, rc) == charging_response(5.0, 1.0, rc, t=3e-6)
     with pytest.raises(DomainError):
         charging_response(5.0, 1.0, rc, t=-1e-9)
 

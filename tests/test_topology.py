@@ -1,8 +1,11 @@
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+import sccforge
 from sccforge.errors import DomainError, UnsupportedCodeError
 from sccforge.numrep import SignedDigitCode, TargetRatio, spawn_codes
 from sccforge.topology import (
@@ -10,7 +13,6 @@ from sccforge.topology import (
     SwitchStates,
     Topology,
     code_to_topology,
-    kvl_row,
     switch_states,
 )
 
@@ -91,12 +93,6 @@ def test_topology_json_shape():
     }
 
 
-def test_kvl_row_examples():
-    assert kvl_row(SignedDigitCode(1, (-1, -1, 1))) == ((-1, -1, 1, -1), -1)
-    assert kvl_row(SignedDigitCode(0, (0, 1, 1))) == ((0, 1, 1, -1), 0)
-    assert kvl_row(SignedDigitCode(1, (-2, 1), radix=3)) == ((-2, 1, -1), -1)
-
-
 def test_switch_vectors_match_the_board_table():
     for (a0, digits), bits in SWITCH_VECTORS.items():
         assert switch_states(SignedDigitCode(a0, digits)).as_bits() == bits
@@ -132,3 +128,24 @@ def test_switch_states_validation():
         SwitchStates((True,) * 11)
     with pytest.raises(DomainError):
         SwitchStates((False,) * 12)
+
+
+def imported_modules(path: Path):
+    """Every module a source file imports, and each name it imports from one as module.name."""
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (f"{node.module or ''}.{alias.name}" for alias in node.names)
+
+
+def test_topology_is_a_leaf():
+    # the loop equation lives in linsolve; only the package re-exports the wiring
+    sources = sorted(Path(sccforge.__file__).parent.glob("*.py"))
+    importers = [
+        path.stem
+        for path in sources
+        if any("topology" in name.split(".") for name in imported_modules(path))
+    ]
+    assert importers == ["__init__"]
