@@ -121,8 +121,12 @@ def load_config(path: str | Path) -> dict[str, str]:
     Keys are normalized to lowercase with hyphens replaced by underscores.
     Values are returned as raw strings for the caller to parse.
     """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise DomainError(f"{path}: not UTF-8 text") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

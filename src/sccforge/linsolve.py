@@ -9,7 +9,8 @@ dependent rows) and its charge balance (the transposed system) all come
 from one integer fraction-free Gauss-Jordan kernel, and the schedule and
 its balance from one elimination of the transposed system. Solve and
 balance read [A | b] and [A transposed | e] the same way (_basic). Loop
-rows (kvl_row) are built here as integers; Fractions come only from the
+rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
+step_up rewrites the loop rows themselves. Fractions come only from the
 kernel's final numerators and common denominator, and the redundancy test
 compares integers. Inside the kernel each row is one packed int, column j
 in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
@@ -19,7 +20,7 @@ big-int operations whatever the width.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import lshift
@@ -41,21 +42,18 @@ class SolvabilityReport:
 
 @dataclass(frozen=True)
 class KvlSystem:
-    """Loop equations A x = b with the codes that produced each row.
+    """Loop equations A x = b: the matrix and its right-hand side.
 
     Every matrix and rhs entry is an int, as loop equations of signed-digit
     codes are; the solutions are Fractions. Unknowns are labelled V1..Vn
-    then Vo; the last matrix column always belongs to the output. codes may
-    be empty for hand-built systems, in which case step_up is unavailable.
-    Hand-built systems and drop_rows are checked; build_system and step_up
-    skip the checks, which rows of codes of one radix and resolution always
-    pass, a code's fields being ints.
+    then Vo; the last matrix column always belongs to the output. Hand-built
+    systems and drop_rows are checked; build_system and step_up skip the
+    checks, which loop rows of codes of one radix and resolution always
+    pass, a code's fields being ints, and so does step_up's rewrite of them.
     """
 
     matrix: tuple[tuple[int, ...], ...]
     rhs: tuple[int, ...]
-    codes: tuple[SignedDigitCode, ...]
-    radix: int
 
     def __post_init__(self) -> None:
         matrix = tuple(map(tuple, self.matrix))
@@ -71,8 +69,6 @@ class KvlSystem:
             raise DomainError("ragged matrix")
         if len(rhs) != len(matrix):
             raise DomainError("right-hand side length does not match the matrix")
-        if self.codes and len(self.codes) != len(matrix):
-            raise DomainError("one code per row, or no codes at all")
         if not {int}.issuperset(map(type, chain(rhs, *matrix))):
             raise DomainError("matrix and rhs entries must be ints")
 
@@ -97,33 +93,7 @@ class KvlSystem:
         keep = [i for i in range(self.rows) if i not in drop]
         if not keep:
             raise DomainError("cannot drop every row")
-        return replace(
-            self,
-            matrix=tuple(self.matrix[i] for i in keep),
-            rhs=tuple(self.rhs[i] for i in keep),
-            codes=tuple(self.codes[i] for i in keep) if self.codes else (),
-        )
-
-    def to_text(self) -> str:
-        """Aligned rows, rhs after a bar."""
-        cells = [[str(x) for x in row] for row in self.matrix]
-        rhs = [str(x) for x in self.rhs]
-        widths = [max(len(r[c]) for r in cells) for c in range(self.unknowns)]
-        wr = max(len(x) for x in rhs)
-        lines = []
-        for row, b in zip(cells, rhs):
-            body = "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
-            lines.append(f"{body}  |  {b.rjust(wr)}")
-        return "\n".join(lines)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "radix": self.radix,
-            "labels": list(self.labels),
-            "matrix": [[str(x) for x in row] for row in self.matrix],
-            "rhs": [str(x) for x in self.rhs],
-            "codes": [c.to_json_dict() for c in self.codes],
-        }
+        return KvlSystem(tuple(self.matrix[i] for i in keep), tuple(self.rhs[i] for i in keep))
 
 
 def kvl_row(code: SignedDigitCode) -> tuple[tuple[int, ...], int]:
@@ -131,32 +101,27 @@ def kvl_row(code: SignedDigitCode) -> tuple[tuple[int, ...], int]:
     return (*code.digits, -1), -code.a0
 
 
-def _uniform(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[SignedDigitCode, ...]:
-    """Loop-system codes as a tuple: some, all of one radix and resolution, repeats allowed."""
+def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
+    """One loop row (kvl_row) per code, in the order given.
+
+    A CodeSet contributes its codes in canonical order; a plain sequence is
+    taken verbatim so callers control the row order. All codes must share
+    radix and resolution; the rows of such codes need no KvlSystem check.
+    step_up rewrites these rows; the system keeps no codes.
+    """
     seq = tuple(codes)
     if not seq:
         raise DomainError("no codes")
     if len({(code.radix, code.resolution) for code in seq}) > 1:
         raise DomainError("codes mix radix or resolution")
-    return seq
+    rows, rhs = zip(*map(kvl_row, seq))
+    return _system(rows, rhs)
 
 
-def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
-    """One loop row per code, in the order given.
-
-    A CodeSet contributes its codes in canonical order; a plain sequence is
-    taken verbatim so callers control the row order. All codes must share
-    radix and resolution; the rows of such codes need no KvlSystem check.
-    """
-    seq = _uniform(codes)
-    rows, rhs = zip(*(kvl_row(code) for code in seq))
-    return _system(rows, rhs, seq, seq[0].radix)
-
-
-def _system(*fields) -> KvlSystem:
+def _system(matrix, rhs) -> KvlSystem:
     system = object.__new__(KvlSystem)
-    for name, value in zip(("matrix", "rhs", "codes", "radix"), fields):
-        object.__setattr__(system, name, value)
+    object.__setattr__(system, "matrix", matrix)
+    object.__setattr__(system, "rhs", rhs)
     return system
 
 
@@ -361,14 +326,14 @@ def current_balance(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[Fractio
 
 
 def step_up(system: KvlSystem) -> KvlSystem:
-    """The reciprocal-ratio system of the same codes.
+    """The reciprocal-ratio system of the same loops.
 
-    Rewriting each loop around the output instead of the source turns row
-    (A_1..A_n, -1 | -a0) into (A_1..A_n, a0 | 1); the solution then reads
-    voltages in output units and Vo becomes the reciprocal ratio. Only
-    meaningful for systems built from codes.
+    Rewriting each loop around the output instead of the source turns loop
+    row (A_1..A_n, -1 | -a0) (kvl_row) into (A_1..A_n, a0 | 1); the solution
+    then reads voltages in output units and Vo becomes the reciprocal ratio.
+    Any system whose rows all have Vo coefficient -1 has that layout.
     """
-    if not system.codes:
-        raise DomainError("step_up needs the generating codes")
-    rows = tuple((*code.digits, code.a0) for code in _uniform(system.codes))
-    return _system(rows, (1,) * len(rows), system.codes, system.radix)
+    if any(row[-1] != -1 for row in system.matrix):
+        raise DomainError("step_up needs loop rows, each with Vo coefficient -1")
+    rows = tuple((*row[:-1], -b) for row, b in zip(system.matrix, system.rhs))
+    return _system(rows, (1,) * len(rows))

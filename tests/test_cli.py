@@ -17,7 +17,8 @@ from hypothesis import given, settings, strategies as st
 import sccforge
 from sccforge import cli
 from sccforge.cli import main
-from sccforge.numrep import CodeSet
+from sccforge.linsolve import SolvabilityReport, build_system, check_solvable, step_up
+from sccforge.numrep import CodeSet, TargetRatio, spawn_codes
 
 from golden import (
     BALANCED_TABLE_N3,
@@ -127,6 +128,25 @@ def test_solve_names_the_dependent_row(capsys):
 def test_solve_step_up(capsys):
     assert main(["solve", "--ratio", "3/8", "--stepup"]) == 0
     assert lines_of(capsys) == ["V1=4/3 V2=2/3 V3=1/3 Vo=8/3"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--ratio", "3/8"], ["--ratio", "4/8"], ["--ratio", "85/256", "--eliminate"]],
+    ids=["3/8", "4/8", "85/256-eliminate"],
+)
+def test_solve_step_up_reports_the_ranks_of_both_systems(capsys, argv):
+    # the report is written from the unique solve, not eliminated again: it must
+    # hold for the loop system and for the step-up system that was solved
+    assert main(["solve", *argv, "--stepup", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    m, d = map(int, data["solved"].split("/"))
+    system = build_system(spawn_codes(TargetRatio.from_fraction(m, d, 2)))
+    if data["eliminated"]:
+        system = system.drop_rows(data["redundant_row_indices"])
+    report = SolvabilityReport(data["rank_a"], data["rank_augmented"], data["unknowns"])
+    assert report.unique is data["unique"] is True
+    assert check_solvable(system) == report == check_solvable(step_up(system))
 
 
 def test_solve_other_radix(capsys):
@@ -324,14 +344,14 @@ def test_req_single_ratio(capsys):
         (REQ_ARGS + ["--ratio", "3/8"], 1),
         (REQ_ARGS + ["--n", "3"], 7),
         (["solve", "--ratio", "85/256"], 2),
-        (["solve", "--ratio", "85/256", "--stepup"], 3),
+        (["solve", "--ratio", "85/256", "--stepup"], 2),
     ],
     ids=["req-3/8", "req-n3", "solve", "solve-stepup"],
 )
 def test_one_elimination_per_answer(kernel_calls, capsys, argv, calls):
     # req: schedule and currents from one tableau per ratio; solve: the
-    # redundant rows, then ranks and solution from one pass (--stepup
-    # eliminates a second system, so it keeps its own rank check)
+    # redundant rows, then the solution of the system solved, whose ranks
+    # a unique solution fixes (with --stepup too)
     assert main(argv) == 0
     assert len(kernel_calls) == calls
 
@@ -596,8 +616,14 @@ def run_cli(*argv: str, timeout: float = 30) -> subprocess.CompletedProcess:
 
 @pytest.mark.parametrize(
     "argv",
-    [REQ_ARGS + ["--n", "10"], SIM_ARGS + ["--format", "csv"], ["codes", "--ratio", "3/8"]],
-    ids=["req", "simulate", "short"],
+    [
+        REQ_ARGS + ["--n", "10"],
+        SIM_ARGS + ["--format", "csv"],
+        ["codes", "--ratio", "3/8"],
+        ["--help"],
+        ["req", "--help"],
+    ],
+    ids=["req", "simulate", "short", "help", "req-help"],
 )
 def test_closed_stdout_is_not_an_error(argv):
     # the read end is closed before the child can start, so its first write meets a broken
@@ -776,17 +802,21 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
 
 
 @pytest.mark.parametrize(
-    "line, text",
-    [("fs: 100k", "expected 'key = value'"), ("= 100k", "empty key")],
-    ids=["colon", "empty-key"],
+    "content, text",
+    [
+        (b"# bench setup\nfs: 100k\n", ":2: expected 'key = value'"),
+        (b"# bench setup\n= 100k\n", ":2: empty key"),
+        (b"\xff\xfe = 1\n", ": not UTF-8 text"),
+    ],
+    ids=["colon", "empty-key", "not-utf8"],
 )
-def test_malformed_config_line_is_a_usage_error(tmp_path, capsys, line, text):
+def test_malformed_config_line_is_a_usage_error(tmp_path, capsys, content, text):
     cfg = tmp_path / "board.cfg"
-    cfg.write_text("# bench setup\n" + line + "\n")
+    cfg.write_bytes(content)
     assert main(REQ_ARGS + ["--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"scc-forge: error: {cfg}:2: {text}\n"
+    assert captured.err == f"scc-forge: error: {cfg}{text}\n"
 
 
 # -- README ---------------------------------------------------------------------------
