@@ -1,13 +1,13 @@
 """Design tools for multi-ratio switched-capacitor DC-DC converters.
 
 The pipeline runs: pick a target ratio, generate its signed-digit code
-family (numrep), wire each code (topology), pin the steady-state voltages
-exactly (linsolve), watch the bank settle there (chargesim), price the
-conduction losses (lossmodel), and plan regulation around the lattice
-(regulation).
+family (numrep), pin the steady-state voltages exactly (linsolve), watch
+the bank settle there (chargesim), price the conduction losses (lossmodel),
+and plan regulation around the lattice (regulation). topology holds the
+board switch vector of each code of the radix-2, three-capacitor bank.
 """
 
-from .chargesim import BankState, SimTrace, StepResult, TraceRecord, charge_locus, run, step
+from .chargesim import BankState, SimTrace, TraceRecord, charge_locus, run
 from .errors import (
     DomainError,
     FitError,
@@ -31,20 +31,15 @@ from .linsolve import (
     step_up,
 )
 from .lossmodel import (
-    RcParams,
     ReqSpec,
     TopologySlot,
     average_extracted_req,
     build_req_spec,
-    cap_to_cap_response,
-    charging_response,
     efficiency,
     extract_req,
     load_line_fit,
-    redistribution_loss,
     req_follower,
     req_multi,
-    req_zero_beta_limit,
     req_zero_beta_multiplier,
     slot_cap_ratios,
     vo_under_load,
@@ -54,7 +49,6 @@ from .numrep import (
     SignedDigitCode,
     TargetRatio,
     balanced_sequence,
-    conventional_code,
     enumerate_codes,
     spawn_codes,
 )
@@ -66,13 +60,7 @@ from .regulation import (
     ldo_efficiency_bound,
     ldo_select_ratio,
 )
-from .topology import (
-    GroupConnection,
-    SwitchStates,
-    Topology,
-    code_to_topology,
-    switch_states,
-)
+from .topology import SwitchStates, switch_states
 
 __version__ = "0.1.0"
 
@@ -82,20 +70,16 @@ __all__ = [
     "DitherPlan",
     "DomainError",
     "FitError",
-    "GroupConnection",
     "KvlSystem",
     "RatioChoice",
-    "RcParams",
     "ReqSpec",
     "ResourceLimitError",
     "SignedDigitCode",
     "SimTrace",
     "SingularSystemError",
     "SolvabilityReport",
-    "StepResult",
     "SwitchStates",
     "TargetRatio",
-    "Topology",
     "TopologySlot",
     "TraceRecord",
     "UnsupportedCodeError",
@@ -104,12 +88,8 @@ __all__ = [
     "balanced_sequence",
     "build_req_spec",
     "build_system",
-    "cap_to_cap_response",
     "charge_locus",
-    "charging_response",
     "check_solvable",
-    "code_to_topology",
-    "conventional_code",
     "current_balance",
     "dither_average",
     "dither_plan",
@@ -121,11 +101,9 @@ __all__ = [
     "ldo_efficiency_bound",
     "ldo_select_ratio",
     "load_line_fit",
-    "redistribution_loss",
     "redundancy_scores",
     "req_follower",
     "req_multi",
-    "req_zero_beta_limit",
     "req_zero_beta_multiplier",
     "run",
     "schedule_currents",
@@ -133,7 +111,6 @@ __all__ = [
     "solve_unique",
     "sort_codes_by_zeros",
     "spawn_codes",
-    "step",
     "step_up",
     "switch_states",
     "vo_under_load",

@@ -59,11 +59,6 @@ class BankState:
         return len(self.flying_caps)
 
 
-class StepResult(NamedTuple):
-    next_state: BankState
-    charge: float
-
-
 class TraceRecord(NamedTuple):
     iteration: int
     flying_voltages: tuple[float, ...]
@@ -127,17 +122,6 @@ def _slot_matrix(state: BankState, code: SignedDigitCode) -> tuple[np.ndarray, t
     a[e, e + 1] = -1.0 / state.output_cap
     a[e + 1, e] = -1.0
     return a, (*engaged, state.size)
-
-
-def step(state: BankState, code: SignedDigitCode, vin: float) -> StepResult:
-    """One redistribution slot: equalize the loop, return the moved charge.
-
-    Engaged capacitors and the output settle to the joint solution of charge
-    conservation plus the voltage loop; bypassed capacitors are untouched.
-    Positive charge flows into the output.
-    """
-    trace = run(state, (code,), vin, tol=1.0, max_periods=1)  # one slot; convergence unused
-    return StepResult(trace.final_state, trace.buffer[-1])
 
 
 def run(

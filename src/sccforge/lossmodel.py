@@ -9,8 +9,12 @@ transformer feeding a series resistance
 
 where beta_k = series_count_k * beta and I_k is the slot's share of the
 output current. As beta_k grows the charge transfer completes within the
-slot and R_eq approaches the slow-switching floor
-(T_s / t) * R * sum (I_k/I_o)**2; the floor is exact in rationals here.
+slot and R_eq tends to the slow-switching value
+sum_k (I_k / I_o)**2 * T_s / (2 * C_k). As beta_k falls toward zero the
+current stays flat through the slot and R_eq approaches the fast-switching
+(zero-beta) floor (T_s / t) * R * sum (I_k/I_o)**2; since coth x >= 1/x,
+the floor also bounds R_eq from below at every beta. The floor is exact in
+rationals here.
 Equivalent-series resistance of the capacitors is folded into r_on.
 
 The slot currents I_k come from linsolve's exact charge balance.
@@ -22,7 +26,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from ._si import fraction_text
 from .errors import DomainError, FitError, SingularSystemError, require_positive
@@ -30,69 +34,6 @@ from .linsolve import current_balance, schedule_currents
 from .numrep import CodeSet, SignedDigitCode, TargetRatio
 
 _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
-
-
-@dataclass(frozen=True)
-class RcParams:
-    """One charging loop: resistance and capacitance."""
-
-    resistance: float
-    capacitance: float
-
-    def __post_init__(self) -> None:
-        require_positive(
-            "resistance and capacitance must be positive", self.resistance, self.capacitance
-        )
-
-    @property
-    def tau(self) -> float:
-        return self.resistance * self.capacitance
-
-
-class CapPairResponse(NamedTuple):
-    v1: float
-    v2: float
-    current: float
-
-
-def charging_response(vs: float, v0: float, rc: RcParams, t: float) -> tuple[float, float]:
-    """Voltage and current of an RC charge from v0 toward vs after time t.
-
-        v(t) = vs + (v0 - vs) * exp(-t/tau)
-        i(t) = (vs - v0) / R * exp(-t/tau)
-    """
-    require_positive("time must be non-negative", t, zero_ok=True)
-    decay = math.exp(-t / rc.tau)
-    return vs + (v0 - vs) * decay, (vs - v0) / rc.resistance * decay
-
-
-def cap_to_cap_response(vs: float, c1: float, c2: float, r: float, t: float) -> CapPairResponse:
-    """Two capacitors equalizing through r: c1 starts at vs, c2 empty.
-
-    tau = r * c1 * c2 / (c1 + c2); both voltages approach c1*vs/(c1+c2) and
-    the current starts at vs/r.
-    """
-    require_positive("capacitances and resistance must be positive", c1, c2, r)
-    require_positive("time must be non-negative", t, zero_ok=True)
-    tau = r * c1 * c2 / (c1 + c2)
-    v_end = c1 * vs / (c1 + c2)
-    rise = 1.0 - math.exp(-t / tau)
-    v2 = v_end * rise
-    v1 = vs - (c2 / c1) * v2
-    return CapPairResponse(v1, v2, vs / r * math.exp(-t / tau))
-
-
-def redistribution_loss(c1: float, c2: float, dv: float) -> float:
-    """Energy burned equalizing two capacitors that start dv apart.
-
-    Independent of the loop resistance. c2 = inf models a stiff rail:
-    the loss becomes c1 * dv**2 / 2.
-    """
-    require_positive("capacitances must be positive", c1)
-    if not c2 > 0:
-        raise DomainError("capacitances must be positive")
-    series = c1 if math.isinf(c2) else c1 * c2 / (c1 + c2)
-    return series * dv * dv / 2.0
 
 
 def _coth(x: float) -> float:
@@ -253,17 +194,12 @@ def req_multi(spec: ReqSpec) -> float:
 
 
 def req_zero_beta_multiplier(spec: ReqSpec) -> Fraction:
-    """Slow-switching floor of req_multi in units of the loop resistance, exact."""
+    """Fast-switching (zero-beta) floor of req_multi in units of the loop resistance, exact."""
     # one Fraction at the end: a Fraction per slot made this 5x slower at n = 10
     currents = [slot.current_ratio for slot in spec.slots]
     den = math.lcm(*(i.denominator for i in currents))
     shares = sum((i.numerator * (den // i.denominator)) ** 2 for i in currents)
     return Fraction(shares * spec.t_over_ts.denominator, den * den * spec.t_over_ts.numerator)
-
-
-def req_zero_beta_limit(spec: ReqSpec) -> float:
-    """Slow-switching floor of req_multi, in ohms."""
-    return float(req_zero_beta_multiplier(spec)) * spec.loop_resistance
 
 
 def vo_under_load(v_trg, r_eq: float, r_o: float):

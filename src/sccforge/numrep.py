@@ -202,13 +202,6 @@ def check_family(codes: CodeSet | Sequence[SignedDigitCode]) -> None:
         raise DomainError("duplicate codes")
 
 
-def conventional_code(m: int, radix: int, resolution: int) -> SignedDigitCode:
-    """Plain base-radix expansion of m / radix**resolution, a0 = 0."""
-    TargetRatio(m, radix, resolution)  # bounds check
-    digits = tuple((m // radix ** (resolution - j)) % radix for j in range(1, resolution + 1))
-    return SignedDigitCode(0, digits, radix)
-
-
 def spawn_codes(ratio: TargetRatio) -> CodeSet:
     """Every code of the ratio, built digit by digit from the least significant.
 

@@ -1,71 +1,21 @@
-"""Mapping from signed-digit codes to capacitor bank topologies.
+"""Board switch vectors for the codes of the radix-2, three-capacitor bank.
 
 A digit A_j decides what capacitor group j does during a redistribution
 slot: charge toward the input rail (A_j < 0), discharge into the output
-(A_j > 0), or sit bypassed (A_j == 0). |A_j| capacitors of the group go in
-series; the group's remaining radix - 1 - |A_j| units idle on equalizing
-switches so their voltages track. For the standard double-bridge board
-(radix 2, three flying capacitors) the per-code switch vectors are
-tabulated below. A code's voltage-loop equation is linsolve's (kvl_row);
-this module holds only the wiring.
+(A_j > 0), or sit bypassed (A_j == 0). For the standard double-bridge board
+the switch vector that realizes each code is tabulated below. A code's
+voltage-loop equation is linsolve's (kvl_row), and its stack depth is
+lossmodel's (slot_cap_ratios).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 from .errors import DomainError, UnsupportedCodeError
 from .numrep import SignedDigitCode
 
-Mode = Literal["charge", "discharge", "bypass"]
-
 SWITCH_COUNT = 12
-
-
-@dataclass(frozen=True)
-class GroupConnection:
-    """How one capacitor group is wired during a slot."""
-
-    mode: Mode
-    series_count: int
-    equalizer_count: int
-
-    def __post_init__(self) -> None:
-        if self.mode not in ("charge", "discharge", "bypass"):
-            raise DomainError(f"unknown mode {self.mode!r}")
-        if self.series_count < 0 or self.equalizer_count < 0:
-            raise DomainError("counts must be non-negative")
-        # bypass is exactly the zero-series connection
-        if (self.mode == "bypass") != (self.series_count == 0):
-            raise DomainError("bypass and series_count == 0 must coincide")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "series": self.series_count,
-            "equalizers": self.equalizer_count,
-        }
-
-
-@dataclass(frozen=True)
-class Topology:
-    """Full slot wiring: source bit plus one connection per group."""
-
-    source_engaged: bool
-    groups: tuple[GroupConnection, ...]
-
-    def __post_init__(self) -> None:
-        if not self.groups:
-            raise DomainError("a topology needs at least one group")
-        if not self.source_engaged and all(g.mode == "bypass" for g in self.groups):
-            raise DomainError("nothing is engaged")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "source": self.source_engaged,
-            "groups": [g.to_json_dict() for g in self.groups],
-        }
 
 
 @dataclass(frozen=True)
@@ -83,19 +33,6 @@ class SwitchStates:
 
     def as_bits(self) -> str:
         return "".join("1" if s else "0" for s in self.states)
-
-
-def code_to_topology(code: SignedDigitCode) -> Topology:
-    """Wiring implied by a code: sign picks the mode, magnitude the stack depth."""
-    r = code.radix
-    groups = []
-    for d in code.digits:
-        if d == 0:
-            groups.append(GroupConnection("bypass", 0, r - 1))
-        else:
-            mode: Mode = "charge" if d < 0 else "discharge"
-            groups.append(GroupConnection(mode, abs(d), r - 1 - abs(d)))
-    return Topology(bool(code.a0), tuple(groups))
 
 
 # Known-good switch vectors for the standard double-bridge board, radix 2,

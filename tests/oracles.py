@@ -3,15 +3,16 @@
 These deliberately take different routes than the library: the dither oracle
 enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
-matrix solve, the elimination oracle works in Fractions where the library
-kernel stays in integers, the schedule oracle drops the dependent rows and
-then balances what is left where the library reads both off one elimination,
-the LDO oracle scans the lattice the library bisects, and the cell oracle
-tries every engagement mask for every sign pattern where the library builds
-the code family digit by digit, and the run oracle builds each slot's
-right-hand side as a list and scatters the solution back voltage by voltage
-where the library picks both through index maps built once per code. Keep
-them dumb.
+matrix solve, the loss oracle prices a slot by the two-capacitor formula
+where the simulator only moves charge, the elimination oracle works in
+Fractions where the library kernel stays in integers, the schedule oracle
+drops the dependent rows and then balances what is left where the library
+reads both off one elimination, the LDO oracle scans the lattice the library
+bisects, and the cell oracle tries every engagement mask for every sign
+pattern where the library builds the code family digit by digit, and the run
+oracle builds each slot's right-hand side as a list and scatters the
+solution back voltage by voltage where the library picks both through index
+maps built once per code. Keep them dumb.
 """
 
 import math
@@ -62,6 +63,16 @@ def closed_form_step(caps, cout, v_flying, v_out, a0, digits, vin):
         v - d * q / c if d else v for c, v, d in zip(caps, v_flying, digits)
     ]
     return new_flying, v_out + q / cout, q
+
+
+def redistribution_loss(c1, c2, dv):
+    """Energy burned equalizing two capacitors that start dv apart.
+
+    Independent of the loop resistance: the series capacitance times dv**2 / 2.
+    c2 = inf models a stiff rail, where the loss becomes c1 * dv**2 / 2.
+    """
+    series = c1 if math.isinf(c2) else c1 * c2 / (c1 + c2)
+    return series * dv * dv / 2.0
 
 
 def rational_rref(rows):

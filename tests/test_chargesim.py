@@ -15,7 +15,6 @@ from sccforge.chargesim import (
     TraceRecord,
     charge_locus,
     run,
-    step,
     trace_csv_lines,
     write_locus_csv,
 )
@@ -31,7 +30,7 @@ from golden import (
     DEPENDENT_ROW_ORDER_38,
     STEP_EXAMPLE,
 )
-from oracles import closed_form_step, reference_run
+from oracles import closed_form_step, redistribution_loss, reference_run
 
 SEQ_38 = [SignedDigitCode(a0, digits) for a0, digits in DEPENDENT_ROW_ORDER_38]
 VIN = 8.0
@@ -41,13 +40,19 @@ def bank(caps, cout, volts, vout):
     return BankState(tuple(caps), cout, tuple(volts), vout)
 
 
+def one_slot(state, code, vin):
+    """The bank after one slot of code, and the charge it moved (positive into the output)."""
+    trace = run(state, (code,), vin, tol=1.0, max_periods=1)  # one slot; convergence unused
+    return trace.final_state, trace.buffer[-1]
+
+
 # -- single slot -------------------------------------------------------------------
 
 
 def test_settled_bank_moves_no_charge():
     state = bank((4.7e-6,) * 3, 470e-6, (4.0, 2.0, 1.0), 3.0)
     for code in SEQ_38:
-        nxt, q = step(state, code, VIN)
+        nxt, q = one_slot(state, code, VIN)
         assert abs(q) < 1e-15
         for v, v0 in zip(nxt.flying_voltages, state.flying_voltages):
             assert abs(v - v0) < 1e-10
@@ -56,7 +61,7 @@ def test_settled_bank_moves_no_charge():
 
 def test_sourceless_slot_from_rest_is_inert():
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
-    nxt, q = step(state, SignedDigitCode(0, (0, 1, 1)), VIN)
+    nxt, q = one_slot(state, SignedDigitCode(0, (0, 1, 1)), VIN)
     assert q == pytest.approx(0.0, abs=1e-18)
     assert all(abs(v) < 1e-12 for v in nxt.flying_voltages)
     assert abs(nxt.output_voltage) < 1e-12
@@ -65,7 +70,7 @@ def test_sourceless_slot_from_rest_is_inert():
 def test_first_slot_from_rest():
     state = bank(STEP_EXAMPLE["caps"], STEP_EXAMPLE["cout"], (0.0, 0.0, 0.0), 0.0)
     code = SignedDigitCode(1, (-1, 0, -1))
-    nxt, q = step(state, code, STEP_EXAMPLE["vin"])
+    nxt, q = one_slot(state, code, STEP_EXAMPLE["vin"])
     assert q == pytest.approx(STEP_EXAMPLE["charge"], rel=1e-12)
     assert nxt.flying_voltages[0] == pytest.approx(STEP_EXAMPLE["v_flying"], rel=1e-12)
     assert nxt.flying_voltages[1] == 0.0
@@ -112,7 +117,7 @@ def step_cases(draw):
 @given(step_cases())
 def test_step_closes_the_loop_and_conserves_charge(case):
     state, code, vin = case
-    nxt, q = step(state, code, vin)
+    nxt, q = one_slot(state, code, vin)
     loop = (
         code.a0 * vin
         + sum(d * v for d, v in zip(code.digits, nxt.flying_voltages))
@@ -133,7 +138,7 @@ def test_step_closes_the_loop_and_conserves_charge(case):
 @given(step_cases())
 def test_step_matches_direct_formula(case):
     state, code, vin = case
-    nxt, q = step(state, code, vin)
+    nxt, q = one_slot(state, code, vin)
     volts2, vout2, q2 = closed_form_step(
         state.flying_caps,
         state.output_cap,
@@ -147,6 +152,27 @@ def test_step_matches_direct_formula(case):
     assert nxt.output_voltage == pytest.approx(vout2, rel=1e-8, abs=1e-9)
     for v, v2 in zip(nxt.flying_voltages, volts2):
         assert v == pytest.approx(v2, rel=1e-8, abs=1e-9)
+
+
+def stored_energy(state):
+    volts = (*state.flying_voltages, state.output_voltage)
+    caps = (*state.flying_caps, state.output_cap)
+    return sum(c * v * v for c, v in zip(caps, volts)) / 2.0
+
+
+@given(st.integers(1, 4).flatmap(lambda n: st.tuples(banks(n), st.integers(0, n - 1))))
+def test_one_slot_dissipates_the_two_capacitor_loss(case):
+    # a0 = 0 and one digit +1 at j: the slot puts C_j straight across the output
+    # cap, so the energy the lossless charge step removes is the two-capacitor loss
+    state, j = case
+    code = SignedDigitCode(0, tuple(int(k == j) for k in range(state.size)))
+    nxt, _ = one_slot(state, code, VIN)
+    start = stored_energy(state)
+    loss = redistribution_loss(
+        state.flying_caps[j], state.output_cap, state.flying_voltages[j] - state.output_voltage
+    )
+    # the subtraction cancels when the loss is tiny next to the stored energy
+    assert start - stored_energy(nxt) == pytest.approx(loss, rel=1e-9, abs=1e-9 * start)
 
 
 @given(
@@ -196,7 +222,7 @@ def test_run_is_step_chained_over_the_sequence(case):
     trace = run(state, seq, vin, max_periods=periods)
     states, records = [state], []
     for i, code in enumerate(seq * periods):
-        nxt, q = step(states[-1], code, vin)
+        nxt, q = one_slot(states[-1], code, vin)
         states.append(nxt)
         records.append(TraceRecord(i, nxt.flying_voltages, nxt.output_voltage, q))
     done = len(trace.records)
@@ -394,11 +420,11 @@ def test_locus_csv_format():
 def test_step_rejects_unsupported_codes():
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
-        step(state, SignedDigitCode(1, (-1, 0, -2), radix=3), VIN)
+        one_slot(state, SignedDigitCode(1, (-1, 0, -2), radix=3), VIN)
     with pytest.raises(DomainError):
-        step(state, SignedDigitCode(1, (-1, 0)), VIN)
+        one_slot(state, SignedDigitCode(1, (-1, 0)), VIN)
     with pytest.raises(DomainError):
-        step(state, SignedDigitCode(0, (0, 0, 0)), VIN)
+        one_slot(state, SignedDigitCode(0, (0, 0, 0)), VIN)
 
 
 def test_bank_state_validation():

@@ -7,14 +7,7 @@ from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
 from sccforge.errors import DomainError
 from sccforge.linsolve import active_schedule
-from sccforge.lossmodel import (
-    RcParams,
-    build_req_spec,
-    charging_response,
-    redistribution_loss,
-    req_follower,
-    vo_under_load,
-)
+from sccforge.lossmodel import build_req_spec, req_follower, vo_under_load
 from sccforge.numrep import TargetRatio, spawn_codes
 from sccforge.regulation import ldo_efficiency_bound, ldo_select_ratio
 
@@ -25,7 +18,6 @@ BANK = BankState((4.7e-6,) * 3, 47e-6, (0.0,) * 3, 0.0)
 # each call passed its validator with a NaN or infinite quantity before the
 # shared finite-and-positive check: accepted, returned nan, or failed elsewhere
 NON_FINITE_CALLS = {
-    "rc-resistance-nan": lambda: RcParams(NAN, 1.0),
     "bank-cap-nan": lambda: BankState((NAN,), 1.0, (0.0,), 0.0),
     "bank-output-cap-inf": lambda: BankState((1.0,), INF, (0.0,), 0.0),
     "req-spec-fs-nan": lambda: build_req_spec(ACTIVE_38, NAN, 4.7e-6, 1.2, 4),
@@ -46,11 +38,9 @@ def test_non_finite_quantities_are_domain_errors(call):
         call()
 
 
-def test_zero_and_stiff_rail_stay_legal():
-    assert charging_response(1.0, 0.0, RcParams(1.0, 1.0), t=0.0) == (0.0, 1.0)
+def test_zero_dropout_stays_legal():
     assert ldo_select_ratio(5.0, 2.5, 0.0, 1).ratio == TargetRatio(1, 2, 1)
     assert ldo_efficiency_bound(1.8, 0.0) == 1.0
-    assert redistribution_loss(2.0, INF, 1.0) == 1.0
 
 
 @pytest.mark.parametrize(

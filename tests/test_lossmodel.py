@@ -15,20 +15,15 @@ from sccforge.linsolve import (
     sort_codes_by_zeros,
 )
 from sccforge.lossmodel import (
-    RcParams,
     ReqSpec,
     TopologySlot,
     average_extracted_req,
     build_req_spec,
-    cap_to_cap_response,
-    charging_response,
     efficiency,
     extract_req,
     load_line_fit,
-    redistribution_loss,
     req_follower,
     req_multi,
-    req_zero_beta_limit,
     req_zero_beta_multiplier,
     slot_cap_ratios,
     vo_under_load,
@@ -52,7 +47,7 @@ from golden import (
     UNSORTED_38_FLOOR,
     UNSORTED_38_REQ,
 )
-from oracles import rational_rref, two_elimination_schedule
+from oracles import rational_rref, redistribution_loss, two_elimination_schedule
 
 F = Fraction
 
@@ -68,42 +63,7 @@ def operating_spec(m: int, t_over_ts=None) -> ReqSpec:
     )
 
 
-# -- RC responses ------------------------------------------------------------------
-
-
-def test_charging_response_limits():
-    rc = RcParams(2.0, 1e-6)
-    v0, i0 = charging_response(5.0, 1.0, rc, t=0.0)
-    assert v0 == pytest.approx(1.0)
-    assert i0 == pytest.approx((5.0 - 1.0) / 2.0)
-    v_end, i_end = charging_response(5.0, 1.0, rc, t=100 * rc.tau)
-    assert v_end == pytest.approx(5.0)
-    assert abs(i_end) < 1e-12
-    v5, _ = charging_response(5.0, 1.0, rc, t=5 * rc.tau)
-    assert abs(v5 - 5.0) < 0.01 * 4.0
-    with pytest.raises(DomainError):
-        charging_response(5.0, 1.0, rc, t=-1e-9)
-
-
-def test_cap_pair_split_and_conservation():
-    vs, c1, c2, r = 6.0, 2e-6, 1e-6, 3.0
-    start = cap_to_cap_response(vs, c1, c2, r, 0.0)
-    assert start.v1 == pytest.approx(vs)
-    assert start.v2 == pytest.approx(0.0)
-    assert start.current == pytest.approx(vs / r)
-    end = cap_to_cap_response(vs, c1, c2, r, 1.0)
-    assert end.v1 == pytest.approx(c1 * vs / (c1 + c2))
-    assert end.v2 == pytest.approx(end.v1)
-    assert abs(end.current) < 1e-12
-    equal = cap_to_cap_response(vs, 1e-6, 1e-6, r, 1.0)
-    assert equal.v1 == pytest.approx(vs / 2)
-
-
-@given(st.floats(1e-7, 1e-5), st.floats(1e-7, 1e-5), st.floats(0.1, 100.0), st.floats(0, 1e-3))
-def test_cap_pair_conserves_charge(c1, c2, r, t):
-    vs = 8.0
-    resp = cap_to_cap_response(vs, c1, c2, r, t)
-    assert c1 * resp.v1 + c2 * resp.v2 == pytest.approx(c1 * vs, rel=1e-9)
+# -- two-capacitor redistribution loss, the simulator's energy-audit oracle -----------
 
 
 def test_redistribution_loss():
@@ -111,8 +71,6 @@ def test_redistribution_loss():
     c = 4.7e-6
     assert redistribution_loss(c, c, 2.0) == pytest.approx(c * 4.0 / 4.0)
     assert redistribution_loss(c, math.inf, 2.0) == pytest.approx(c * 4.0 / 2.0)
-    with pytest.raises(DomainError):
-        redistribution_loss(-c, c, 1.0)
 
 
 @given(st.floats(1e-7, 1e-5), st.floats(1e-7, 1e-5), st.floats(0.1, 8.0))
@@ -416,8 +374,9 @@ def test_resistance_column(m):
 def test_floor_multipliers_are_exact(m):
     spec = operating_spec(m)
     assert req_zero_beta_multiplier(spec) == REQ_FLOOR[m]
-    assert req_zero_beta_limit(spec) == pytest.approx(float(REQ_FLOOR[m]) * 4.8, rel=1e-12)
-    assert req_multi(spec) >= req_zero_beta_limit(spec)
+    floor = float(req_zero_beta_multiplier(spec)) * spec.loop_resistance
+    assert floor == pytest.approx(float(REQ_FLOOR[m]) * 4.8, rel=1e-12)
+    assert req_multi(spec) >= floor
 
 
 def test_measurement_row_order_costs_more():
@@ -447,7 +406,7 @@ def test_complementary_ratios_cost_the_same():
 
 def test_resistance_falls_with_capacitance_and_duty():
     base = operating_spec(3)
-    floors = req_zero_beta_limit(base)
+    floors = float(req_zero_beta_multiplier(base)) * base.loop_resistance
     previous = math.inf
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
         spec = build_req_spec(

@@ -13,7 +13,6 @@ from sccforge.numrep import (
     SignedDigitCode,
     TargetRatio,
     balanced_sequence,
-    conventional_code,
     enumerate_codes,
     spawn_codes,
 )
@@ -131,22 +130,6 @@ def test_code_text_and_json_round_trip():
     assert code.to_json_dict() == {"a0": 1, "digits": [-1, 0, -1], "radix": 2}
     assert code.zero_count == 1
     assert code.resolution - code.zero_count == 2
-
-
-# -- conventional_code -----------------------------------------------------------
-
-
-def test_conventional_code_examples():
-    assert as_pairs([conventional_code(3, 2, 3)]) == ((0, (0, 1, 1)),)
-    assert as_pairs([conventional_code(4, 3, 2)]) == ((0, (1, 1)),)
-    assert as_pairs([conventional_code(1, 2, 1)]) == ((0, (1,)),)
-
-
-@given(target_ratios())
-def test_conventional_code_value(ratio):
-    code = conventional_code(ratio.m, ratio.radix, ratio.resolution)
-    assert code.value == ratio.value
-    assert all(d >= 0 for d in code.digits)
 
 
 # -- generators ------------------------------------------------------------------
