@@ -30,8 +30,8 @@ def _split_quantity(text: str) -> tuple[str, int]:
         if s.endswith(unit) and len(s) > len(unit):
             s = s[: -len(unit)]
             break
-    # "1e-3" must not lose its exponent; prefixes never follow 'e'
-    if s[-1] in _PREFIXES and not (s[-1] in "mM" and len(s) > 1 and s[-2] in "eE"):
+    # a NaN is a number, not n(ano) times "na"
+    if s[-1] in _PREFIXES and s.lstrip("+-").lower() != "nan":
         return s[:-1], _PREFIXES[s[-1]]
     return s, 0
 

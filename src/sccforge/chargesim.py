@@ -136,9 +136,10 @@ def run(
     Convergence is judged at period boundaries: the largest voltage change
     over one full pass of the sequence must drop below tol (default
     1e-9 * |vin|, so tol is required when vin is 0). A run that exhausts
-    max_periods returns its trace with converged False rather than raising.
-    Every code is checked against the bank once per run, before the first
-    slot, so an unsupported code raises even when max_periods is 0.
+    max_periods returns its trace with converged False rather than raising;
+    one whose voltages overflow raises at the end of that period. Every code
+    is checked against the bank once per run, before the first slot, so an
+    unsupported code raises even when max_periods is 0.
     """
     seq = tuple(sequence)
     if not seq:
@@ -195,7 +196,7 @@ def run(
                 buffer.extend(record)
             volts = record[:-1]
             if not all(map(math.isfinite, volts)):
-                break  # overflowed; the final BankState rejects it instead of spending the budget
+                raise DomainError(f"the simulation left the float range in period {period}")
             if max(abs(x - y) for x, y in zip(volts, before)) < tol:
                 converged = True
                 adjustment = (period - 1) * len(seq)
@@ -205,19 +206,17 @@ def run(
     return SimTrace(buffer, periods, converged, adjustment, final)
 
 
-def charge_locus(trace: SimTrace, topologies: int) -> list[tuple[float, float]]:
+def charge_locus(trace: SimTrace) -> list[tuple[float, float]]:
     """Polar footprint of the charge series: slot angle versus |Q|.
 
-    Slot k maps to angle 2*pi*(k mod topologies)/topologies; a settled bank
-    collapses every spoke toward zero radius.
+    With L slots a period, slot k maps to angle 2*pi*(k mod L)/L; a run stops
+    only at a period boundary, so L is the trace's slot count over its
+    periods. A settled bank collapses every spoke toward zero radius.
     """
-    if topologies < 1:
-        raise DomainError("topologies must be positive")
     width = trace.final_state.size + 2
-    return [
-        (2.0 * math.pi * (k % topologies) / topologies, abs(charge))
-        for k, charge in enumerate(trace.buffer[width - 1 :: width])
-    ]
+    charges = trace.buffer[width - 1 :: width]
+    slots = len(charges) // trace.periods if charges else 1
+    return [(2.0 * math.pi * (k % slots) / slots, abs(q)) for k, q in enumerate(charges)]
 
 
 def trace_csv_lines(trace: SimTrace) -> list[str]:

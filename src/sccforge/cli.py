@@ -2,8 +2,9 @@
 
 Commands: codes, solve, simulate, req, dither, ldo. Value options may come
 from a flat key = value config file (--config); explicit flags win, and a
-config value gets the same check as the flag. Output is deterministic text
-by default; --format csv or json where supported.
+config value gets the same check as the flag. The file may hold any
+command's value options, and no other key. Output is deterministic text by
+default; --format csv or json where supported.
 
 Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 3 domain error, 4 simulation did not converge.
@@ -99,6 +100,15 @@ def _target(text: str | None, radix: int) -> TargetRatio:
     return ratio
 
 
+# name -> the code sequence of a ratio; codes --generator and simulate --order
+# each offer their own names from it
+_SEQUENCES = {
+    "spawn": spawn_codes,
+    "sorted": lambda ratio: sort_codes_by_zeros(spawn_codes(ratio)),
+    "balanced": balanced_sequence,
+}
+
+
 # -- commands; each docstring is the command's help line ---------------------
 
 
@@ -116,12 +126,7 @@ def _cmd_codes(o) -> _Out:
             return _Out(None, None, [], EXIT_MISMATCH, err)
         return _Out(None, None, [f"generators agree on {len(left)} codes"])
 
-    if o.generator == "balanced":
-        codes = balanced_sequence(ratio)
-    elif o.generator == "enumerate":
-        codes = enumerate_codes(ratio)
-    else:
-        codes = spawn_codes(ratio)
+    codes = _SEQUENCES[o.generator](ratio)
     header = ",".join(["a0"] + [f"d{j}" for j in range(1, ratio.resolution + 1)])
     return _Out(
         {"ratio": str(ratio), "generator": o.generator, "codes": [c.to_json_dict() for c in codes]},
@@ -138,8 +143,6 @@ def _cmd_solve(o) -> _Out:
 
     system = build_system(spawn_codes(work))
     redundant = find_redundant(system)
-    if o.eliminate:
-        system = system.drop_rows(redundant)
     solution = solve_unique(step_up(system) if o.stepup else system)
     # the system solved is unique, so rank(A) = rank([A|b]) = unknowns
     n = system.unknowns
@@ -147,8 +150,7 @@ def _cmd_solve(o) -> _Out:
     pairs = list(zip(system.labels, solution))
     line = " ".join(f"{name}={value}" for name, value in pairs)
     if not o.stepup:
-        kind = "eliminated" if o.eliminate else "redundant"
-        line += f"; {kind} rows: {[i + 1 for i in redundant]}"
+        line += f"; redundant rows: {[i + 1 for i in redundant]}"
     payload = {
         "ratio": str(ratio),
         "solved": str(work),
@@ -159,7 +161,7 @@ def _cmd_solve(o) -> _Out:
         "unique": True,
         "solution": {name: str(value) for name, value in pairs},
         "redundant_row_indices": redundant,
-        "eliminated": o.eliminate,
+        "eliminated": False,
     }
     csv = ["label,value"] + [f"{name},{value}" for name, value in pairs]
     return _Out(payload, csv, notes + [line])
@@ -175,13 +177,7 @@ def _cmd_simulate(o) -> _Out:
     if len(init) != n + 1:
         raise _UsageError(f"--init needs {n + 1} voltages (V1..V{n},Vo), got {len(init)}")
 
-    if o.order == "sorted":
-        sequence = sort_codes_by_zeros(spawn_codes(ratio))
-    elif o.order == "balanced":
-        sequence = list(balanced_sequence(ratio))
-    else:
-        sequence = list(spawn_codes(ratio))
-
+    sequence = list(_SEQUENCES[o.order](ratio))
     if o.max_periods * len(sequence) > _SIM_SLOT_LIMIT:
         raise ResourceLimitError(
             f"--max-periods {o.max_periods} at {len(sequence)} slots a period is past "
@@ -197,7 +193,7 @@ def _cmd_simulate(o) -> _Out:
                 handle.write("\n".join(rows) + "\n")
         if o.locus:
             with open(o.locus, "w") as handle:
-                write_locus_csv(charge_locus(trace, len(sequence)), handle)
+                write_locus_csv(charge_locus(trace), handle)
     except OSError as exc:
         raise _UsageError(str(exc)) from None
 
@@ -307,10 +303,9 @@ _QUANTITY = _si.parse_quantity
 _OPTIONS = {
     "ratio": (str, None, "target ratio m/r**n, e.g. 3/8 (req: one row, not the table)"),
     "radix": (_int, "2", "digit radix"),
-    "generator": (_Choice(("spawn", "enumerate", "balanced")), "spawn", "code generator"),
+    "generator": (_Choice(("spawn", "balanced")), "spawn", "the family, or its balanced schedule"),
     "check": (bool, False, "cross-validate the generators"),
     "stepup": (bool, False, "solve the reciprocal system"),
-    "eliminate": (bool, False, "drop dependent rows first"),
     "vin": (_QUANTITY, _REQUIRED, "input voltage"),
     "caps": (_float_list, _REQUIRED, "flying capacitances, comma separated"),
     "cout": (_QUANTITY, _REQUIRED, "output capacitance"),
@@ -339,7 +334,7 @@ _OPTIONS = {
 # command also takes --format (a value option) and --config (argv only).
 _COMMANDS = {
     "codes": (_cmd_codes, ("ratio", "radix", "generator"), ("check",)),
-    "solve": (_cmd_solve, ("ratio", "radix"), ("stepup", "eliminate")),
+    "solve": (_cmd_solve, ("ratio", "radix"), ("stepup",)),
     "simulate": (
         _cmd_simulate,
         ("ratio", "vin", "caps", "cout", "init", "tol", "max_periods", "order"),
@@ -349,6 +344,8 @@ _COMMANDS = {
     "dither": (_cmd_dither, ("target", "n", "max_period"), ()),
     "ldo": (_cmd_ldo, ("vin", "vout", "dropout", "n"), ("no_step_up",)),
 }
+# the keys a --config file may set: one file serves every command
+_CONFIG_KEYS = {"format"}.union(*(options for _, options, _ in _COMMANDS.values()))
 
 
 def _flag(name: str) -> str:
@@ -422,6 +419,10 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         cfg = _si.load_config(args.config) if args.config else {}
+        unknown = [key for key in cfg if key not in _CONFIG_KEYS]
+        if unknown:
+            kind = "is set on the command line only" if unknown[0] in _OPTIONS else "is not an option"
+            raise DomainError(f"{args.config}: key {unknown[0]!r} {kind}")
     except (DomainError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -159,6 +159,13 @@ def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):
     return None
 
 
+def trace_rows(trace):
+    """A run's trace as rows (iteration, V1..Vn, Vo, Q), one per slot, unpacked from its buffer."""
+    width = trace.final_state.size + 2
+    buf = trace.buffer
+    return [(i, *buf[k : k + width]) for i, k in enumerate(range(0, len(buf), width))]
+
+
 def reference_run(state, sequence, vin, tol, max_periods):
     """chargesim.run's slot loop with per-slot list building and scatter.
 

@@ -2,13 +2,16 @@
 
 Each example starts from one valid argv per command and replaces or adds one
 or two value options, each with an edge value drawn for that option's
-converter. Every run must end in a documented exit code within a deadline:
-a non-zero exit prints one stderr line and no traceback, and a run that
-prints results prints no nan or inf. The resource limits (_SIM_SLOT_LIMIT,
-_REQ_TABLE_LIMIT) bound the cost of one run.
+converter, choice options included. Some examples also drop a required
+option, set switches, move options into a --config file (sometimes beside a
+key that no config file may set), or have simulate write its trace and locus
+files, one of them perhaps into a directory that does not exist.
 
-The argv fuzz in test_cli.py draws whole argv from value pools, with choice
-options, switches and --trace/--locus files, and checks the exit code alone.
+Every run must end in a documented exit code within a deadline: a non-zero
+exit prints no traceback and one stderr line, or for argparse's own errors
+its usage and then one error line; a refused config key is named in a usage
+error; and a run that prints results prints no nan or inf. The resource
+limits (_SIM_SLOT_LIMIT, _REQ_TABLE_LIMIT) bound the cost of one run.
 """
 
 import contextlib
@@ -30,17 +33,18 @@ BASE = {
     "dither": {"target": "0.4"},
     "ldo": {"vin": "10", "vout": "3.3", "dropout": "0.3"},
 }
-SWITCHES = {"codes": ["--check"], "solve": ["--stepup", "--eliminate"], "ldo": ["--no-step-up"]}
+SWITCHES = {"codes": ["--check"], "solve": ["--stepup"], "ldo": ["--no-step-up"]}
 
-# "nan" reads as n(ano) times "na", so NaN is spelled in capitals
 QUANTITY = [
-    "0", "-0", "-1", "-8", "8", "4.7uF", "NaN", "-NaN", "inf", "-inf", "Infinity", "1e400",
+    "0", "-0", "-1", "-8", "8", "4.7uF", "nan", "NaN", "-NaN", "inf", "-inf", "Infinity", "1e400",
     "-1e400", "1e-320", "-1e-320", "1e-400", "1e308", "1e-300", "1e300", "", "k", "1e",
 ]
 HUGE = "9" * 400
 INT = ["0", "-1", "1", "2", "3", "16", HUGE, "-" + HUGE, "9" * 5000, "1.5", "1e3", "", "x"]
-# --n: the req table's limit is 10; ldo and dither take up to 1000
-RESOLUTION = ["0", "-1", "1", "10", "11", "1000", "1001", HUGE]
+# --n: the req table's limit is 10, refused at 11; ldo and dither take up to
+# 1000. The table at its limit (1,023 rows, about half a second) is left to
+# test_closed_stdout_is_not_an_error, which runs it in full.
+RESOLUTION = ["0", "-1", "1", "11", "1000", "1001", HUGE]
 # 300,001 periods of the 5-code 3/8 family is one period past the slot limit
 PERIODS = [*INT, "300001"]
 RATIO = [
@@ -67,6 +71,10 @@ EDGES = {
     str: RATIO,
 }
 SPECIAL = {"n": RESOLUTION, "max_periods": PERIODS}
+# names that a choice option does not take, or no longer takes
+CHOICE_EXTRAS = ["enumerate", "sorted", "xml", ""]
+# config keys that must be refused: no option at all, or set on the command line only
+REFUSED_KEYS = ["slots", "eliminate", "topologies", "trace", "locus", "check", "stepup", "no_step_up", "config"]
 
 DEADLINE_S = 10.0
 NON_FINITE = re.compile(r"(?<![a-z])(nan|inf|infinity)(?![a-z])", re.IGNORECASE)
@@ -80,34 +88,58 @@ def option_values(name):
             lambda edit: ",".join(edit[1] if k == edit[0] else item for k in range(width))
         )
         return st.sampled_from(BAD_LISTS) | one_edge
-    return st.sampled_from(SPECIAL.get(name) or EDGES[cli._OPTIONS[name][0]])
+    conv = cli._OPTIONS[name][0]
+    if isinstance(conv, cli._Choice):
+        return st.sampled_from(list(dict.fromkeys([*conv, *CHOICE_EXTRAS])))
+    return st.sampled_from(SPECIAL.get(name) or EDGES[conv])
 
 
-def fuzzed_options(command):
-    # argparse itself checks the choice options, so their edges are argparse's
-    options = cli._COMMANDS[command][1]
-    return [name for name in options if not isinstance(cli._OPTIONS[name][0], cli._Choice)]
+def one_in(k):
+    # sampled_from draws near-uniformly; integers and booleans lean to their ends
+    return st.sampled_from(range(k)).map(lambda i: i == 0)
 
 
 # the first edit is drawn per (command, option) pair, so each option, not each
-# command, gets about the same share of the examples
-TARGETS = st.sampled_from([(command, name) for command in BASE for name in fuzzed_options(command)])
-SECOND = {command: st.sampled_from(fuzzed_options(command)) for command in BASE}
-VALUES = {name: option_values(name) for command in BASE for name in fuzzed_options(command)}
+# command, gets about the same share of the examples; --format, which every
+# command takes, is left to the second edit
+TARGETS = st.sampled_from([(command, name) for command in BASE for name in cli._COMMANDS[command][1]])
+SECOND = {command: st.sampled_from([*cli._COMMANDS[command][1], "format"]) for command in BASE}
+VALUES = {name: option_values(name) for command in BASE for name in (*cli._COMMANDS[command][1], "format")}
 FORMATS = st.sampled_from(["text", "csv", "json"])
+DROPPED = {command: st.sampled_from(list(options)) for command, options in BASE.items()}
+REFUSED = st.sampled_from(REFUSED_KEYS)
+# stands for the test's output directory in a drawn --trace or --locus path;
+# "missing" is never made, so a path in it cannot be opened
+OUT_DIR = "<out>"
+WHERE = st.sampled_from([OUT_DIR, f"{OUT_DIR}/missing"])
 
 
 @st.composite
 def perturbed_argv(draw):
-    """A command's argv with one value option, or two, replaced or added."""
+    """(argv, config lines, the config key that must be refused or None)."""
     command, name = draw(TARGETS)
-    values = BASE[command] | {name: draw(VALUES[name])}
+    values = BASE[command] | {"format": draw(FORMATS), name: draw(VALUES[name])}
+    edited = {name}
     if draw(st.booleans()):
         name = draw(SECOND[command])  # the first one again leaves one edit
         values[name] = draw(VALUES[name])
-    values["format"] = draw(FORMATS)
+        edited.add(name)
+    if draw(one_in(8)):
+        del values[draw(DROPPED[command])]
+    config, refused = [], None
+    if draw(one_in(4)):
+        # the edited options come from the file instead
+        config = [f"{cli._flag(name)[2:]} = {values.pop(name)}" for name in edited if name in values]
+        if draw(st.booleans()):
+            refused = draw(REFUSED)
+            config.append(f"{refused} = 1")
     argv = [command, *(f"{cli._flag(name)}={value}" for name, value in values.items())]
-    return argv + [flag for flag in SWITCHES.get(command, []) if draw(st.booleans())]
+    argv += [flag for flag in SWITCHES.get(command, []) if draw(st.booleans())]
+    if command == "simulate":
+        for name in ("trace", "locus"):
+            if draw(st.booleans()):
+                argv.append(f"--{name}={draw(WHERE)}/{name}.csv")
+    return argv, config, refused
 
 
 class Overran(Exception):
@@ -134,12 +166,27 @@ def run_main(argv):
 
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
-@given(perturbed_argv())
-def test_perturbed_argv_ends_in_a_documented_exit(argv):
+@given(case=perturbed_argv())
+def test_perturbed_argv_ends_in_a_documented_exit(tmp_path_factory, case):
+    out_dir = tmp_path_factory.getbasetemp() / "argv-fuzz"
+    out_dir.mkdir(exist_ok=True)
+    argv, config, refused = case
+    argv = [arg.replace(OUT_DIR, str(out_dir)) for arg in argv]
+    if config:
+        path = out_dir / "board.cfg"
+        path.write_text("".join(line + "\n" for line in config))
+        argv.append(f"--config={path}")
     code, out, err = run_main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err)
     assert "Traceback" not in err, argv
-    if code:
+    usage = err.startswith("usage: ")
+    if usage:
+        # argparse's own error: its usage, perhaps wrapped, then one error line
+        assert code == 2 and err.endswith("\n"), (argv, err)
+        assert err.splitlines()[-1].startswith(f"scc-forge {argv[0]}: error: "), (argv, err)
+    elif code:
         assert err.endswith("\n") and err.count("\n") == 1, (argv, err)
+    if refused and not usage:
+        assert code == 2 and f"key {refused!r}" in err, (argv, config, err)
     if code in (0, 4):
         assert not NON_FINITE.search(out), (argv, out)

@@ -2,7 +2,6 @@ import io
 import math
 import random
 from array import array
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from numpy.linalg import _umath_linalg
 from sccforge import chargesim
 from sccforge.chargesim import (
     BankState,
-    TraceRecord,
     charge_locus,
     run,
     trace_csv_lines,
@@ -20,7 +18,7 @@ from sccforge.chargesim import (
 )
 from sccforge.errors import DomainError
 from sccforge.linsolve import build_system, solve_unique
-from sccforge.numrep import SignedDigitCode, TargetRatio, spawn_codes
+from sccforge.numrep import SignedDigitCode, TargetRatio, balanced_sequence, spawn_codes
 
 from golden import (
     CONVERGENCE_CASES,
@@ -30,7 +28,7 @@ from golden import (
     DEPENDENT_ROW_ORDER_38,
     STEP_EXAMPLE,
 )
-from oracles import closed_form_step, redistribution_loss, reference_run
+from oracles import closed_form_step, redistribution_loss, reference_run, trace_rows
 
 SEQ_38 = [SignedDigitCode(a0, digits) for a0, digits in DEPENDENT_ROW_ORDER_38]
 VIN = 8.0
@@ -204,7 +202,7 @@ def test_run_reaches_the_loop_solution(case):
     final = (*trace.final_state.flying_voltages, trace.final_state.output_voltage)
     for got, want in zip(final, CONVERGENCE_TARGET):
         assert abs(got - want) < CONVERGENCE_TOL_V
-    periods = len(trace.records) // len(SEQ_38)
+    periods = len(trace_rows(trace)) // len(SEQ_38)
     assert trace.adjustment_iterations == (periods - 1) * len(SEQ_38)
 
 
@@ -220,16 +218,16 @@ def run_cases(draw):
 def test_run_is_step_chained_over_the_sequence(case):
     state, seq, vin, periods = case
     trace = run(state, seq, vin, max_periods=periods)
-    states, records = [state], []
+    states, rows = [state], []
     for i, code in enumerate(seq * periods):
         nxt, q = one_slot(states[-1], code, vin)
         states.append(nxt)
-        records.append(TraceRecord(i, nxt.flying_voltages, nxt.output_voltage, q))
-    done = len(trace.records)
+        rows.append((i, *nxt.flying_voltages, nxt.output_voltage, q))
+    done = len(trace_rows(trace))
     # a converged run stops at a period boundary; otherwise it spends the budget
     assert done % len(seq) == 0
-    assert trace.converged or done == len(records)
-    assert trace.records == tuple(records[:done])
+    assert trace.converged or done == len(rows)
+    assert trace_rows(trace) == rows[:done]
     assert trace.final_state == states[done]
 
 
@@ -242,7 +240,6 @@ def assert_matches_reference(state, seq, vin, tol, periods):
     assert (trace.periods, trace.converged, trace.adjustment_iterations) == (done, converged, adjustment)
     final = (*trace.final_state.flying_voltages, trace.final_state.output_voltage)
     assert array("d", final).tobytes() == array("d", volts).tobytes()
-    return trace
 
 
 @st.composite
@@ -259,7 +256,7 @@ def test_run_matches_the_reference_loop_bit_for_bit(case):
     assert_matches_reference(*case)
 
 
-def test_run_matches_the_reference_loop_on_edge_cases(monkeypatch):
+def test_run_matches_the_reference_loop_on_edge_cases():
     # a code that engages only the output writes one voltage
     state = bank((4.7e-6,), 47e-6, (0.5,), 0.25)
     assert_matches_reference(state, [SignedDigitCode(1, (0,))], VIN, None, 3)
@@ -267,16 +264,12 @@ def test_run_matches_the_reference_loop_on_edge_cases(monkeypatch):
     # the README run, converged
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     assert_matches_reference(state, SEQ_38, VIN, None, CONVERGENCE_MAX_PERIODS)
-    # the overflow stop: the final BankState would refuse the voltages, so a
-    # stand-in without the finite check lets the trace be compared
-    monkeypatch.setattr(
-        chargesim,
-        "BankState",
-        lambda caps, cout, volts, vout: SimpleNamespace(flying_voltages=volts, output_voltage=vout, size=len(caps)),
-    )
+    # the overflow stop: run raises in the period where the reference stops
     tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
-    trace = assert_matches_reference(tiny, SEQ_38, VIN, None, 10**4)
-    assert trace.periods == 1 and not all(map(math.isfinite, trace.buffer))
+    buffer, done, *_ = reference_run(tiny, SEQ_38, VIN, 1e-9 * VIN, 10**4)
+    assert done == 1 and not all(map(math.isfinite, buffer))
+    with pytest.raises(DomainError, match=f"left the float range in period {done}$"):
+        run(tiny, SEQ_38, VIN, max_periods=10**4)
 
 
 def test_limits_match_the_loop_equations():
@@ -309,8 +302,9 @@ def test_charge_collapses_once_settled():
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     trace = run(state, SEQ_38, VIN, max_periods=CONVERGENCE_MAX_PERIODS)
     assert trace.converged
-    first = max(abs(r.charge) for r in trace.records[: len(SEQ_38)])
-    last = max(abs(r.charge) for r in trace.records[-len(SEQ_38) :])
+    charges = [abs(row[-1]) for row in trace_rows(trace)]
+    first = max(charges[: len(SEQ_38)])
+    last = max(charges[-len(SEQ_38) :])
     assert last < 1e-3 * first
 
 
@@ -319,13 +313,13 @@ def test_budget_exhaustion_reports_instead_of_raising():
     trace = run(state, SEQ_38, VIN, max_periods=2)
     assert not trace.converged
     assert trace.adjustment_iterations is None
-    assert len(trace.records) == 2 * len(SEQ_38)
+    assert len(trace_rows(trace)) == 2 * len(SEQ_38)
 
 
 def test_zero_budget_run_is_empty():
     state = bank((4.7e-6,) * 3, 470e-6, (1.0, 2.0, 3.0), 0.5)
     trace = run(state, SEQ_38, VIN, max_periods=0)
-    assert trace.records == ()
+    assert trace_rows(trace) == []
     assert not trace.converged
     assert trace.final_state == state
 
@@ -341,13 +335,13 @@ def test_run_validation(monkeypatch):
     # codes are checked before the first slot, so even an empty budget sees them
     with pytest.raises(DomainError, match="engages nothing"):
         run(state, [SignedDigitCode(0, (0, 0, 0))], VIN, max_periods=0)
-    # 1/1e-320 overflows to inf: the run stops after the first period, whatever
-    # the budget, and the final state's finite check raises
+    # 1/1e-320 overflows to inf: the run raises after the first period, whatever
+    # the budget
     tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
     solves = []
     kernel = _umath_linalg.solve1
     monkeypatch.setattr(_umath_linalg, "solve1", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
-    with pytest.raises(DomainError, match="voltages must be finite"):
+    with pytest.raises(DomainError, match="the simulation left the float range in period 1$"):
         run(tiny, SEQ_38, VIN, max_periods=10**4)
     assert len(solves) == len(SEQ_38)
 
@@ -365,23 +359,24 @@ def test_zero_input_needs_an_explicit_tolerance():
 def test_locus_angles_wrap_by_slot_index():
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     trace = run(state, SEQ_38, VIN, max_periods=2)
-    points = charge_locus(trace, len(SEQ_38))
-    assert len(points) == len(trace.records)
-    for rec, (angle, radius) in zip(trace.records, points):
-        k = rec.iteration % len(SEQ_38)
+    points = charge_locus(trace)
+    rows = trace_rows(trace)
+    assert len(points) == len(rows)
+    for row, (angle, radius) in zip(rows, points):
+        k = row[0] % len(SEQ_38)
         assert angle == pytest.approx(2.0 * math.pi * k / len(SEQ_38))
-        assert radius == abs(rec.charge)
+        assert radius == abs(row[-1])
     # one full turn spans the sequence, then repeats
     assert points[0][0] == 0.0
     assert points[len(SEQ_38)][0] == 0.0
 
 
 def test_locus_validation_and_empty_trace():
+    # the slots per period are read off the trace: 8 for the balanced 3/8 order
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
-    empty = run(state, SEQ_38, VIN, max_periods=0)
-    assert charge_locus(empty, 5) == []
-    with pytest.raises(DomainError):
-        charge_locus(empty, 0)
+    assert charge_locus(run(state, SEQ_38, VIN, max_periods=0)) == []
+    trace = run(state, balanced_sequence(TargetRatio(3, 2, 3)), VIN, max_periods=3)
+    assert [angle for angle, _ in charge_locus(trace)] == [2.0 * math.pi * (k % 8) / 8 for k in range(24)]
 
 
 def test_trace_csv_format():
@@ -389,10 +384,11 @@ def test_trace_csv_format():
     trace = run(state, SEQ_38, VIN, max_periods=1)
     lines = trace_csv_lines(trace)
     assert lines[0] == "iteration,V1,V2,V3,Vo,Q"
-    assert len(lines) == 1 + len(trace.records)
+    rows = trace_rows(trace)
+    assert len(lines) == 1 + len(rows)
     first = lines[1].split(",")
     assert first[0] == "0"
-    assert float(first[-1]) == pytest.approx(trace.records[0].charge, rel=1e-11)
+    assert float(first[-1]) == pytest.approx(rows[0][-1], rel=1e-11)
 
 
 def test_trace_csv_rows_match_format_on_special_values():
