@@ -421,8 +421,7 @@ def main(argv=None) -> int:
         cfg = _si.load_config(args.config) if args.config else {}
         unknown = [key for key in cfg if key not in _CONFIG_KEYS]
         if unknown:
-            kind = "is set on the command line only" if unknown[0] in _OPTIONS else "is not an option"
-            raise DomainError(f"{args.config}: key {unknown[0]!r} {kind}")
+            raise DomainError(f"{args.config}: key {unknown[0]!r} is not a config option")
     except (DomainError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -19,7 +19,7 @@ import io
 import re
 import signal
 
-from hypothesis import given, seed, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 from sccforge import _si, cli
 
@@ -41,15 +41,16 @@ QUANTITY = [
 ]
 HUGE = "9" * 400
 INT = ["0", "-1", "1", "2", "3", "16", HUGE, "-" + HUGE, "9" * 5000, "1.5", "1e3", "", "x"]
-# --n: the req table's limit is 10, refused at 11; ldo and dither take up to
-# 1000. The table at its limit (1,023 rows, about half a second) is left to
-# test_closed_stdout_is_not_an_error, which runs it in full.
-RESOLUTION = ["0", "-1", "1", "11", "1000", "1001", HUGE]
+# --n: the req table's limit is 10 (1,023 rows, about half a second), refused
+# at 11; ldo and dither take up to 1000
+RESOLUTION = ["0", "-1", "1", "10", "11", "1000", "1001", HUGE]
 # 300,001 periods of the 5-code 3/8 family is one period past the slot limit
 PERIODS = [*INT, "300001"]
+# well-formed families beside 3/8, one of them radix 3, then malformed or edge ratios
 RATIO = [
+    "5/8", "7/8", "4/8", "1/2", "5/16", "21/64", "63/64", "4/9",
     "0/8", "8/8", "9/8", "-3/8", "3/-8", "3/0", "0/0", "3/7", "3", "3/8/1", "a/b", "",
-    "3.0/8", "4/8", "1/2", "65535/65536", "1/131072", "1/" + str(2**400),
+    "3.0/8", "65535/65536", "1/131072", "1/" + str(2**400),
 ]
 SLOT = [
     "Ts/0", "Ts/-1", "Ts/1", "Ts/4", "ts/2", "Ts/x", "Ts/", "Ts/" + HUGE,
@@ -164,9 +165,22 @@ def run_main(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# well-formed runs that set three or more options, which one or two edits
+# rarely reach: radix 3 with a generator or the step-up solve, another family
+# simulated in every order with its files, the req table at its limit
+SIMULATE_5_8 = ["simulate", "--ratio=5/8", "--vin=8", "--caps=4.7u,4.7u,4.7u", "--cout=470u"]
+SIMULATE_21_64 = ["simulate", "--ratio=21/64", "--vin=8", "--caps=1u,2u,3u,4u,5u,6u", "--cout=47u"]
+
+
 @seed(20261019)
 @settings(max_examples=300, deadline=None)
 @given(case=perturbed_argv())
+@example(case=(["codes", "--ratio=4/9", "--radix=3", "--generator=balanced", "--format=json"], [], None))
+@example(case=(["codes", "--ratio=4/9", "--radix=3", "--generator=spawn", "--check"], [], None))
+@example(case=(["solve", "--ratio=4/9", "--radix=3", "--format=csv", "--stepup"], [], None))
+@example(case=([*SIMULATE_5_8, "--order=sorted", f"--trace={OUT_DIR}/t.csv", f"--locus={OUT_DIR}/l.csv"], [], None))
+@example(case=([*SIMULATE_21_64, "--init=0,0,0,0,0,0,1", "--order=balanced", "--format=json"], [], None))
+@example(case=(["req", "--fs=1e300", "--c=4.7u", "--ron=1.2", "--switches=4", "--n=10", "--format=json"], [], None))
 def test_perturbed_argv_ends_in_a_documented_exit(tmp_path_factory, case):
     out_dir = tmp_path_factory.getbasetemp() / "argv-fuzz"
     out_dir.mkdir(exist_ok=True)

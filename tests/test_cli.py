@@ -827,8 +827,8 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
         (b"# bench setup\nfs: 100k\n", ":2: expected 'key = value'"),
         (b"# bench setup\n= 100k\n", ":2: empty key"),
         (b"\xff\xfe = 1\n", ": not UTF-8 text"),
-        (b"slots = Ts/4\n", ": key 'slots' is not an option"),
-        (b"vin = 8\nno-step-up = 1\n", ": key 'no_step_up' is set on the command line only"),
+        (b"slots = Ts/4\n", ": key 'slots' is not a config option"),
+        (b"vin = 8\nno-step-up = 1\n", ": key 'no_step_up' is not a config option"),
     ],
     ids=["colon", "empty-key", "not-utf8", "unknown-key", "argv-only-key"],
 )
