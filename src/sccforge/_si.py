@@ -118,14 +118,15 @@ def fraction_text(value: Fraction) -> str:
 def load_config(path: str | Path) -> dict[str, str]:
     """Read a flat key = value file; '#' starts a comment, blank lines skipped.
 
-    Keys are normalized to lowercase with hyphens replaced by underscores.
-    Values are returned as raw strings for the caller to parse.
+    Keys are normalized to lowercase with hyphens replaced by underscores, and
+    a key set twice is an error; values are raw strings for the caller to parse.
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise DomainError(f"{path}: not UTF-8 text") from None
     out: dict[str, str] = {}
+    seen: dict[str, int] = {}  # the line that set each key
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -136,5 +137,8 @@ def load_config(path: str | Path) -> dict[str, str]:
         key = key.strip().lower().replace("-", "_")
         if not key:
             raise DomainError(f"{path}:{lineno}: empty key")
+        if key in seen:
+            raise DomainError(f"{path}:{lineno}: key {key!r} is already set on line {seen[key]}")
+        seen[key] = lineno
         out[key] = value.strip()
     return out

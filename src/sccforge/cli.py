@@ -2,9 +2,9 @@
 
 Commands: codes, solve, simulate, req, dither, ldo. Value options may come
 from a flat key = value config file (--config); explicit flags win, and a
-config value gets the same check as the flag. The file may hold any
-command's value options, and no other key. Output is deterministic text by
-default; --format csv or json where supported.
+config value gets the same check as the flag. The file may set any
+command's value options, each once, and no other key. Output is
+deterministic text by default; --format csv or json where supported.
 
 Exit codes: 0 success, 1 internal cross-check failure, 2 usage error,
 3 domain error, 4 simulation did not converge.

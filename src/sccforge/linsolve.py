@@ -112,7 +112,7 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
     seq = tuple(codes)
     if not seq:
         raise DomainError("no codes")
-    if len({(code.radix, code.resolution) for code in seq}) > 1:
+    if len({(code.radix, len(code.digits)) for code in seq}) > 1:
         raise DomainError("codes mix radix or resolution")
     rows, rhs = zip(*map(kvl_row, seq))
     return _system(rows, rhs)
@@ -132,7 +132,10 @@ def fraction_free_rref(
 
     Every pivot eliminates its column above and below; dividing by the
     previous pivot is exact because every entry stays a minor of the input.
-    Pivot rule: columns left to right, smallest available row index. Returns
+    Pivot rule: columns left to right, smallest available row index; the
+    search stops once every row holds a pivot. While the other rows update,
+    the pivot row is parked as 0, which every update leaves 0, so the loop
+    over rows needs no test for it. Returns
     (m, pivots, d): the reduced row echelon form is m / d, and pivots lists
     the pivot column of each leading row. m holds the columns from
     first_column on, so a solve unpacks only its right-hand side.
@@ -150,39 +153,40 @@ def fraction_free_rref(
     if not rows or not rows[0]:
         raise DomainError("empty matrix")
     nrows, ncols = len(rows), len(rows[0])
-    if any(len(row) != ncols for row in rows):
+    if len(set(map(len, rows))) > 1:
         raise DomainError("ragged matrix")
     order = min(nrows, ncols)
-    big = max(max(map(abs, row)) for row in rows)
+    big = max(map(abs, chain.from_iterable(rows)))
     k = ((order**order * big ** (2 * order)).bit_length() + 1) // 2 + 1
     half, mask = 1 << (k - 1), (1 << k) - 1
     bias = half * (((1 << (k * ncols)) - 1) // mask)
     shifts = range(0, k * ncols, k)
     m = [sum(map(lshift, row, shifts)) for row in rows]
     pivots: list[int] = []
-    prev = 1
+    prev, r = 1, 0
     for col in range(ncols):
-        r = len(pivots)
-        if r >= nrows:
-            break
         shift = k * col
         # rows below the last pivot are zero left of col, so no borrow reaches field col
-        piv = next((i for i in range(r, nrows) if m[i] >> shift & mask), None)
-        if piv is None:
+        for piv in range(r, nrows):
+            if m[piv] >> shift & mask:
+                break
+        else:
             continue
-        m[r], m[piv] = m[piv], m[r]
-        top = m[r]
+        top = m[piv]
+        m[piv], m[r] = m[r], 0
         p = ((top + bias) >> shift & mask) - half
         for i in range(nrows):
-            if i == r:
-                continue
             f = ((m[i] + bias) >> shift & mask) - half
             if f:
                 m[i] = (p * m[i] - f * top) // prev
             elif p != prev:
                 m[i] = p * m[i] // prev
+        m[r] = top
         prev = p
         pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
     out = []
     for packed in m:
         row = [0] * (ncols - first_column)
@@ -258,7 +262,7 @@ def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[Sign
     Rows whose codes idle more capacitors end up first, which is the order
     measurement tables are reported in.
     """
-    return sorted(codes, key=lambda c: -c.zero_count)
+    return sorted(codes, key=lambda c: -c.digits.count(0))
 
 
 def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction, ...] | None]:

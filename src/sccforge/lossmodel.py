@@ -119,9 +119,10 @@ class ReqSpec:
             raise DomainError("switches_per_loop must be at least 1")
         if not self.slots:
             raise DomainError("at least one slot")
-        t_over_ts = Fraction(self.t_over_ts)
-        object.__setattr__(self, "t_over_ts", t_over_ts)
-        if not 0 < t_over_ts <= Fraction(1, len(self.slots)):
+        if not isinstance(t_over_ts := self.t_over_ts, Fraction):
+            object.__setattr__(self, "t_over_ts", t_over_ts := Fraction(t_over_ts))
+        # 0 < t <= 1/L, in integers: a Fraction's denominator is positive
+        if not 0 < t_over_ts.numerator * len(self.slots) <= t_over_ts.denominator:
             raise DomainError(
                 f"slot duration {fraction_text(t_over_ts)} of a period does not fit "
                 f"{len(self.slots)} slots"
@@ -144,7 +145,7 @@ class ReqSpec:
 
     @property
     def slot_duration(self) -> float:
-        return float(self.t_over_ts) / self.f_s
+        return self.t_over_ts.numerator / self.t_over_ts.denominator / self.f_s
 
     @property
     def beta(self) -> float:
@@ -185,9 +186,10 @@ def req_multi(spec: ReqSpec) -> float:
     total = 0.0
     beta = spec.beta
     for slot in spec.slots:
-        share = float(slot.current_ratio) ** 2
-        half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(slot.cap_ratio))
-        total += share * half_period_cap * _coth(slot.series_count * beta / 2.0)
+        # int true division rounds correctly: the bits of float(Fraction), read faster
+        i, series_count = slot.current_ratio, slot.cap_ratio.denominator
+        half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * (1 / series_count))
+        total += (i.numerator / i.denominator) ** 2 * half_period_cap * _coth(series_count * beta / 2.0)
     if not math.isfinite(total):
         raise DomainError(f"R_eq is {total} at this operating point, out of float range")
     return total

@@ -230,9 +230,7 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
     codes = []
     for a0, digits in partial:
         code = new(SignedDigitCode)
-        put(code, "a0", a0)
-        put(code, "digits", digits)
-        put(code, "radix", r)
+        code.__dict__.update(a0=a0, digits=digits, radix=r)
         codes.append(code)
     family = new(CodeSet)
     put(family, "ratio", ratio)

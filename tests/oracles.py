@@ -12,7 +12,8 @@ bisects, and the cell oracle tries every engagement mask for every sign
 pattern where the library builds the code family digit by digit, and the run
 oracle builds each slot's right-hand side as a list and scatters the
 solution back voltage by voltage where the library picks both through index
-maps built once per code. Keep them dumb.
+maps built once per code, and the resistance oracle reads every Fraction
+through float() where the library divides its integers. Keep them dumb.
 """
 
 import math
@@ -157,6 +158,23 @@ def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):
             if Fraction(denom, m) * vin >= need:
                 return m, True
     return None
+
+
+def float_fraction_req_multi(spec):
+    """lossmodel.req_multi's loop with every Fraction read through float().
+
+    Same coth as the library, and int true division rounds correctly as
+    float() of a Fraction does, so the results must agree bit for bit.
+    """
+    from sccforge.lossmodel import _coth
+
+    beta = float(spec.t_over_ts) / spec.f_s / (spec.switches_per_loop * spec.r_on * spec.c)
+    total = 0.0
+    for slot in spec.slots:
+        share = float(slot.current_ratio) ** 2
+        half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(slot.cap_ratio))
+        total += share * half_period_cap * _coth(slot.series_count * beta / 2.0)
+    return total
 
 
 def trace_rows(trace):

@@ -829,8 +829,12 @@ def test_config_values_are_checked_like_flags(tmp_path, capsys, argv, line, flag
         (b"\xff\xfe = 1\n", ": not UTF-8 text"),
         (b"slots = Ts/4\n", ": key 'slots' is not a config option"),
         (b"vin = 8\nno-step-up = 1\n", ": key 'no_step_up' is not a config option"),
+        # the last value used to win without a word: `ldo --config` with this file answered ratio 4/8
+        (b"vin = 10\nvout = 3.3\nVIN = 8\n", ":3: key 'vin' is already set on line 1"),
+        (b"vin = 10\nvin = 10\n", ":2: key 'vin' is already set on line 1"),
+        (b"max-periods = 50\n# again\nmax_periods = 50\n", ":3: key 'max_periods' is already set on line 1"),
     ],
-    ids=["colon", "empty-key", "not-utf8", "unknown-key", "argv-only-key"],
+    ids=["colon", "empty-key", "not-utf8", "unknown-key", "argv-only-key", "repeated-key", "same-spelling", "respelled-key"],
 )
 def test_malformed_config_line_is_a_usage_error(tmp_path, capsys, content, text):
     cfg = tmp_path / "board.cfg"

@@ -47,7 +47,7 @@ from golden import (
     UNSORTED_38_FLOOR,
     UNSORTED_38_REQ,
 )
-from oracles import rational_rref, redistribution_loss, two_elimination_schedule
+from oracles import float_fraction_req_multi, rational_rref, redistribution_loss, two_elimination_schedule
 
 F = Fraction
 
@@ -347,6 +347,22 @@ def test_slot_and_spec_validation():
     # a subnormal beta halves to 0 in req_multi
     with pytest.raises(DomainError, match="beta"):
         ReqSpec(1.0, 1.0, 0.25, 4, F(5e-324), slots)
+
+
+def test_req_multi_has_the_bits_of_the_float_fraction_loop():
+    # REQ_OPERATING (beta 0.11 at 3/8's even split) and a slow-switching point (beta 125)
+    # where 1 / (2 f_s C * (1/k)) and k / (2 f_s C) differ in the last bit for k = 3, 5, 6,
+    # so a regrouped term shows; each at the even split and at an explicit slot duration
+    for radix, top in ((2, 6), (3, 3)):
+        for n in range(1, top + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                slots = len(active_schedule(ratio))
+                for point in ((1e5, 4.7e-6, 1.2, 4), (5e4, 1e-6, 0.02, 2)):
+                    for t_over_ts in (None, F(2, 7 * slots)):
+                        spec = build_req_spec(ratio, *point, t_over_ts)
+                        assert req_multi(spec) == float_fraction_req_multi(spec), (ratio, point, t_over_ts)
+                        assert spec.slot_duration == float(spec.t_over_ts) / spec.f_s
 
 
 def test_req_multi_refuses_an_overflowing_result():
