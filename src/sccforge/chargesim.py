@@ -17,7 +17,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
+from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
 from .errors import DomainError, require_positive
@@ -72,12 +72,15 @@ class SimTrace:
 
     buffer holds the slots one after another, each as n + 2 doubles: V1..Vn
     and Vo after the slot, then the charge Q it moved, so 8 * (n + 2) bytes
-    per slot. records unpacks it into TraceRecords on first read and keeps
-    them; nothing in the library reads records, so only callers that ask for
-    them pay for one object per slot. periods counts the full passes of the
-    sequence that ran. adjustment_iterations counts the slots executed before
-    the first period whose boundary-to-boundary voltage change stayed below
-    tolerance; None when the run never converged.
+    per slot. run keeps these n + 2 values at the head of its float64 state
+    vector and appends their bytes after each slot, so the buffer holds the
+    doubles LAPACK returned, bit for bit. records unpacks it into
+    TraceRecords on first read and keeps them; nothing in the library reads
+    records, so only callers that ask for them pay for one object per slot.
+    periods counts the full passes of the sequence that ran.
+    adjustment_iterations counts the slots executed before the first period
+    whose boundary-to-boundary voltage change stayed below tolerance; None
+    when the run never converged.
     """
 
     buffer: array
@@ -159,30 +162,27 @@ def run(
     # conversion, dtype resolution and errstate entry, and gets the same bits.
     solve = _umath_linalg.solve1
     n = state.size
-    # A record is one slot's trace entry, (V1 .. Vn, Vo, Q). All index work
-    # is done here, once per distinct code, so a slot is one gather, one
-    # LAPACK call and one merge: gather picks the right-hand side (engaged
-    # voltages, Vo, drive) out of the last record followed by (drive,), and
-    # merge picks the next record out of the last record followed by the
-    # solution (engaged voltages, Vo, Q). Each picks two or more items, so
-    # each returns a tuple. The matrix stays reduced to the engaged
-    # capacitors: a full-width one with identity rows for the bypassed ones
-    # solves the same equations, but from n = 8 up LAPACK then runs other
-    # kernels and simulate's output bits change.
+    # The bank lives in one float64 vector s: V1 .. Vn, Vo, the last slot's Q,
+    # then one drive -a0 * vin per distinct code. Two index arrays per code,
+    # built once: gather picks the right-hand side (engaged voltages, Vo,
+    # drive) out of s, scatter writes the solution (engaged voltages, Vo, Q)
+    # back, and the slot's trace entry is the bytes of s[:n + 2]. These copy
+    # doubles without arithmetic, so LAPACK sees the matrix and right-hand
+    # side a loop over Python floats would build, and the bits are the same.
+    # The matrix stays reduced to the engaged capacitors: with identity rows
+    # for the bypassed ones it solves the same equations, but from n = 8 up
+    # LAPACK then runs other kernels and simulate's output bits change.
+    codes = tuple(dict.fromkeys(seq))
+    drives = (-code.a0 * vin for code in codes)
+    s = np.array([*state.flying_voltages, state.output_voltage, 0.0, *drives], float)
     steps = {}
-    for code in dict.fromkeys(seq):
+    for k, code in enumerate(codes):
         a, written = _slot_matrix(state, code)
-        solved = {i: n + 2 + k for k, i in enumerate((*written, n + 1))}
-        steps[code] = (
-            a,
-            itemgetter(*written, n + 2),
-            itemgetter(*(solved.get(i, i) for i in range(n + 2))),
-            (-code.a0 * vin,),
-        )
+        steps[code] = (a, np.array((*written, n + 2 + k), np.intp), np.array((*written, n + 1), np.intp))
     plan = [steps[code] for code in seq]
-    record = (*state.flying_voltages, state.output_voltage, 0.0)  # no slot yet, so no Q
-    volts = record[:-1]
+    record = memoryview(s[: n + 2]).cast("B")  # a view: it always holds the last slot
     buffer = array("d")
+    volts = s[: n + 1].tolist()
     converged = False
     adjustment: int | None = None
     # np.linalg.solve's own error state, entered once: a singular matrix
@@ -190,18 +190,17 @@ def run(
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         for period in range(1, max_periods + 1):
             before = volts
-            for a, gather, merge, drive in plan:
-                solution = solve(a, gather(record + drive), signature="dd->d").tolist()
-                record = merge(record + tuple(solution))
-                buffer.extend(record)
-            volts = record[:-1]
+            for a, gather, scatter in plan:
+                s[scatter] = solve(a, s[gather], signature="dd->d")
+                buffer.frombytes(record)
+            volts = s[: n + 1].tolist()
             if not all(map(math.isfinite, volts)):
                 raise DomainError(f"the simulation left the float range in period {period}")
             if max(abs(x - y) for x, y in zip(volts, before)) < tol:
                 converged = True
                 adjustment = (period - 1) * len(seq)
                 break
-    final = BankState(state.flying_caps, state.output_cap, record[:n], record[n])
+    final = BankState(state.flying_caps, state.output_cap, volts[:n], volts[n])
     periods = len(buffer) // ((n + 2) * len(seq))
     return SimTrace(buffer, periods, converged, adjustment, final)
 
@@ -227,7 +226,7 @@ def trace_csv_lines(trace: SimTrace) -> list[str]:
     buf = trace.buffer
     return [
         ",".join(["iteration", *(f"V{j}" for j in range(1, size + 1)), "Vo", "Q"]),
-        *[row % (i, *buf[k : k + width]) for i, k in enumerate(range(0, len(buf), width))],
+        *map(row.__mod__, zip(count(), *(buf[j::width] for j in range(width)))),
     ]
 
 

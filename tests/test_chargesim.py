@@ -5,7 +5,7 @@ from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 from numpy.linalg import _umath_linalg
 
 from sccforge import chargesim
@@ -159,6 +159,8 @@ def stored_energy(state):
 
 
 @given(st.integers(1, 4).flatmap(lambda n: st.tuples(banks(n), st.integers(0, n - 1))))
+# stored energies near 1e-317, subnormal: the two sides differed by one 2**-1074
+@example((bank((2.421963658913594e-05,), 0.00034101437854770864, (1.2582976925941314e-156,), 0.0), 0))
 def test_one_slot_dissipates_the_two_capacitor_loss(case):
     # a0 = 0 and one digit +1 at j: the slot puts C_j straight across the output
     # cap, so the energy the lossless charge step removes is the two-capacitor loss
@@ -169,8 +171,17 @@ def test_one_slot_dissipates_the_two_capacitor_loss(case):
     loss = redistribution_loss(
         state.flying_caps[j], state.output_cap, state.flying_voltages[j] - state.output_voltage
     )
-    # the subtraction cancels when the loss is tiny next to the stored energy
-    assert start - stored_energy(nxt) == pytest.approx(loss, rel=1e-9, abs=1e-9 * start)
+    # The subtraction cancels when the loss is tiny next to the stored energy,
+    # hence abs = 1e-9 * start. Below 2**-1022 floats are spaced a fixed
+    # 2**-1074 apart, so an operation whose result lands there is off by up
+    # to 2**-1075 however small the result, and neither rel nor 1e-9 * start
+    # covers that. Each energy sum rounds there once per term (c*v*v, whose
+    # first product is subnormal only if the second underflows to about 0;
+    # adding subnormals is exact) and once more when halved: n + 2 half-ulps
+    # on each side. The loss rounds twice (times dv, halved), and the
+    # difference of two subnormals is exact. So the floor is n + 3 ulps.
+    floor = (state.size + 3) * math.ulp(0.0)
+    assert start - stored_energy(nxt) == pytest.approx(loss, rel=1e-9, abs=max(1e-9 * start, floor))
 
 
 @given(
@@ -182,11 +193,12 @@ def test_one_slot_dissipates_the_two_capacitor_loss(case):
 )
 def test_slot_kernel_is_numpy_solve(case):
     # run calls np.linalg.solve's LAPACK gufunc directly, with the right-hand
-    # side as a tuple (test_run_validation counts those calls); a numpy
+    # side as a float64 array gathered from its state vector
+    # (test_run_makes_one_lapack_call_per_slot counts those calls); a numpy
     # release that routes a 1-D solve elsewhere would change simulate's bits
     state, code, rhs = case
     a, written = chargesim._slot_matrix(state, code)
-    rhs = tuple(rhs[: len(written) + 1])
+    rhs = np.array(rhs[: len(written) + 1])
     direct = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
     assert repr(direct) == repr(np.linalg.solve(a, rhs).tolist())
 
@@ -272,6 +284,17 @@ def test_run_matches_the_reference_loop_on_edge_cases():
         run(tiny, SEQ_38, VIN, max_periods=10**4)
 
 
+@pytest.mark.parametrize("m, n", [(85, 8), (341, 10)])
+def test_run_matches_the_reference_loop_where_lapack_changes_kernels(m, n):
+    # from n = 8 up LAPACK picks other kernels for the larger slot matrices
+    rng = random.Random(m)
+    ratio = TargetRatio(m, 2, n)
+    for seq in (list(spawn_codes(ratio)), balanced_sequence(ratio)):
+        caps = [rng.uniform(1e-6, 1e-4) for _ in range(n)]
+        state = bank(caps, 220e-6, [rng.uniform(-VIN, VIN) for _ in range(n)], rng.uniform(-VIN, VIN))
+        assert_matches_reference(state, seq, VIN, None, 3)
+
+
 def test_limits_match_the_loop_equations():
     # the simulated fixed point is vin times the unique loop solution
     for m in (1, 3, 5, 7):
@@ -324,7 +347,16 @@ def test_zero_budget_run_is_empty():
     assert trace.final_state == state
 
 
-def test_run_validation(monkeypatch):
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """The matrices of every LAPACK solve run makes while the test runs."""
+    solves = []
+    kernel = _umath_linalg.solve1
+    monkeypatch.setattr(_umath_linalg, "solve1", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
+    return solves
+
+
+def test_run_validation(lapack_calls):
     state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
     with pytest.raises(DomainError):
         run(state, [], VIN)
@@ -338,12 +370,18 @@ def test_run_validation(monkeypatch):
     # 1/1e-320 overflows to inf: the run raises after the first period, whatever
     # the budget
     tiny = bank((1e-320, 4.7e-6, 4.7e-6), 470e-6, (0.0, 0.0, 0.0), 0.0)
-    solves = []
-    kernel = _umath_linalg.solve1
-    monkeypatch.setattr(_umath_linalg, "solve1", lambda a, b, **kw: solves.append(a) or kernel(a, b, **kw))
     with pytest.raises(DomainError, match="the simulation left the float range in period 1$"):
         run(tiny, SEQ_38, VIN, max_periods=10**4)
-    assert len(solves) == len(SEQ_38)
+    assert len(lapack_calls) == len(SEQ_38)
+
+
+def test_run_makes_one_lapack_call_per_slot(lapack_calls):
+    # the README run: 3/8 in spawn order settles in 395 periods of 5 slots
+    state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
+    trace = run(state, spawn_codes(TargetRatio(3, 2, 3)), VIN)
+    assert trace.converged
+    assert len(lapack_calls) == trace.periods * len(SEQ_38) == 1975
+    assert len(trace.buffer) == len(lapack_calls) * (state.size + 2)
 
 
 def test_zero_input_needs_an_explicit_tolerance():

@@ -328,10 +328,6 @@ def test_slot_and_spec_validation():
         TopologySlot(F(1, 2), 0.5)
     slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
     with pytest.raises(DomainError):
-        ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2) + F(1, 100), slots)
-    with pytest.raises(DomainError):
-        ReqSpec(1e5, 4.7e-6, 1.2, 4, F(0), slots)
-    with pytest.raises(DomainError):
         ReqSpec(1e5, 4.7e-6, 1.2, 0, F(1, 2), slots)
     with pytest.raises(DomainError):
         ReqSpec(-1e5, 4.7e-6, 1.2, 4, F(1, 2), slots)
@@ -347,6 +343,16 @@ def test_slot_and_spec_validation():
     # a subnormal beta halves to 0 in req_multi
     with pytest.raises(DomainError, match="beta"):
         ReqSpec(1.0, 1.0, 0.25, 4, F(5e-324), slots)
+
+
+def test_slot_duration_must_fit_the_period():
+    # 0 < t <= 1/L; a zero or negative t would also fail the later beta check,
+    # so the message shows which check refused it
+    slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
+    for t, text in ((F(0), "0"), (F(-1, 4), "-1/4"), (F(51, 100), "0.51")):
+        with pytest.raises(DomainError, match=f"^slot duration {text} of a period does not fit 2 slots$"):
+            ReqSpec(1e5, 4.7e-6, 1.2, 4, t, slots)
+    assert ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), slots).beta == pytest.approx(5e-6 / (4.8 * 4.7e-6))
 
 
 def test_req_multi_has_the_bits_of_the_float_fraction_loop():
