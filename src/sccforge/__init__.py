@@ -17,10 +17,8 @@ from .errors import (
 )
 from .linsolve import (
     KvlSystem,
-    SolvabilityReport,
     active_schedule,
     build_system,
-    check_solvable,
     current_balance,
     find_redundant,
     kvl_row,
@@ -35,7 +33,6 @@ from .lossmodel import (
     TopologySlot,
     average_extracted_req,
     build_req_spec,
-    efficiency,
     extract_req,
     load_line_fit,
     req_follower,
@@ -77,7 +74,6 @@ __all__ = [
     "SignedDigitCode",
     "SimTrace",
     "SingularSystemError",
-    "SolvabilityReport",
     "SwitchStates",
     "TargetRatio",
     "TopologySlot",
@@ -89,11 +85,9 @@ __all__ = [
     "build_req_spec",
     "build_system",
     "charge_locus",
-    "check_solvable",
     "current_balance",
     "dither_average",
     "dither_plan",
-    "efficiency",
     "enumerate_codes",
     "extract_req",
     "find_redundant",

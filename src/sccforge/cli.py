@@ -220,7 +220,7 @@ def _cmd_simulate(o) -> _Out:
 def _cmd_req(o) -> _Out:
     """Equivalent-resistance table."""
     if o.n < 1:
-        raise _UsageError("--n must be at least 1")
+        raise DomainError("resolution must be at least 1")
     if o.ratio is None:
         if o.n > _REQ_TABLE_LIMIT:
             raise ResourceLimitError(

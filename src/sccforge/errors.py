@@ -29,15 +29,7 @@ class UnsupportedCodeError(DomainError):
 
 
 class SingularSystemError(ValueError):
-    """Linear system has no unique solution.
-
-    Carries the solvability report (when one was computed) so callers can
-    inspect ranks without re-running elimination.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Linear system has no unique solution; solve_unique's message names the ranks."""
 
 
 class FitError(DomainError):

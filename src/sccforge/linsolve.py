@@ -3,11 +3,11 @@
 Every code of a ratio contributes one loop equation over the per-capacitor
 voltages x_1..x_n (in input-voltage units) and the output x_o. A complete
 family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
-is what lets the bank self-adjust with no feedback. Ranks, solutions,
-redundancy scores, the active schedule (the zero-sorted family less its
-dependent rows) and its charge balance (the transposed system) all come
-from one integer fraction-free Gauss-Jordan kernel, and the schedule and
-its balance from one elimination of the transposed system. Solve and
+is what lets the bank self-adjust with no feedback. Solutions (or the ranks,
+if singular), redundancy scores, the active schedule (the zero-sorted family
+less its dependent rows) and its charge balance (the transposed system) all
+come from one integer fraction-free Gauss-Jordan kernel, and the schedule
+and its balance from one elimination of the transposed system. Solve and
 balance read [A | b] and [A transposed | e] the same way (_basic). Loop
 rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
 step_up rewrites the loop rows themselves. Fractions come only from the
@@ -28,17 +28,6 @@ from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family, spawn_codes
-
-@dataclass(frozen=True)
-class SolvabilityReport:
-    rank_a: int
-    rank_augmented: int
-    unknowns: int
-
-    @property
-    def unique(self) -> bool:
-        return self.rank_a == self.rank_augmented == self.unknowns
-
 
 @dataclass(frozen=True)
 class KvlSystem:
@@ -208,28 +197,12 @@ def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | Non
     return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)])
 
 
-def _solve(system: KvlSystem) -> tuple[SolvabilityReport, tuple[Fraction, ...] | None]:
-    """Ranks of A and [A|b], and the exact solution if unique."""
-    pivots, basic = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
-    report = SolvabilityReport(len(pivots), len(pivots) + (basic is None), system.unknowns)
-    return report, basic if report.unique else None
-
-
-def check_solvable(system: KvlSystem) -> SolvabilityReport:
-    """Ranks of A and [A|b]; unique iff both equal the unknown count."""
-    return _solve(system)[0]
-
-
 def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
-    """Exact solution (V1..Vn, Vo) of a uniquely solvable system."""
-    report, solution = _solve(system)
-    if solution is None:
-        raise SingularSystemError(
-            "system is not uniquely solvable: rank(A) = "
-            f"{report.rank_a}, rank([A|b]) = {report.rank_augmented}, "
-            f"unknowns = {report.unknowns}",
-            report,
-        )
+    """Exact solution (V1..Vn, Vo); SingularSystemError with the ranks unless it is unique."""
+    pivots, solution = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
+    if solution is None or len(pivots) < system.unknowns:
+        ranks = f"rank(A) = {len(pivots)}, rank([A|b]) = {len(pivots) + (solution is None)}"
+        raise SingularSystemError(f"system is not uniquely solvable: {ranks}, unknowns = {system.unknowns}")
     return solution
 
 

@@ -222,18 +222,6 @@ def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
     return (v_trg / v_o - 1.0) * r_o
 
 
-def efficiency(v_o: float, v_trg: float) -> float:
-    """Conversion efficiency v_o / v_trg of a measured or modelled output v_o.
-
-    For the divider model pass vo_under_load(v_trg, r_eq, r_o) as v_o.
-    Switching overhead is outside this figure.
-    """
-    require_positive("target voltage must be positive", v_trg)
-    if not 0 < v_o <= v_trg:
-        raise DomainError("output must lie in (0, target]")
-    return v_o / v_trg
-
-
 def average_extracted_req(v_trg: float, points: Sequence[tuple[float, float]]) -> float:
     """Mean per-point extraction over (r_o, v_o) measurements.
 
@@ -266,11 +254,18 @@ def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     n = len(xs)
     mx = sum(xs) / n
     my = sum(ys) / n
-    sxx = sum((x - mx) ** 2 for x in xs)
+    try:
+        sxx = sum((x - mx) ** 2 for x in xs)
+    except OverflowError:
+        sxx = math.inf
     sxy = sum((x - mx) * (y - my) for x, y in zip(xs, ys))
-    slope = sxy / sxx
+    # an sxx past the float range, or below the normal floats (its digits lost), makes slope nan
+    slope = sxy / sxx if _NORMAL_MIN <= sxx < math.inf else math.nan
     intercept = my - slope * mx
     if slope <= 0:
         raise FitError("load line implies a non-positive target voltage")
     v_trg = 1.0 / slope
-    return v_trg, intercept * v_trg
+    r_eq = intercept * v_trg
+    if not (math.isfinite(v_trg) and math.isfinite(r_eq)):
+        raise FitError(f"load points out of float range: v_trg = {v_trg:g}, r_eq = {r_eq:g}")
+    return v_trg, r_eq

@@ -26,6 +26,13 @@ _ENUMERATION_CELL_LIMIT = 10**7
 _BALANCE_RESOLUTION_LIMIT = 10
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True, order=True)
 class TargetRatio:
     """A conversion ratio m / radix**resolution strictly between 0 and 1."""
@@ -36,10 +43,7 @@ class TargetRatio:
 
     def __post_init__(self) -> None:
         for name in ("m", "radix", "resolution"):
-            try:
-                object.__setattr__(self, name, index(getattr(self, name)))
-            except TypeError:
-                raise DomainError(f"{name} must be an integer, got {getattr(self, name)!r}") from None
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.radix < 2:
             raise DomainError(f"radix must be at least 2, got {self.radix}")
         if self.resolution < 1:
@@ -103,20 +107,20 @@ class SignedDigitCode:
     radix: int = 2
 
     def __post_init__(self) -> None:
-        digits = tuple(map(int, self.digits))
+        digits = tuple(_integer(f"digit {j}", d) for j, d in enumerate(self.digits, start=1))
         object.__setattr__(self, "digits", digits)
+        object.__setattr__(self, "a0", _integer("a0", self.a0))
         if self.a0 not in (0, 1):
             raise DomainError(f"a0 must be 0 or 1, got {self.a0}")
-        object.__setattr__(self, "a0", int(self.a0))
+        object.__setattr__(self, "radix", _integer("radix", self.radix))
         if self.radix < 2:
             raise DomainError(f"radix must be at least 2, got {self.radix}")
         if not digits:
             raise DomainError("a code needs at least one fractional digit")
         limit = self.radix - 1
         if min(digits) < -limit or max(digits) > limit:
-            for j, d in enumerate(digits, start=1):
-                if not -limit <= d <= limit:
-                    raise DomainError(f"digit {j} outside [-{limit}, {limit}]: {d}")
+            j, d = next((j, d) for j, d in enumerate(digits, start=1) if not -limit <= d <= limit)
+            raise DomainError(f"digit {j} outside [-{limit}, {limit}]: {d}")
 
     @property
     def resolution(self) -> int:

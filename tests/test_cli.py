@@ -14,7 +14,7 @@ import pytest
 import sccforge
 from sccforge import cli
 from sccforge.cli import main
-from sccforge.linsolve import SolvabilityReport, build_system, check_solvable, step_up
+from sccforge.linsolve import build_system, solve_unique, step_up
 from sccforge.numrep import CodeSet, TargetRatio, spawn_codes
 
 from golden import (
@@ -127,15 +127,16 @@ def test_solve_step_up(capsys):
     ids=["3/8", "4/8", "85/256"],
 )
 def test_solve_step_up_reports_the_ranks_of_both_systems(capsys, argv):
-    # the report is written from the unique solve, not eliminated again: it must
+    # the ranks are written from the unique solve, not eliminated again: they must
     # hold for the loop system and for the step-up system that was solved
     assert main(["solve", *argv, "--stepup", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)
     m, d = map(int, data["solved"].split("/"))
     system = build_system(spawn_codes(TargetRatio.from_fraction(m, d, 2)))
-    report = SolvabilityReport(data["rank_a"], data["rank_augmented"], data["unknowns"])
-    assert report.unique is data["unique"] is True
-    assert check_solvable(system) == report == check_solvable(step_up(system))
+    n = system.unknowns
+    assert (data["rank_a"], data["rank_augmented"], data["unknowns"]) == (n, n, n)
+    assert data["unique"] is True
+    assert len(solve_unique(system)) == len(solve_unique(step_up(system))) == n
 
 
 def test_solve_other_radix(capsys):
@@ -561,6 +562,20 @@ def test_ldo_json(capsys):
     assert data["step_up"] is False
     assert data["gain"] == "3/8"
     assert data["efficiency_bound"] == pytest.approx(3.3 / 3.6)
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+@pytest.mark.parametrize(
+    "argv",
+    [REQ_ARGS, ["dither", "--target", "0.4"], ["ldo", "--vin", "10", "--vout", "3.3", "--dropout", "0.3"]],
+    ids=["req", "dither", "ldo"],
+)
+def test_resolution_below_one_is_one_domain_error(capsys, argv, n):
+    # one value, one answer: every command that takes --n refuses it the same way
+    assert main([*argv, "--n", n]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: resolution must be at least 1\n"
 
 
 # -- option plumbing ----------------------------------------------------------------

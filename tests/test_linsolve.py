@@ -1,4 +1,5 @@
 import ast
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,7 +11,6 @@ from sccforge.errors import DomainError, SingularSystemError
 from sccforge.linsolve import (
     KvlSystem,
     build_system,
-    check_solvable,
     find_redundant,
     fraction_free_rref,
     kvl_row,
@@ -111,26 +111,54 @@ def test_derived_systems_carry_ints(ratio):
 
 # -- solvability -----------------------------------------------------------------
 
+SINGULAR = re.compile(
+    r"system is not uniquely solvable: rank\(A\) = (\d+), rank\(\[A\|b\]\) = (\d+), unknowns = (\d+)"
+)
+
+
+def oracle_ranks(system):
+    """(rank(A), rank([A|b]), unknowns) by the rational oracle."""
+    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
+    return len(rational_rref(system.matrix)[1]), len(rational_rref(augmented)[1]), system.unknowns
+
+
+def singular_ranks(system):
+    """(rank(A), rank([A|b]), unknowns) as solve_unique's refusal names them."""
+    with pytest.raises(SingularSystemError) as err:
+        solve_unique(system)
+    return tuple(map(int, SINGULAR.fullmatch(str(err.value)).groups()))
+
+
+def assert_solve_matches_the_oracle(system):
+    # unique to the oracle: solve_unique answers, and the answer satisfies A x = b;
+    # otherwise it refuses and names the oracle's ranks
+    ranks = oracle_ranks(system)
+    if ranks == (system.unknowns,) * 3:
+        x = solve_unique(system)
+        assert [sum(a * v for a, v in zip(row, x)) for row in system.matrix] == list(system.rhs)
+    else:
+        assert singular_ranks(system) == ranks
+
 
 def test_full_family_is_uniquely_solvable():
-    report = check_solvable(fixture_system_38())
-    assert (report.rank_a, report.rank_augmented, report.unknowns) == (4, 4, 4)
-    assert report.unique
+    system = fixture_system_38()
+    assert oracle_ranks(system) == (4, 4, 4)
+    assert len(solve_unique(system)) == system.unknowns
 
 
 def test_duplicated_rows_change_nothing():
     codes = codes_of(DEPENDENT_ROW_ORDER_38)
     doubled = build_system(codes + codes[:2])
-    report = check_solvable(doubled)
-    assert (report.rank_a, report.rank_augmented) == (4, 4)
-    assert report.unique
+    assert oracle_ranks(doubled) == (4, 4, 4)
+    assert solve_unique(doubled) == solve_unique(fixture_system_38())
     # a repeated row scores exactly 1, so only the family's dependent row is flagged
     assert find_redundant(doubled) == [3]
 
 
 def test_wider_radix_rank_equals_unknowns():
-    report = check_solvable(build_system(spawn_codes(TargetRatio(4, 3, 2))))
-    assert (report.rank_a, report.rank_augmented, report.unknowns) == (3, 3, 3)
+    system = build_system(spawn_codes(TargetRatio(4, 3, 2)))
+    assert oracle_ranks(system) == (3, 3, 3)
+    assert len(solve_unique(system)) == system.unknowns
 
 
 def test_solve_unique_examples():
@@ -150,8 +178,7 @@ def test_single_row_is_underdetermined():
     system = build_system(codes_of(DEPENDENT_ROW_ORDER_38)[:1])
     with pytest.raises(SingularSystemError) as err:
         solve_unique(system)
-    assert err.value.report.rank_a == 1
-    assert not err.value.report.unique
+    assert str(err.value) == "system is not uniquely solvable: rank(A) = 1, rank([A|b]) = 1, unknowns = 4"
 
 
 def test_reducible_ratio_full_width_structure():
@@ -166,11 +193,11 @@ def test_reducible_ratio_full_width_structure():
         system = build_system(spawn_codes(ratio))
         for col in range(ratio.effective_resolution, ratio.resolution):
             assert all(row[col] == 0 for row in system.matrix)
-        report = check_solvable(system)
-        assert report.rank_a == ratio.effective_resolution + 1
-        assert not report.unique
-        with pytest.raises(SingularSystemError):
-            solve_unique(system)
+        rank = ratio.effective_resolution + 1
+        assert singular_ranks(system) == oracle_ranks(system) == (rank, rank, ratio.resolution + 1)
+    with pytest.raises(SingularSystemError) as err:
+        solve_unique(build_system(spawn_codes(TargetRatio(4, 2, 3))))
+    assert str(err.value) == "system is not uniquely solvable: rank(A) = 2, rank([A|b]) = 2, unknowns = 4"
 
 
 def test_reduced_families_solve_exactly():
@@ -198,11 +225,7 @@ def code_subsets(draw):
 
 @given(code_subsets())
 def test_rank_routes_agree(subset):
-    system = build_system(subset)
-    report = check_solvable(system)
-    assert report.rank_a == len(rational_rref(system.matrix)[1])
-    augmented = [row + (b,) for row, b in zip(system.matrix, system.rhs)]
-    assert report.rank_augmented == len(rational_rref(augmented)[1])
+    assert_solve_matches_the_oracle(build_system(subset))
 
 
 # -- elimination kernel against the rational oracle --------------------------------
@@ -297,10 +320,7 @@ def test_kernel_matches_the_rational_oracle(rows, data):
 
 @given(integer_matrices(min_cols=3))
 def test_solvability_ranks_match_the_oracle(rows):
-    system = KvlSystem(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows))
-    report = check_solvable(system)
-    assert report.rank_a == len(rational_rref(system.matrix)[1])
-    assert report.rank_augmented == len(rational_rref(rows)[1])
+    assert_solve_matches_the_oracle(KvlSystem(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)))
 
 
 # -- redundancy -------------------------------------------------------------------

@@ -19,7 +19,6 @@ from sccforge.lossmodel import (
     TopologySlot,
     average_extracted_req,
     build_req_spec,
-    efficiency,
     extract_req,
     load_line_fit,
     req_follower,
@@ -454,10 +453,6 @@ def test_divider_examples():
         EXTRACT_EXAMPLE["v_trg"], EXTRACT_EXAMPLE["v_o"], EXTRACT_EXAMPLE["r_o"]
     )
     assert got == pytest.approx(EXTRACT_EXAMPLE["req"], abs=EXTRACT_EXAMPLE["tol"])
-    assert efficiency(3.816, 4.0) == pytest.approx(0.954)
-    assert efficiency(vo_under_load(4.0, 4.822, 100.0), 4.0) == pytest.approx(
-        100.0 / 104.822, rel=1e-9
-    )
 
 
 @given(st.floats(0.5, 10.0), st.floats(0.1, 50.0), st.floats(1.0, 1e4))
@@ -475,10 +470,6 @@ def test_divider_validation():
         extract_req(4.0, 4.0, 100.0)
     with pytest.raises(DomainError):
         extract_req(4.0, -0.1, 100.0)
-    with pytest.raises(DomainError):
-        efficiency(5.0, 4.0)
-    with pytest.raises(DomainError):
-        efficiency(3.0, 0.0)
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -530,3 +521,19 @@ def test_fit_error_paths():
             load_line_fit([(bad, 1.0), (1.0, 0.5), (2.0, 0.8)])
         with pytest.raises(FitError, match="measurements must be positive"):
             load_line_fit([(100.0, bad), (1.0, 0.5), (2.0, 0.8)])
+
+
+@pytest.mark.parametrize(
+    "points",
+    [
+        [(1e-320, 1.0), (2e-320, 1.0)],  # the spread of r_o squared underflows to 0
+        [(1e-160, 1.0), (2e-160, 1.0)],  # ... to a subnormal with four digits left
+        [(1e200, 1e-200), (2e200, 1.0)],  # ... overflows in ** 2
+        [(1e308, 1.0), (1.7e308, 2.0)],  # the mean of r_o is inf
+        [(1.0, 1e-310), (2.0, 1.0)],  # r_o / v_o is inf, so the fit is nan
+    ],
+)
+def test_fit_out_of_float_range_is_a_fit_error(points):
+    assert all(0 < x < math.inf for point in points for x in point)
+    with pytest.raises(FitError, match="load points out of float range"):
+        load_line_fit(points)

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -116,12 +117,29 @@ def test_code_validation():
 
 
 def test_code_fields_are_ints():
-    code = SignedDigitCode(1.0, (1.0, True, -1))
-    assert (code.a0, code.digits) == (1, (1, 1, -1))
-    assert all(type(x) is int for x in (code.a0, *code.digits))
+    code = SignedDigitCode(np.int64(1), (np.int8(1), True, -1), np.int32(2))
+    assert (code.a0, code.digits, code.radix) == (1, (1, 1, -1), 2)
+    assert all(type(x) is int for x in (code.a0, *code.digits, code.radix))
     # spawn_codes builds its codes unchecked; TargetRatio holds its numbers as ints
     family = spawn_codes(TargetRatio(np.int64(3), np.int64(2), 3))
     assert all(type(x) is int for c in family for x in (c.a0, *c.digits, c.radix))
+
+
+@pytest.mark.parametrize(
+    "args, field, value",
+    [
+        ((0, (1.7, -0.2)), "digit 1", "1.7"),
+        ((0, (1, -0.2)), "digit 2", "-0.2"),
+        ((0, ("1",)), "digit 1", "'1'"),
+        ((1.0, (1,)), "a0", "1.0"),
+        ((0, (1,), 2.5), "radix", "2.5"),
+        ((0, (1,), 2.0), "radix", "2.0"),
+    ],
+)
+def test_non_integer_code_fields_are_refused(args, field, value):
+    # read by int() they would price a code nobody asked for, or fail later in .value
+    with pytest.raises(DomainError, match=f"^{field} must be an integer, got {re.escape(value)}$"):
+        SignedDigitCode(*args)
 
 
 def test_code_text_and_json_round_trip():
