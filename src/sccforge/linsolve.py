@@ -15,19 +15,28 @@ kernel's final numerators and common denominator, and the redundancy test
 compares integers. Inside the kernel each row is one packed int, column j
 in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
 max|a|**r (r = min(rows, cols)) and its sign, so a row update costs three
-big-int operations whatever the width.
+big-int operations whatever the width. k is rounded up to 1, 2, 4 or 8
+bytes (whole bytes beyond), so rows pack and unpack through bytes in time
+linear in their width: machine-int arrays up to 8 bytes, int.to_bytes per
+field beyond.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from operator import lshift
 from typing import Sequence
 
 from .errors import DomainError, SingularSystemError
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family, spawn_codes
+
+# the array typecode of a machine int per field width in bytes
+_TYPECODES = {array(code).itemsize: code for code in "bhiq"}
+_ORDER = sys.byteorder
+
 
 @dataclass(frozen=True)
 class KvlSystem:
@@ -138,6 +147,15 @@ def fraction_free_rref(
     its fields, but it is exact as one int and is divided exactly by prev
     before anything is read back. Raises DomainError for an empty or ragged
     matrix.
+
+    k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
+    the bound, else as many as it needs. So a row's int is its fields as
+    bytes, and rows pack and unpack through bytes in time linear in their
+    width. Fields of 1 to 8 bytes go through an array of machine ints;
+    wider ones, met only with huge entries, through int.to_bytes per field.
+    The bytes are two's complement, and bias, half in every field, converts
+    to and from the signed sum: packed = (u ^ bias) - bias, u = (packed +
+    bias) ^ bias.
     """
     if not rows or not rows[0]:
         raise DomainError("empty matrix")
@@ -145,12 +163,22 @@ def fraction_free_rref(
     if len(set(map(len, rows))) > 1:
         raise DomainError("ragged matrix")
     order = min(nrows, ncols)
-    big = max(map(abs, chain.from_iterable(rows)))
-    k = ((order**order * big ** (2 * order)).bit_length() + 1) // 2 + 1
+    flat = list(chain.from_iterable(rows))
+    big = max(map(abs, flat))
+    bits = ((order**order * big ** (2 * order)).bit_length() + 1) // 2 + 1
+    width = -(-bits // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+    code = _TYPECODES.get(width)
+    k = 8 * width
     half, mask = 1 << (k - 1), (1 << k) - 1
     bias = half * (((1 << (k * ncols)) - 1) // mask)
-    shifts = range(0, k * ncols, k)
-    m = [sum(map(lshift, row, shifts)) for row in rows]
+    if code:
+        data = array(code, flat).tobytes()
+    else:
+        data = b"".join([a.to_bytes(width, _ORDER, signed=True) for a in flat])
+    size = width * ncols
+    m = [(int.from_bytes(data[i : i + size], _ORDER) ^ bias) - bias for i in range(0, len(data), size)]
     pivots: list[int] = []
     prev, r = 1, 0
     for col in range(ncols):
@@ -176,16 +204,14 @@ def fraction_free_rref(
         r += 1
         if r == nrows:
             break
-    out = []
-    for packed in m:
-        row = [0] * (ncols - first_column)
-        if packed:
-            packed = (packed + bias) >> k * first_column
-            for j in range(len(row)):
-                row[j] = (packed & mask) - half
-                packed >>= k
-        out.append(row)
-    return out, pivots, prev
+    shift, span = k * first_column, ncols - first_column
+    tail = bias >> shift
+    data = b"".join([(((packed + bias) >> shift) ^ tail).to_bytes(width * span, _ORDER) for packed in m])
+    if code:
+        flat = memoryview(data).cast(code).tolist()
+    else:
+        flat = [int.from_bytes(data[i : i + width], _ORDER, signed=True) for i in range(0, len(data), width)]
+    return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev
 
 
 def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None]:

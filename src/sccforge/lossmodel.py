@@ -208,7 +208,10 @@ def vo_under_load(v_trg, r_eq: float, r_o: float):
     """Output of an ideal target source v_trg behind r_eq loaded by r_o."""
     require_positive("load resistance must be positive", r_o)
     require_positive("equivalent resistance must be non-negative", r_eq, zero_ok=True)
-    return v_trg * r_o / (r_eq + r_o)
+    v_o = v_trg * r_o / (r_eq + r_o)
+    if not math.isfinite(v_o):
+        raise DomainError(f"output voltage is {v_o} at this load, out of float range")
+    return v_o
 
 
 def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
@@ -219,7 +222,10 @@ def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
         raise DomainError(
             f"measured output {v_o} does not droop below the target {v_trg}"
         )
-    return (v_trg / v_o - 1.0) * r_o
+    r_eq = (v_trg / v_o - 1.0) * r_o
+    if not math.isfinite(r_eq):
+        raise DomainError(f"R_eq is {r_eq} from this measurement, out of float range")
+    return r_eq
 
 
 def average_extracted_req(v_trg: float, points: Sequence[tuple[float, float]]) -> float:
@@ -231,7 +237,10 @@ def average_extracted_req(v_trg: float, points: Sequence[tuple[float, float]]) -
     """
     if not points:
         raise FitError("no measurements")
-    return sum(extract_req(v_trg, v_o, r_o) for r_o, v_o in points) / len(points)
+    mean = sum(extract_req(v_trg, v_o, r_o) for r_o, v_o in points) / len(points)
+    if not math.isfinite(mean):
+        raise DomainError(f"mean R_eq is {mean} over these measurements, out of float range")
+    return mean
 
 
 def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:

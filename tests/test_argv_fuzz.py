@@ -1,7 +1,7 @@
 """Structured argv fuzzing of the scc-forge command, in process through cli.main.
 
 Each example starts from one valid argv per command and replaces or adds one
-or two value options, each with an edge value drawn for that option's
+to three value options, each with an edge value drawn for that option's
 converter, choice options included. Some examples also drop a required
 option, set switches, move options into a --config file (sometimes beside a
 key that no config file may set, or repeating one of them in another
@@ -105,7 +105,7 @@ def one_in(k):
 
 # the first edit is drawn per (command, option) pair, so each option, not each
 # command, gets about the same share of the examples; --format, which every
-# command takes, is left to the second edit
+# command takes, is left to the later edits
 TARGETS = st.sampled_from([(command, name) for command in BASE for name in cli._COMMANDS[command][1]])
 SECOND = {command: st.sampled_from([*cli._COMMANDS[command][1], "format"]) for command in BASE}
 VALUES = {name: option_values(name) for command in BASE for name in (*cli._COMMANDS[command][1], "format")}
@@ -124,8 +124,8 @@ def perturbed_argv(draw):
     command, name = draw(TARGETS)
     values = BASE[command] | {"format": draw(FORMATS), name: draw(VALUES[name])}
     edited = {name}
-    if draw(st.booleans()):
-        name = draw(SECOND[command])  # the first one again leaves one edit
+    for _ in range(draw(st.sampled_from(range(3)))):
+        name = draw(SECOND[command])  # an option edited before leaves one edit fewer
         values[name] = draw(VALUES[name])
         edited.add(name)
     if draw(one_in(8)):

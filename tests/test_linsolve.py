@@ -318,6 +318,40 @@ def test_kernel_matches_the_rational_oracle(rows, data):
     assert pivots == oracle_pivots
 
 
+def assert_kernel_matches_the_oracle(rows):
+    """fraction_free_rref against rational_rref, from the first, a middle and the last column."""
+    reduced, oracle_pivots = rational_rref(rows)
+    ncols = len(rows[0])
+    for first_column in (0, ncols // 2, ncols - 1):
+        m, pivots, d = fraction_free_rref(rows, first_column)
+        assert pivots == oracle_pivots
+        assert [[F(x, d) for x in row] for row in m] == [row[first_column:] for row in reduced]
+
+
+# A single row needs fields of bits(max|a|) + 1 bits: max|a| = 2**(8j - 1) - 1
+# fills j bytes and 2**(8j - 1) needs one bit more. So j = 1, 2, 4, 8 fill each
+# machine-int width and step to the next, or past 8 bytes to int.to_bytes;
+# j = 3 rounds up to 4 bytes from both sides.
+@pytest.mark.parametrize("sign", [1, -1], ids=["+", "-"])
+@pytest.mark.parametrize("big", [2 ** (8 * j - 1) + e for j in (1, 2, 3, 4, 8) for e in (-1, 0)])
+def test_kernel_row_at_each_field_width(big, sign):
+    a = sign * big
+    assert_kernel_matches_the_oracle([[0, a, -a, a // 3, -1, 1, 0]])
+
+
+# Two rows [[v, v, 1], [-v, v, -1]] have determinant 2 v**2, their Hadamard
+# bound: v = 2**(4w - 1) - 1 fills fields of w bytes exactly and one more
+# steps to the next width.
+@pytest.mark.parametrize("big", [2 ** (4 * w - 1) + e for w in (1, 2, 4, 8) for e in (-1, 0)])
+def test_kernel_matrix_at_each_field_width(big):
+    assert_kernel_matches_the_oracle([[big, big, 1], [-big, big, -1]])
+
+
+@pytest.mark.parametrize("rows", [[[0, 0, 0]], [[1, 2, 3], [0, 0, 0], [2, 4, 5]]], ids=["alone", "between"])
+def test_kernel_keeps_an_all_zero_row(rows):
+    assert_kernel_matches_the_oracle(rows)
+
+
 @given(integer_matrices(min_cols=3))
 def test_solvability_ranks_match_the_oracle(rows):
     assert_solve_matches_the_oracle(KvlSystem(tuple(r[:-1] for r in rows), tuple(r[-1] for r in rows)))

@@ -472,6 +472,20 @@ def test_divider_validation():
         extract_req(4.0, -0.1, 100.0)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: vo_under_load(1e300, 1e-300, 1e300),  # v_trg * r_o overflows
+        lambda: extract_req(1e300, 1e-10, 1e300),  # v_trg / v_o overflows
+        lambda: average_extracted_req(2.0, [(1e308, 1.0)] * 2),  # each point is finite, their sum is not
+    ],
+    ids=["vo_under_load", "extract_req", "average_extracted_req"],
+)
+def test_divider_out_of_float_range_is_a_domain_error(call):
+    with pytest.raises(DomainError, match="out of float range"):
+        call()
+
+
 @pytest.mark.parametrize("m", range(1, 8))
 def test_per_point_extraction_means(m):
     points = list(zip(LOAD_RO, LOAD_TABLE[m]))
