@@ -30,7 +30,6 @@ from .linsolve import (
 )
 from .lossmodel import (
     ReqSpec,
-    TopologySlot,
     average_extracted_req,
     build_req_spec,
     extract_req,
@@ -38,7 +37,6 @@ from .lossmodel import (
     req_follower,
     req_multi,
     req_zero_beta_multiplier,
-    slot_cap_ratios,
     vo_under_load,
 )
 from .numrep import (
@@ -57,7 +55,7 @@ from .regulation import (
     ldo_efficiency_bound,
     ldo_select_ratio,
 )
-from .topology import SwitchStates, switch_states
+from .topology import switch_states
 
 __version__ = "0.1.0"
 
@@ -74,9 +72,7 @@ __all__ = [
     "SignedDigitCode",
     "SimTrace",
     "SingularSystemError",
-    "SwitchStates",
     "TargetRatio",
-    "TopologySlot",
     "TraceRecord",
     "UnsupportedCodeError",
     "active_schedule",
@@ -101,7 +97,6 @@ __all__ = [
     "req_zero_beta_multiplier",
     "run",
     "schedule_currents",
-    "slot_cap_ratios",
     "solve_unique",
     "sort_codes_by_zeros",
     "spawn_codes",

@@ -1,13 +1,14 @@
 """Conduction-loss model: equivalent output resistance of a switched bank.
 
 Each slot k of a ratio's schedule moves charge through an RC loop with
-resistance R = switches_per_loop * r_on and capacitance C_k = C * cap_ratio.
+resistance R = switches_per_loop * r_on and capacitance C_k = C / stack_k,
+where stack_k counts the unit capacitors the slot's digits stack in series.
 With slot duration t and beta = t / (R * C), the bank behaves like an ideal
 transformer feeding a series resistance
 
     R_eq = sum_k (I_k / I_o)**2 * (T_s / (2 * C_k)) * coth(beta_k / 2),
 
-where beta_k = series_count_k * beta and I_k is the slot's share of the
+where beta_k = stack_k * beta and I_k is the slot's share of the
 output current. As beta_k grows the charge transfer completes within the
 slot and R_eq tends to the slow-switching value
 sum_k (I_k / I_o)**2 * T_s / (2 * C_k). As beta_k falls toward zero the
@@ -66,44 +67,14 @@ def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
     return r_eq
 
 
-def slot_cap_ratios(codes: Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
-    """Effective slot capacitance over unit capacitance: 1 / stacked count.
-
-    Digit d_j stacks |d_j| units of group j in series, so a slot stacks
-    sum |d_j| units (at radix 2, the number of non-zero digits).
-    """
-    out = []
-    for code in codes:
-        stacked = sum(map(abs, code.digits))
-        if stacked == 0:
-            raise DomainError(f"code {code.to_text()!r} engages no capacitor")
-        out.append(Fraction(1, stacked))
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class TopologySlot:
-    """One schedule slot: its current share and capacitance ratio 1/series_count."""
-
-    current_ratio: Fraction
-    cap_ratio: Fraction
-
-    def __post_init__(self) -> None:
-        # a Fraction keeps its sign in the numerator, so this also rules out k <= 0
-        if not (isinstance(self.cap_ratio, (int, Fraction)) and self.cap_ratio.numerator == 1):
-            raise DomainError("cap_ratio must be 1/k for a positive integer stack count k")
-
-    @property
-    def series_count(self) -> int:
-        return self.cap_ratio.denominator
-
-
 @dataclass(frozen=True)
 class ReqSpec:
     """Operating point for the multi-slot resistance model.
 
-    t_over_ts is the slot duration as an exact fraction of the period; it
-    may not exceed 1/len(slots). Slot k's beta is series_count_k * beta.
+    slots holds one (current, stack) pair per slot: its exact share of the
+    output current and the int count of unit capacitors its digits stack in
+    series. t_over_ts is the slot duration as an exact fraction of the
+    period; it may not exceed 1/len(slots). Slot k's beta is stack_k * beta.
     """
 
     f_s: float
@@ -111,14 +82,15 @@ class ReqSpec:
     r_on: float
     switches_per_loop: int
     t_over_ts: Fraction
-    slots: tuple[TopologySlot, ...]
+    slots: tuple[tuple[Fraction, int], ...]
 
     def __post_init__(self) -> None:
         require_positive("f_s, c, and r_on must be positive", self.f_s, self.c, self.r_on)
-        if self.switches_per_loop < 1:
-            raise DomainError("switches_per_loop must be at least 1")
         if not self.slots:
             raise DomainError("at least one slot")
+        counts = (self.switches_per_loop, *(stack for _, stack in self.slots))
+        if not all(isinstance(k, int) and k >= 1 for k in counts):
+            raise DomainError("switches_per_loop and every slot stack must be integers of at least 1")
         if not isinstance(t_over_ts := self.t_over_ts, Fraction):
             object.__setattr__(self, "t_over_ts", t_over_ts := Fraction(t_over_ts))
         # 0 < t <= 1/L, in integers: a Fraction's denominator is positive
@@ -165,8 +137,9 @@ def build_req_spec(
     A TargetRatio stands for its active schedule, which comes with its
     currents from one elimination (schedule_currents). Codes are taken as
     the schedule and must be one family; their currents come from the exact
-    charge balance (current_balance). Capacitance ratios come from the stack
-    depths. The slot duration defaults to an even split of the period.
+    charge balance (current_balance). Digit d_j stacks |d_j| units of group
+    j in series, so a slot stacks sum |d_j| units. The slot duration
+    defaults to an even split of the period.
     """
     if isinstance(codes, TargetRatio):
         codes, currents = schedule_currents(codes)
@@ -174,20 +147,23 @@ def build_req_spec(
             raise SingularSystemError("no current assignment balances these codes")
     else:
         currents = current_balance(codes)
-    caps = slot_cap_ratios(codes)
+    slots = []
+    for code, current in zip(codes, currents):
+        stack = sum(map(abs, code.digits))
+        if not stack:
+            raise DomainError(f"code {code.to_text()!r} engages no capacitor")
+        slots.append((current, stack))
     if t_over_ts is None:
         t_over_ts = Fraction(1, len(codes))
-    slots = tuple(TopologySlot(i, cr) for i, cr in zip(currents, caps))
-    return ReqSpec(f_s, c, r_on, switches_per_loop, t_over_ts, slots)
+    return ReqSpec(f_s, c, r_on, switches_per_loop, t_over_ts, tuple(slots))
 
 
 def req_multi(spec: ReqSpec) -> float:
     """Equivalent resistance of a multi-slot schedule at the operating point."""
     total = 0.0
     beta = spec.beta
-    for slot in spec.slots:
+    for i, series_count in spec.slots:
         # int true division rounds correctly: the bits of float(Fraction), read faster
-        i, series_count = slot.current_ratio, slot.cap_ratio.denominator
         half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * (1 / series_count))
         total += (i.numerator / i.denominator) ** 2 * half_period_cap * _coth(series_count * beta / 2.0)
     if not math.isfinite(total):
@@ -198,7 +174,7 @@ def req_multi(spec: ReqSpec) -> float:
 def req_zero_beta_multiplier(spec: ReqSpec) -> Fraction:
     """Fast-switching (zero-beta) floor of req_multi in units of the loop resistance, exact."""
     # one Fraction at the end: a Fraction per slot made this 5x slower at n = 10
-    currents = [slot.current_ratio for slot in spec.slots]
+    currents = [i for i, _ in spec.slots]
     den = math.lcm(*(i.denominator for i in currents))
     shares = sum((i.numerator * (den // i.denominator)) ** 2 for i in currents)
     return Fraction(shares * spec.t_over_ts.denominator, den * den * spec.t_over_ts.numerator)
@@ -206,6 +182,7 @@ def req_zero_beta_multiplier(spec: ReqSpec) -> Fraction:
 
 def vo_under_load(v_trg, r_eq: float, r_o: float):
     """Output of an ideal target source v_trg behind r_eq loaded by r_o."""
+    require_positive("target voltage must be positive", v_trg)
     require_positive("load resistance must be positive", r_o)
     require_positive("equivalent resistance must be non-negative", r_eq, zero_ok=True)
     v_o = v_trg * r_o / (r_eq + r_o)
@@ -216,6 +193,7 @@ def vo_under_load(v_trg, r_eq: float, r_o: float):
 
 def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
     """Equivalent resistance recovered from one loaded measurement."""
+    require_positive("target voltage must be positive", v_trg)
     require_positive("load resistance must be positive", r_o)
     require_positive("measured output must be positive", v_o)
     if v_o >= v_trg:

@@ -40,8 +40,8 @@ class DitherPlan:
     def __post_init__(self) -> None:
         if not self.ratios or len(self.ratios) != len(self.weights):
             raise DomainError("one positive weight per ratio")
-        if any(w < 1 for w in self.weights):
-            raise DomainError("weights must be positive")
+        if not all(isinstance(w, int) and w >= 1 for w in self.weights):
+            raise DomainError("weights must be positive integers")
         if len(set(self.ratios)) != len(self.ratios):
             raise DomainError("duplicate ratio in plan")
 

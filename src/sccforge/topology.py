@@ -5,35 +5,13 @@ slot: charge toward the input rail (A_j < 0), discharge into the output
 (A_j > 0), or sit bypassed (A_j == 0). For the standard double-bridge board
 the switch vector that realizes each code is tabulated below. A code's
 voltage-loop equation is linsolve's (kvl_row), and its stack depth is
-lossmodel's (slot_cap_ratios).
+lossmodel's (build_req_spec).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import DomainError, UnsupportedCodeError
+from .errors import UnsupportedCodeError
 from .numrep import SignedDigitCode
-
-SWITCH_COUNT = 12
-
-
-@dataclass(frozen=True)
-class SwitchStates:
-    """Closed/open pattern of the 12 board switches, S1 first."""
-
-    states: tuple[bool, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "states", tuple(bool(s) for s in self.states))
-        if len(self.states) != SWITCH_COUNT:
-            raise DomainError(f"expected {SWITCH_COUNT} switch states, got {len(self.states)}")
-        if not any(self.states):
-            raise DomainError("all switches open")
-
-    def as_bits(self) -> str:
-        return "".join("1" if s else "0" for s in self.states)
-
 
 # Known-good switch vectors for the standard double-bridge board, radix 2,
 # three flying capacitors. The wiring is tabulated, not derived; two codes
@@ -67,19 +45,19 @@ _SWITCH_TABLE_TEXT = """\
 """
 
 _SWITCH_TABLE = {
-    (int(a0), (int(d1), int(d2), int(d3))): tuple(b == "1" for b in bits)
+    (int(a0), (int(d1), int(d2), int(d3))): bits
     for a0, d1, d2, d3, bits in map(str.split, _SWITCH_TABLE_TEXT.splitlines())
 }
 
 
-def switch_states(code: SignedDigitCode) -> SwitchStates:
-    """Board switch vector for a code of the radix-2, three-capacitor family."""
+def switch_states(code: SignedDigitCode) -> str:
+    """Board switch vector, S1..S12 as 1 (closed) or 0 (open), of a radix-2 three-capacitor code."""
     if code.radix != 2 or code.resolution != 3:
         raise UnsupportedCodeError(
             "switch vectors exist only for the radix-2 three-capacitor board"
         )
     try:
-        return SwitchStates(_SWITCH_TABLE[(code.a0, code.digits)])
+        return _SWITCH_TABLE[(code.a0, code.digits)]
     except KeyError:
         raise UnsupportedCodeError(
             f"code {code.to_text()!r} has no switch vector on this board"

@@ -170,10 +170,10 @@ def float_fraction_req_multi(spec):
 
     beta = float(spec.t_over_ts) / spec.f_s / (spec.switches_per_loop * spec.r_on * spec.c)
     total = 0.0
-    for slot in spec.slots:
-        share = float(slot.current_ratio) ** 2
-        half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(slot.cap_ratio))
-        total += share * half_period_cap * _coth(slot.series_count * beta / 2.0)
+    for current, stack in spec.slots:
+        share = float(current) ** 2
+        half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(Fraction(1, stack)))
+        total += share * half_period_cap * _coth(stack * beta / 2.0)
     return total
 
 

@@ -16,7 +16,6 @@ from sccforge.errors import UnsupportedCodeError
 from sccforge.linsolve import (
     active_schedule,
     build_system,
-    current_balance,
     find_redundant,
     redundancy_scores,
     solve_unique,
@@ -24,14 +23,12 @@ from sccforge.linsolve import (
 )
 from sccforge.lossmodel import (
     ReqSpec,
-    TopologySlot,
     build_req_spec,
     extract_req,
     load_line_fit,
     req_follower,
     req_multi,
     req_zero_beta_multiplier,
-    slot_cap_ratios,
     vo_under_load,
 )
 from sccforge.numrep import SignedDigitCode, TargetRatio, enumerate_codes, spawn_codes
@@ -193,17 +190,12 @@ def test_ac07_equivalent_resistance_column(capsys):
             failures.append(f"{m}/8 floor {req_zero_beta_multiplier(spec)}")
     rows = codes_of(DEPENDENT_ROW_ORDER_38)
     active = [rows[i] for i in (0, 1, 2, 4)]
-    slots = tuple(
-        TopologySlot(i, cr)
-        for i, cr in zip(current_balance(active), slot_cap_ratios(active))
-    )
-    unsorted_spec = ReqSpec(
+    unsorted_spec = build_req_spec(
+        active,
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
         REQ_OPERATING["r_on"],
         REQ_OPERATING["switches"],
-        F(1, 4),
-        slots,
     )
     if req_zero_beta_multiplier(unsorted_spec) != F(15, 8):
         failures.append(f"unsorted floor {req_zero_beta_multiplier(unsorted_spec)}")
@@ -240,8 +232,8 @@ def test_ac09_load_line_round_trip(capsys):
 def test_ac10_charge_balance_tables(capsys):
     failures = []
     for m in range(1, 8):
-        active = active_schedule(TargetRatio(m, 2, 3))
-        got = tuple(zip(current_balance(active), slot_cap_ratios(active)))
+        spec = build_req_spec(TargetRatio(m, 2, 3), 1e5, 4.7e-6, 1.2, 4)
+        got = tuple((current, F(1, stack)) for current, stack in spec.slots)
         if got != CURRENT_CAP_TABLE[m]:
             failures.append(f"{m}/8 schedule {got}")
     report(capsys, 10, "current and capacitance schedule tables", failures)
@@ -274,7 +266,7 @@ def test_ac12_switch_arrays(capsys):
         code = SignedDigitCode(a0, digits)
         key = (a0, digits)
         try:
-            bits = switch_states(code).as_bits()
+            bits = switch_states(code)
         except UnsupportedCodeError:
             if key in SWITCH_VECTORS:
                 failures.append(f"missing vector for {code.to_text()!r}")

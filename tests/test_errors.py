@@ -7,7 +7,7 @@ from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
 from sccforge.errors import DomainError
 from sccforge.linsolve import active_schedule
-from sccforge.lossmodel import build_req_spec, req_follower, vo_under_load
+from sccforge.lossmodel import build_req_spec, extract_req, req_follower, vo_under_load
 from sccforge.numrep import TargetRatio, spawn_codes
 from sccforge.regulation import ldo_efficiency_bound, ldo_select_ratio
 
@@ -25,6 +25,8 @@ NON_FINITE_CALLS = {
     "follower-fs-nan": lambda: req_follower(NAN, 1e-6, 1.0, 1.0),
     "follower-beta-nan": lambda: req_follower(1e5, 1e-6, NAN, 1.0),
     "load-ro-nan": lambda: vo_under_load(3.0, 0.5, NAN),
+    "load-vtrg-nan": lambda: vo_under_load(NAN, 0.5, 100.0),
+    "extract-vtrg-inf": lambda: extract_req(INF, 1.0, 100.0),
     "ldo-vin-inf": lambda: ldo_select_ratio(INF, 1.8, 0.2, 3),
     "ldo-dropout-nan": lambda: ldo_select_ratio(5.0, 1.8, NAN, 3),
     "run-tol-nan": lambda: run(BANK, spawn_codes(TargetRatio(3, 2, 3)), 8.0, tol=NAN),

@@ -16,7 +16,6 @@ from sccforge.linsolve import (
 )
 from sccforge.lossmodel import (
     ReqSpec,
-    TopologySlot,
     average_extracted_req,
     build_req_spec,
     extract_req,
@@ -24,7 +23,6 @@ from sccforge.lossmodel import (
     req_follower,
     req_multi,
     req_zero_beta_multiplier,
-    slot_cap_ratios,
     vo_under_load,
 )
 from sccforge.numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
@@ -139,7 +137,9 @@ def test_balance_of_the_measurement_row_order():
     codes = [SignedDigitCode(a0, d) for a0, d in DEPENDENT_ROW_ORDER_38]
     active = [codes[i] for i in (0, 1, 2, 4)]
     assert current_balance(active) == UNSORTED_38_CURRENTS
-    assert slot_cap_ratios(active) == UNSORTED_38_CAPS
+    spec = build_req_spec(active, 1e5, 4.7e-6, 1.2, 4)
+    assert tuple(i for i, _ in spec.slots) == UNSORTED_38_CURRENTS
+    assert tuple(F(1, stack) for _, stack in spec.slots) == UNSORTED_38_CAPS
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -171,8 +171,9 @@ def test_balance_conserves_energy():
 @pytest.mark.parametrize("m", range(1, 8))
 def test_schedule_table(m):
     active = active_schedule(TargetRatio(m, 2, 3))
-    got = tuple(zip(current_balance(active), slot_cap_ratios(active)))
-    assert got == CURRENT_CAP_TABLE[m]
+    spec = build_req_spec(active, 1e5, 4.7e-6, 1.2, 4)
+    assert tuple(i for i, _ in spec.slots) == current_balance(active)
+    assert tuple((i, F(1, stack)) for i, stack in spec.slots) == CURRENT_CAP_TABLE[m]
 
 
 def test_dependent_slot_blocks_the_balance():
@@ -293,41 +294,35 @@ def test_floor_over_one_denominator_is_the_fraction_sum():
                 for t_over_ts in (None, F(1, 8)):
                     spec = build_req_spec(ratio, 1e5, 4.7e-6, 1.2, 4, t_over_ts)
                     assert spec == build_req_spec(active_schedule(ratio), 1e5, 4.7e-6, 1.2, 4, t_over_ts)
-                    shares = sum((slot.current_ratio**2 for slot in spec.slots), F(0))
+                    shares = sum((i**2 for i, _ in spec.slots), F(0))
                     floor = req_zero_beta_multiplier(spec)
                     assert floor == shares / spec.t_over_ts
                     assert str(floor) == str(shares / spec.t_over_ts)
     # no denominator a multiple of the others: (1/16 + 1/36 + 1/4) * 3 = 49/48
-    slots = tuple(TopologySlot(i, F(1, 2)) for i in (F(1, 4), F(-1, 6), F(1, 2)))
+    slots = tuple((i, 2) for i in (F(1, 4), F(-1, 6), F(1, 2)))
     spec = ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 3), slots)
     assert req_zero_beta_multiplier(spec) == F(49, 48)
 
 
-def test_slot_cap_ratios():
-    codes = [SignedDigitCode(1, (-1, 0, -1)), SignedDigitCode(0, (0, 0, 1))]
-    assert slot_cap_ratios(codes) == (F(1, 2), F(1))
-    with pytest.raises(DomainError):
-        slot_cap_ratios([SignedDigitCode(1, (0, 0, 0))])
-    # a radix-3 digit of magnitude 2 stacks two units (5/9)
-    codes = [SignedDigitCode(0, (2, -1), radix=3), SignedDigitCode(1, (-2, 2), radix=3)]
-    assert slot_cap_ratios(codes) == (F(1, 3), F(1, 4))
+def test_build_req_spec_stacks_the_digits():
+    # a radix-3 digit of magnitude 2 stacks two units: 5/9 runs 1 -1 -1, 0 2 -1 and 1 -2 2
+    spec = build_req_spec(TargetRatio(5, 3, 2), 1e5, 4.7e-6, 1.2, 4)
+    assert [stack for _, stack in spec.slots] == [2, 3, 4]
+    with pytest.raises(DomainError, match="^code '1 0 0 0' engages no capacitor$"):
+        build_req_spec([SignedDigitCode(1, (0, 0, 0))], 1e5, 4.7e-6, 1.2, 4)
 
 
 # -- multi-slot resistance ------------------------------------------------------------
 
 
 def test_slot_and_spec_validation():
-    with pytest.raises(DomainError):
-        TopologySlot(F(1, 2), F(0))
-    with pytest.raises(DomainError):
-        TopologySlot(F(1, 2), F(2, 3))
-    with pytest.raises(DomainError):
-        TopologySlot(F(1, 2), F(3, 2))
-    with pytest.raises(DomainError):
-        TopologySlot(F(1, 2), 0.5)
-    slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
-    with pytest.raises(DomainError):
-        ReqSpec(1e5, 4.7e-6, 1.2, 0, F(1, 2), slots)
+    slots = ((F(1, 2), 1), (F(1, 2), 1))
+    # stacks and switch counts are whole numbers; F(1, 2) is a capacitance ratio, not a stack
+    for bad in (0, -1, 1.5, F(1, 2), F(2, 3), F(3, 2), 0.5):
+        with pytest.raises(DomainError, match="must be integers of at least 1"):
+            ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), ((F(1, 2), 1), (F(1, 2), bad)))
+        with pytest.raises(DomainError, match="must be integers of at least 1"):
+            ReqSpec(1e5, 4.7e-6, 1.2, bad, F(1, 2), slots)
     with pytest.raises(DomainError):
         ReqSpec(-1e5, 4.7e-6, 1.2, 4, F(1, 2), slots)
     # each factor is a finite positive float, but a product is not
@@ -347,7 +342,7 @@ def test_slot_and_spec_validation():
 def test_slot_duration_must_fit_the_period():
     # 0 < t <= 1/L; a zero or negative t would also fail the later beta check,
     # so the message shows which check refused it
-    slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
+    slots = ((F(1, 2), 1), (F(1, 2), 1))
     for t, text in ((F(0), "0"), (F(-1, 4), "-1/4"), (F(51, 100), "0.51")):
         with pytest.raises(DomainError, match=f"^slot duration {text} of a period does not fit 2 slots$"):
             ReqSpec(1e5, 4.7e-6, 1.2, 4, t, slots)
@@ -371,7 +366,7 @@ def test_req_multi_has_the_bits_of_the_float_fraction_loop():
 
 
 def test_req_multi_refuses_an_overflowing_result():
-    slots = (TopologySlot(F(1, 2), F(1)), TopologySlot(F(1, 2), F(1)))
+    slots = ((F(1, 2), 1), (F(1, 2), 1))
     assert req_multi(ReqSpec(1.0, 1e-300, 2e307, 4, F(1, 2), slots)) == pytest.approx(8e307)
     with pytest.raises(DomainError, match="R_eq is inf"):
         req_multi(ReqSpec(1.0, 1e-300, 4e307, 4, F(1, 4), slots))
@@ -381,7 +376,7 @@ def test_spec_fills_betas_by_stack_depth():
     spec = operating_spec(1)
     assert spec.loop_resistance == pytest.approx(4.8)
     assert spec.slot_duration == pytest.approx(1 / spec.f_s / 4)
-    assert [s.series_count for s in spec.slots] == [1, 2, 3, 3]
+    assert [stack for _, stack in spec.slots] == [1, 2, 3, 3]
 
 
 @pytest.mark.parametrize("m", range(1, 8))
@@ -402,9 +397,7 @@ def test_floor_multipliers_are_exact(m):
 
 def test_measurement_row_order_costs_more():
     # the same ratio scheduled in the raw measurement order has a higher floor
-    slots = tuple(
-        TopologySlot(i, cr) for i, cr in zip(UNSORTED_38_CURRENTS, UNSORTED_38_CAPS)
-    )
+    slots = tuple((i, cap.denominator) for i, cap in zip(UNSORTED_38_CURRENTS, UNSORTED_38_CAPS))
     spec = ReqSpec(
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
@@ -466,6 +459,8 @@ def test_divider_validation():
         vo_under_load(3.0, 5.0, 0.0)
     with pytest.raises(DomainError):
         vo_under_load(3.0, -1.0, 100.0)
+    with pytest.raises(DomainError, match="target voltage must be positive"):
+        vo_under_load(-3.0, 5.0, 100.0)
     with pytest.raises(DomainError):
         extract_req(4.0, 4.0, 100.0)
     with pytest.raises(DomainError):

@@ -44,6 +44,9 @@ def test_plan_validation():
         DitherPlan((R(3), R(4)), (0, 2))
     with pytest.raises(DomainError):
         DitherPlan((R(3), R(3)), (1, 1))
+    # dither_average is an exact Fraction only over int weights
+    with pytest.raises(DomainError, match="weights must be positive integers"):
+        DitherPlan((R(3),), (1.5,))
 
 
 def test_lattice_target_needs_no_dither():
