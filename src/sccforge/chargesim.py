@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
 
+from ._value import Value
 from .errors import DomainError, require_positive
 from .numrep import SignedDigitCode
 
@@ -33,26 +33,23 @@ def _singular(err: str, flag: int) -> None:
     raise np.linalg.LinAlgError("Singular matrix")
 
 
-@dataclass(frozen=True)
-class BankState:
+class BankState(Value):
     """Capacitances and present voltages of the bank."""
 
-    flying_caps: tuple[float, ...]
-    output_cap: float
-    flying_voltages: tuple[float, ...]
-    output_voltage: float
+    __slots__ = _fields = ("flying_caps", "output_cap", "flying_voltages", "output_voltage")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "flying_caps", tuple(map(float, self.flying_caps)))
-        object.__setattr__(self, "flying_voltages", tuple(map(float, self.flying_voltages)))
-        if not self.flying_caps:
+    def __init__(self, flying_caps: tuple[float, ...], output_cap: float,
+                 flying_voltages: tuple[float, ...], output_voltage: float) -> None:
+        flying_caps, flying_voltages = tuple(map(float, flying_caps)), tuple(map(float, flying_voltages))
+        if not flying_caps:
             raise DomainError("bank needs at least one flying capacitor")
-        if len(self.flying_voltages) != len(self.flying_caps):
+        if len(flying_voltages) != len(flying_caps):
             raise DomainError("one voltage per flying capacitor")
-        require_positive("capacitances must be positive", *self.flying_caps, self.output_cap)
+        require_positive("capacitances must be positive", *flying_caps, output_cap)
         # negative voltages are legitimate transients; non-finite are not
-        if not all(map(math.isfinite, (*self.flying_voltages, self.output_voltage))):
+        if not all(map(math.isfinite, (*flying_voltages, output_voltage))):
             raise DomainError("voltages must be finite")
+        self._set(flying_caps, output_cap, flying_voltages, output_voltage)
 
     @property
     def size(self) -> int:
@@ -66,8 +63,7 @@ class TraceRecord(NamedTuple):
     charge: float
 
 
-@dataclass(frozen=True)
-class SimTrace:
+class SimTrace(Value):
     """Per-slot history of a simulation run.
 
     buffer holds the slots one after another, each as n + 2 doubles: V1..Vn
@@ -83,11 +79,12 @@ class SimTrace:
     when the run never converged.
     """
 
-    buffer: array
-    periods: int
-    converged: bool
-    adjustment_iterations: int | None
-    final_state: BankState
+    # no __slots__: the cached records live in the instance __dict__
+    _fields = ("buffer", "periods", "converged", "adjustment_iterations", "final_state")
+
+    def __init__(self, buffer: array, periods: int, converged: bool,
+                 adjustment_iterations: int | None, final_state: BankState) -> None:
+        self._set(buffer, periods, converged, adjustment_iterations, final_state)
 
     @cached_property
     def records(self) -> tuple[TraceRecord, ...]:

@@ -17,29 +17,28 @@ in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
 max|a|**r (r = min(rows, cols)) and its sign, so a row update costs three
 big-int operations whatever the width. k is rounded up to 1, 2, 4 or 8
 bytes (whole bytes beyond), so rows pack and unpack through bytes in time
-linear in their width: machine-int arrays up to 8 bytes, int.to_bytes per
-field beyond.
+linear in their width: machine ints up to 8 bytes, int.to_bytes per field
+beyond.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
-from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from typing import Sequence
 
+from ._value import Value
 from .errors import DomainError, SingularSystemError
 from .numrep import CodeSet, SignedDigitCode, TargetRatio, check_family, spawn_codes
 
-# the array typecode of a machine int per field width in bytes
-_TYPECODES = {array(code).itemsize: code for code in "bhiq"}
+# the struct format of a machine int per field width in bytes
+_TYPECODES = {struct.calcsize(code): code for code in "bhiq"}
 _ORDER = sys.byteorder
 
 
-@dataclass(frozen=True)
-class KvlSystem:
+class KvlSystem(Value):
     """Loop equations A x = b: the matrix and its right-hand side.
 
     Every matrix and rhs entry is an int, as loop equations of signed-digit
@@ -50,14 +49,10 @@ class KvlSystem:
     pass, a code's fields being ints, and so does step_up's rewrite of them.
     """
 
-    matrix: tuple[tuple[int, ...], ...]
-    rhs: tuple[int, ...]
+    __slots__ = _fields = ("matrix", "rhs")
 
-    def __post_init__(self) -> None:
-        matrix = tuple(map(tuple, self.matrix))
-        rhs = tuple(self.rhs)
-        object.__setattr__(self, "matrix", matrix)
-        object.__setattr__(self, "rhs", rhs)
+    def __init__(self, matrix: tuple[tuple[int, ...], ...], rhs: tuple[int, ...]) -> None:
+        matrix, rhs = tuple(map(tuple, matrix)), tuple(rhs)
         if not matrix:
             raise DomainError("a system needs at least one row")
         width = len(matrix[0])
@@ -69,6 +64,7 @@ class KvlSystem:
             raise DomainError("right-hand side length does not match the matrix")
         if not {int}.issuperset(map(type, chain(rhs, *matrix))):
             raise DomainError("matrix and rhs entries must be ints")
+        self._set(matrix, rhs)
 
     @property
     def rows(self) -> int:
@@ -118,8 +114,7 @@ def build_system(codes: CodeSet | Sequence[SignedDigitCode]) -> KvlSystem:
 
 def _system(matrix, rhs) -> KvlSystem:
     system = object.__new__(KvlSystem)
-    object.__setattr__(system, "matrix", matrix)
-    object.__setattr__(system, "rhs", rhs)
+    system._set(matrix, rhs)
     return system
 
 
@@ -151,8 +146,9 @@ def fraction_free_rref(
     k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
     the bound, else as many as it needs. So a row's int is its fields as
     bytes, and rows pack and unpack through bytes in time linear in their
-    width. Fields of 1 to 8 bytes go through an array of machine ints;
-    wider ones, met only with huge entries, through int.to_bytes per field.
+    width. Fields of 1 to 8 bytes pack as machine ints through struct.pack
+    and unpack through a memoryview cast; wider ones, met only with huge
+    entries, through int.to_bytes per field.
     The bytes are two's complement, and bias, half in every field, converts
     to and from the signed sum: packed = (u ^ bias) - bias, u = (packed +
     bias) ^ bias.
@@ -174,7 +170,7 @@ def fraction_free_rref(
     half, mask = 1 << (k - 1), (1 << k) - 1
     bias = half * (((1 << (k * ncols)) - 1) // mask)
     if code:
-        data = array(code, flat).tobytes()
+        data = struct.pack(f"{len(flat)}{code}", *flat)
     else:
         data = b"".join([a.to_bytes(width, _ORDER, signed=True) for a in flat])
     size = width * ncols

@@ -25,11 +25,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence
 
 from ._si import fraction_text
+from ._value import Value
 from .errors import DomainError, FitError, SingularSystemError, require_positive
 from .linsolve import current_balance, schedule_currents
 from .numrep import CodeSet, SignedDigitCode, TargetRatio
@@ -67,8 +68,7 @@ def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
     return r_eq
 
 
-@dataclass(frozen=True)
-class ReqSpec:
+class ReqSpec(Value):
     """Operating point for the multi-slot resistance model.
 
     slots holds one (current, stack) pair per slot: its exact share of the
@@ -77,32 +77,33 @@ class ReqSpec:
     period; it may not exceed 1/len(slots). Slot k's beta is stack_k * beta.
     """
 
-    f_s: float
-    c: float
-    r_on: float
-    switches_per_loop: int
-    t_over_ts: Fraction
-    slots: tuple[tuple[Fraction, int], ...]
+    __slots__ = _fields = ("f_s", "c", "r_on", "switches_per_loop", "t_over_ts", "slots")
 
-    def __post_init__(self) -> None:
-        require_positive("f_s, c, and r_on must be positive", self.f_s, self.c, self.r_on)
-        if not self.slots:
+    def __init__(self, f_s: float, c: float, r_on: float, switches_per_loop: int,
+                 t_over_ts: Fraction, slots: tuple[tuple[Fraction, int], ...]) -> None:
+        require_positive("f_s, c, and r_on must be positive", f_s, c, r_on)
+        if not slots:
             raise DomainError("at least one slot")
-        counts = (self.switches_per_loop, *(stack for _, stack in self.slots))
-        if not all(isinstance(k, int) and k >= 1 for k in counts):
+        # index reads True as 1 and a numpy int as an int, and refuses 1.5 and Fraction(3, 2)
+        try:
+            switches_per_loop = index(switches_per_loop)
+            slots = tuple([(current, index(stack)) for current, stack in slots])
+        except TypeError:
+            switches_per_loop = 0
+        if switches_per_loop < 1 or min([stack for _, stack in slots]) < 1:
             raise DomainError("switches_per_loop and every slot stack must be integers of at least 1")
-        if not isinstance(t_over_ts := self.t_over_ts, Fraction):
-            object.__setattr__(self, "t_over_ts", t_over_ts := Fraction(t_over_ts))
+        for k, (current, _) in enumerate(slots, start=1):
+            if not isinstance(current, (int, Fraction)):
+                raise DomainError(f"slot {k} current {current!r} is not exact: give an int or a Fraction")
+        t_over_ts = t_over_ts if isinstance(t_over_ts, Fraction) else Fraction(t_over_ts)
         # 0 < t <= 1/L, in integers: a Fraction's denominator is positive
-        if not 0 < t_over_ts.numerator * len(self.slots) <= t_over_ts.denominator:
+        if not 0 < t_over_ts.numerator * len(slots) <= t_over_ts.denominator:
             raise DomainError(
-                f"slot duration {fraction_text(t_over_ts)} of a period does not fit "
-                f"{len(self.slots)} slots"
+                f"slot duration {fraction_text(t_over_ts)} of a period does not fit {len(slots)} slots"
             )
-        if self.switches_per_loop > sys.float_info.max:
-            raise DomainError(
-                "operating point out of float range: switches_per_loop above the largest float"
-            )
+        if switches_per_loop > sys.float_info.max:
+            raise DomainError("operating point out of float range: switches_per_loop above the largest float")
+        self._set(f_s, c, r_on, switches_per_loop, t_over_ts, slots)
         # a product can leave the float range although each factor lies in it;
         # normal (not subnormal) values keep req_multi's divisors off zero
         rc, fc = self.loop_resistance * self.c, self.f_s * self.c

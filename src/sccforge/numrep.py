@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from operator import index
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ._value import Value
 from .errors import DomainError, ResourceLimitError
 
 _ENUMERATION_CELL_LIMIT = 10**7
@@ -33,27 +33,23 @@ def _integer(name: str, value) -> int:
         raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
-@dataclass(frozen=True, order=True)
-class TargetRatio:
+class TargetRatio(Value):
     """A conversion ratio m / radix**resolution strictly between 0 and 1."""
 
-    m: int
-    radix: int
-    resolution: int
+    __slots__ = _fields = ("m", "radix", "resolution")
 
-    def __post_init__(self) -> None:
-        for name in ("m", "radix", "resolution"):
-            object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        if self.radix < 2:
-            raise DomainError(f"radix must be at least 2, got {self.radix}")
-        if self.resolution < 1:
-            raise DomainError(f"resolution must be at least 1, got {self.resolution}")
-        top = self.radix**self.resolution - 1
-        if not 1 <= self.m <= top:
+    def __init__(self, m: int, radix: int, resolution: int) -> None:
+        m, radix, resolution = _integer("m", m), _integer("radix", radix), _integer("resolution", resolution)
+        if radix < 2:
+            raise DomainError(f"radix must be at least 2, got {radix}")
+        if resolution < 1:
+            raise DomainError(f"resolution must be at least 1, got {resolution}")
+        top = radix**resolution - 1
+        if not 1 <= m <= top:
             raise DomainError(
-                f"numerator must lie in [1, {top}] for radix {self.radix} "
-                f"at resolution {self.resolution}, got {self.m}"
+                f"numerator must lie in [1, {top}] for radix {radix} at resolution {resolution}, got {m}"
             )
+        self._set(m, radix, resolution)
 
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int, radix: int = 2) -> "TargetRatio":
@@ -93,8 +89,7 @@ class TargetRatio:
         return f"{self.m}/{self.radix**self.resolution}"
 
 
-@dataclass(frozen=True)
-class SignedDigitCode:
+class SignedDigitCode(Value):
     """One representation a0 + sum_j digits[j-1] * radix**-j.
 
     a0 is the source-connection bit. Digit index 1 is the most significant;
@@ -102,25 +97,23 @@ class SignedDigitCode:
     redistribution, a negative digit additively, zero leaves it bypassed.
     """
 
-    a0: int
-    digits: tuple[int, ...]
-    radix: int = 2
+    __slots__ = _fields = ("a0", "digits", "radix")
 
-    def __post_init__(self) -> None:
-        digits = tuple(_integer(f"digit {j}", d) for j, d in enumerate(self.digits, start=1))
-        object.__setattr__(self, "digits", digits)
-        object.__setattr__(self, "a0", _integer("a0", self.a0))
-        if self.a0 not in (0, 1):
-            raise DomainError(f"a0 must be 0 or 1, got {self.a0}")
-        object.__setattr__(self, "radix", _integer("radix", self.radix))
-        if self.radix < 2:
-            raise DomainError(f"radix must be at least 2, got {self.radix}")
+    def __init__(self, a0: int, digits: tuple[int, ...], radix: int = 2) -> None:
+        digits = tuple(_integer(f"digit {j}", d) for j, d in enumerate(digits, start=1))
+        a0 = _integer("a0", a0)
+        if a0 not in (0, 1):
+            raise DomainError(f"a0 must be 0 or 1, got {a0}")
+        radix = _integer("radix", radix)
+        if radix < 2:
+            raise DomainError(f"radix must be at least 2, got {radix}")
         if not digits:
             raise DomainError("a code needs at least one fractional digit")
-        limit = self.radix - 1
+        limit = radix - 1
         if min(digits) < -limit or max(digits) > limit:
             j, d = next((j, d) for j, d in enumerate(digits, start=1) if not -limit <= d <= limit)
             raise DomainError(f"digit {j} outside [-{limit}, {limit}]: {d}")
+        self._set(a0, digits, radix)
 
     @property
     def resolution(self) -> int:
@@ -142,6 +135,10 @@ class SignedDigitCode:
         return {"a0": self.a0, "digits": list(self.digits), "radix": self.radix}
 
 
+# the setters of a code's slots, which fill one faster than _set does
+_PUT_CODE = tuple(getattr(SignedDigitCode, name).__set__ for name in ("_values", *SignedDigitCode._fields))
+
+
 def _numerator(code: SignedDigitCode) -> int:
     # a0*r**n + sum_j d_j*r**(n-j): the code's value times r**n, in integers
     m, r = code.a0, code.radix
@@ -156,8 +153,7 @@ def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
     return tuple(reversed(code.digits))
 
 
-@dataclass(frozen=True)
-class CodeSet:
+class CodeSet(Value):
     """Codes of one ratio in canonical order: one family by construction.
 
     spawn_codes and enumerate_codes return the complete family. The
@@ -166,17 +162,16 @@ class CodeSet:
     by construction, sets the fields directly.
     """
 
-    ratio: TargetRatio
-    codes: tuple[SignedDigitCode, ...]
+    __slots__ = _fields = ("ratio", "codes")
 
-    def __post_init__(self) -> None:
-        codes = tuple(sorted(self.codes, key=_canonical_key))
-        object.__setattr__(self, "codes", codes)
-        want = (self.ratio.radix, self.ratio.resolution, self.ratio.m)
+    def __init__(self, ratio: TargetRatio, codes: tuple[SignedDigitCode, ...]) -> None:
+        codes = tuple(sorted(codes, key=_canonical_key))
+        want = (ratio.radix, ratio.resolution, ratio.m)
         for code in codes:
             if (code.radix, code.resolution, _numerator(code)) != want:
-                raise DomainError(f"code {code.to_text()!r} does not represent {self.ratio}")
+                raise DomainError(f"code {code.to_text()!r} does not represent {ratio}")
         check_family(codes)
+        self._set(ratio, codes)
 
     def __iter__(self):
         return iter(self.codes)
@@ -230,15 +225,18 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
             for d in (residue - r, residue) if residue else (0,):
                 grown.append(((rest - d) // r, (d, *low)))
         partial = grown
-    new, put = object.__new__, object.__setattr__
+    new = object.__new__
+    put_values, put_a0, put_digits, put_radix = _PUT_CODE
     codes = []
     for a0, digits in partial:
         code = new(SignedDigitCode)
-        code.__dict__.update(a0=a0, digits=digits, radix=r)
+        put_values(code, (a0, digits, r))
+        put_a0(code, a0)
+        put_digits(code, digits)
+        put_radix(code, r)
         codes.append(code)
     family = new(CodeSet)
-    put(family, "ratio", ratio)
-    put(family, "codes", tuple(codes))
+    family._set(ratio, tuple(codes))
     return family
 
 

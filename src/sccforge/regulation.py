@@ -8,11 +8,11 @@ regulator's dropout (LDO pre-selection).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from ._si import fraction_text
+from ._value import Value
 from .errors import DomainError, ResourceLimitError, require_positive
 from .numrep import TargetRatio
 
@@ -30,20 +30,19 @@ def _check_resolution(resolution: int) -> None:
         raise ResourceLimitError(f"resolution {resolution} beyond the limit {_RESOLUTION_LIMIT}")
 
 
-@dataclass(frozen=True)
-class DitherPlan:
+class DitherPlan(Value):
     """Repeating schedule: ratios[i] for weights[i] periods each."""
 
-    ratios: tuple[TargetRatio, ...]
-    weights: tuple[int, ...]
+    __slots__ = _fields = ("ratios", "weights")
 
-    def __post_init__(self) -> None:
-        if not self.ratios or len(self.ratios) != len(self.weights):
+    def __init__(self, ratios: tuple[TargetRatio, ...], weights: tuple[int, ...]) -> None:
+        if not ratios or len(ratios) != len(weights):
             raise DomainError("one positive weight per ratio")
-        if not all(isinstance(w, int) and w >= 1 for w in self.weights):
+        if not all(isinstance(w, int) and w >= 1 for w in weights):
             raise DomainError("weights must be positive integers")
-        if len(set(self.ratios)) != len(self.ratios):
+        if len(set(ratios)) != len(ratios):
             raise DomainError("duplicate ratio in plan")
+        self._set(ratios, weights)
 
     @property
     def period(self) -> int:

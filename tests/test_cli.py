@@ -731,12 +731,14 @@ ONE_PROCESS = textwrap.dedent(
     """
     import contextlib, io, json, sys
     import sccforge, sccforge.cli
-    runs = ["numpy" in sys.modules]
+    def heavy():
+        return [name for name in ("numpy", "dataclasses", "inspect") if name in sys.modules]
+    runs = [heavy()]
     for argv in json.loads(sys.argv[1]):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = sccforge.cli.main(argv)
-        runs.append([code, out.getvalue(), err.getvalue(), "numpy" in sys.modules])
+        runs.append([code, out.getvalue(), err.getvalue(), heavy()])
     print(json.dumps(runs))
     """
 )
@@ -749,11 +751,14 @@ def run_in_one_process(argvs, timeout: float = 30) -> list:
 
 
 def test_only_simulate_loads_numpy():
+    # nor do the import and the other commands load dataclasses or inspect,
+    # whose import alone costs a fresh process about 10 ms
     first = [["codes", "--ratio", "3/8"], ["solve", "--ratio", "3/8"], REQ_ARGS]
     first += [["dither", "--target", "0.4"], ["ldo", "--vin", "10", "--vout", "3.3"]]
     imported, *runs = run_in_one_process(first + [SIM_ARGS])
-    assert not imported
-    assert [[code, numpy] for code, _, _, numpy in runs] == [[0, False]] * len(first) + [[0, True]]
+    assert imported == []
+    assert [[code, heavy] for code, _, _, heavy in runs[:-1]] == [[0, []]] * len(first)
+    assert runs[-1][0] == 0 and "numpy" in runs[-1][3]
 
 
 # a success, argparse's own usage error, a domain error, two more commands

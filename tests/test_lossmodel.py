@@ -2,6 +2,7 @@ import ast
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -323,6 +324,15 @@ def test_slot_and_spec_validation():
             ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), ((F(1, 2), 1), (F(1, 2), bad)))
         with pytest.raises(DomainError, match="must be integers of at least 1"):
             ReqSpec(1e5, 4.7e-6, 1.2, bad, F(1, 2), slots)
+    # counts are read as ints: True as 1, a numpy int as its value
+    spec = ReqSpec(1e5, 4.7e-6, 1.2, True, F(1, 2), ((F(1, 2), np.int64(2)), (F(1, 2), True)))
+    assert [spec.switches_per_loop, *(stack for _, stack in spec.slots)] == [1, 2, 1]
+    assert {type(spec.switches_per_loop)} | {type(stack) for _, stack in spec.slots} == {int}
+    # a current must be exact: a float one made req_multi fail later, naming no slot
+    for currents, k in (((0.5, 0.5), 1), ((F(1, 2), 0.5), 2), ((F(1, 2), np.float64(0.5)), 2)):
+        with pytest.raises(DomainError, match=rf"^slot {k} current (np\.float64\()?0\.5\)? is not exact"):
+            ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), tuple((i, 1) for i in currents))
+    assert ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), ((1, 1), (0, 1))).slots == ((1, 1), (0, 1))
     with pytest.raises(DomainError):
         ReqSpec(-1e5, 4.7e-6, 1.2, 4, F(1, 2), slots)
     # each factor is a finite positive float, but a product is not

@@ -73,6 +73,12 @@ def test_ratio_reads_its_numbers_as_ints():
     assert all(type(x) is int for x in (ratio.m, ratio.radix, ratio.resolution))
 
 
+def test_ratios_have_no_order():
+    # an order over the fields would put 1/2 below 3/8
+    with pytest.raises(TypeError):
+        TargetRatio(1, 2, 1) < TargetRatio(3, 2, 3)
+
+
 def test_effective_resolution_strips_trailing_zeros():
     assert TargetRatio(4, 2, 3).effective_resolution == 1
     assert TargetRatio(6, 2, 3).effective_resolution == 2
