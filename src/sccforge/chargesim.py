@@ -155,8 +155,9 @@ def run(
     from numpy.linalg import _umath_linalg
 
     # The LAPACK gufunc np.linalg.solve dispatches to for a 1-D right-hand
-    # side. Called directly, a slot skips the wrapper's per-call array
-    # conversion, dtype resolution and errstate entry, and gets the same bits.
+    # side. Called directly on float64 arrays, which pick its double loop, a
+    # slot skips the wrapper's per-call array conversion, dtype resolution
+    # and errstate entry, and gets the same bits.
     solve = _umath_linalg.solve1
     n = state.size
     # The bank lives in one float64 vector s: V1 .. Vn, Vo, the last slot's Q,
@@ -188,7 +189,7 @@ def run(
         for period in range(1, max_periods + 1):
             before = volts
             for a, gather, scatter in plan:
-                s[scatter] = solve(a, s[gather], signature="dd->d")
+                s[scatter] = solve(a, s[gather])
                 buffer.frombytes(record)
             volts = s[: n + 1].tolist()
             if not all(map(math.isfinite, volts)):

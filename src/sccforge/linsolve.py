@@ -12,13 +12,16 @@ balance read [A | b] and [A transposed | e] the same way (_basic). Loop
 rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
 step_up rewrites the loop rows themselves. Fractions come only from the
 kernel's final numerators and common denominator, and the redundancy test
-compares integers. Inside the kernel each row is one packed int, column j
-in a signed field of k bits, where k holds Hadamard's bound r**(r/2) *
-max|a|**r (r = min(rows, cols)) and its sign, so a row update costs three
-big-int operations whatever the width. k is rounded up to 1, 2, 4 or 8
-bytes (whole bytes beyond), so rows pack and unpack through bytes in time
-linear in their width: machine ints up to 8 bytes, int.to_bytes per field
-beyond.
+compares integers. Inside the kernel each line of the longer side is one
+packed int: each row, column j in a signed field of k bits, or, with more
+rows than columns, each column, row i in field i. k holds Hadamard's bound
+r**(r/2) * max|a|**r (r = min(rows, cols)) and its sign, so an update costs
+three big-int operations whatever the width, and the Python-level work per
+pivot is one update per line of the short side: the loop systems of full
+families are tall (one row per code, n + 2 columns), their transposes wide.
+k is rounded up to 1, 2, 4 or 8 bytes (whole bytes beyond), so lines pack
+and unpack through bytes in time linear in their width: machine ints up to
+8 bytes, int.to_bytes per field beyond.
 """
 
 from __future__ import annotations
@@ -143,9 +146,18 @@ def fraction_free_rref(
     before anything is read back. Raises DomainError for an empty or ragged
     matrix.
 
+    A matrix with more rows than columns is packed by column instead, row i
+    in field i, so a pivot costs one update per column, not per row. The
+    pivot row is the lowest nonzero field at or below r of the pivot column,
+    read off its lowest set bit; a row swap swaps two fields in every column
+    from the pivot on. Column j updates as (p*c_j - t_j*c_col) // prev, t_j
+    its field in the pivot row, which the update zeroes and puts back.
+    Columns left of the pivot would only scale by p / prev, so each keeps
+    the prev it last updated under and scales once, to d, when unpacked.
+
     k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
-    the bound, else as many as it needs. So a row's int is its fields as
-    bytes, and rows pack and unpack through bytes in time linear in their
+    the bound, else as many as it needs. So a line's int is its fields as
+    bytes, and lines pack and unpack through bytes in time linear in their
     width. Fields of 1 to 8 bytes pack as machine ints through struct.pack
     and unpack through a memoryview cast; wider ones, met only with huge
     entries, through int.to_bytes per field.
@@ -158,8 +170,11 @@ def fraction_free_rref(
     nrows, ncols = len(rows), len(rows[0])
     if len(set(map(len, rows))) > 1:
         raise DomainError("ragged matrix")
+    tall = nrows > ncols
+    lines = list(zip(*rows)) if tall else rows  # the side that is packed, one int each
+    fields = len(lines[0])
     order = min(nrows, ncols)
-    flat = list(chain.from_iterable(rows))
+    flat = list(chain.from_iterable(lines))
     big = max(map(abs, flat))
     bits = ((order**order * big ** (2 * order)).bit_length() + 1) // 2 + 1
     width = -(-bits // 8)
@@ -168,45 +183,77 @@ def fraction_free_rref(
     code = _TYPECODES.get(width)
     k = 8 * width
     half, mask = 1 << (k - 1), (1 << k) - 1
-    bias = half * (((1 << (k * ncols)) - 1) // mask)
+    bias = half * (((1 << (k * fields)) - 1) // mask)
     if code:
         data = struct.pack(f"{len(flat)}{code}", *flat)
     else:
         data = b"".join([a.to_bytes(width, _ORDER, signed=True) for a in flat])
-    size = width * ncols
+    size = width * fields
     m = [(int.from_bytes(data[i : i + size], _ORDER) ^ bias) - bias for i in range(0, len(data), size)]
     pivots: list[int] = []
     prev, r = 1, 0
-    for col in range(ncols):
-        shift = k * col
-        # rows below the last pivot are zero left of col, so no borrow reaches field col
-        for piv in range(r, nrows):
-            if m[piv] >> shift & mask:
+    if tall:
+        scale = [1] * ncols  # the prev each column last updated under
+        for col in range(ncols):
+            shift = k * r
+            # the pivot column's fields from r on, exact: biased, the fields above r borrow nothing
+            below = ((m[col] + bias) >> shift) - (bias >> shift)
+            if below:
+                at = k * (((below & -below).bit_length() - 1) // k)
+                p = ((below >> at) + half & mask) - half
+                if at:
+                    pshift, swap = shift + at, (1 << shift) - (1 << (shift + at))
+                    for j in range(col, ncols):
+                        u = m[j] + bias
+                        m[j] += ((u >> pshift & mask) - (u >> shift & mask)) * swap
+                # less prev in field r, so each update puts the pivot row's field back
+                top = m[col] - (prev << shift)
+                m[col] = p << shift
+                for j in range(col + 1, ncols):
+                    f = ((m[j] + bias) >> shift & mask) - half
+                    if f:
+                        m[j] = (p * m[j] - f * top) // prev
+                    elif p != prev:
+                        m[j] = p * m[j] // prev
+                prev = p
+                pivots.append(col)
+                r += 1
+            scale[col] = prev
+        m = [c * prev // s for c, s in zip(m[first_column:], scale[first_column:])]
+        shift, span = 0, nrows
+    else:
+        for col in range(ncols):
+            shift = k * col
+            # rows below the last pivot are zero left of col, so no borrow reaches field col
+            for piv in range(r, nrows):
+                if m[piv] >> shift & mask:
+                    break
+            else:
+                continue
+            top = m[piv]
+            m[piv], m[r] = m[r], 0
+            p = ((top + bias) >> shift & mask) - half
+            for i in range(nrows):
+                f = ((m[i] + bias) >> shift & mask) - half
+                if f:
+                    m[i] = (p * m[i] - f * top) // prev
+                elif p != prev:
+                    m[i] = p * m[i] // prev
+            m[r] = top
+            prev = p
+            pivots.append(col)
+            r += 1
+            if r == nrows:
                 break
-        else:
-            continue
-        top = m[piv]
-        m[piv], m[r] = m[r], 0
-        p = ((top + bias) >> shift & mask) - half
-        for i in range(nrows):
-            f = ((m[i] + bias) >> shift & mask) - half
-            if f:
-                m[i] = (p * m[i] - f * top) // prev
-            elif p != prev:
-                m[i] = p * m[i] // prev
-        m[r] = top
-        prev = p
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    shift, span = k * first_column, ncols - first_column
+        shift, span = k * first_column, ncols - first_column
     tail = bias >> shift
     data = b"".join([(((packed + bias) >> shift) ^ tail).to_bytes(width * span, _ORDER) for packed in m])
     if code:
         flat = memoryview(data).cast(code).tolist()
     else:
         flat = [int.from_bytes(data[i : i + width], _ORDER, signed=True) for i in range(0, len(data), width)]
+    if tall:
+        return [flat[i::nrows] for i in range(nrows)], pivots, prev
     return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev
 
 
@@ -231,7 +278,7 @@ def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
 def _dependence(system: KvlSystem) -> tuple[list[int], int]:
     """Column sums of |rref(A transposed)| numerators, and |d|: one per row."""
     m, _, d = fraction_free_rref(list(zip(*system.matrix)))
-    return [sum(map(abs, col)) for col in zip(*m)], abs(d)
+    return list(map(sum, zip(*[map(abs, row) for row in m]))), abs(d)
 
 
 def redundancy_scores(system: KvlSystem) -> tuple[Fraction, ...]:

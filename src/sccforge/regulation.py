@@ -36,10 +36,13 @@ class DitherPlan(Value):
     __slots__ = _fields = ("ratios", "weights")
 
     def __init__(self, ratios: tuple[TargetRatio, ...], weights: tuple[int, ...]) -> None:
+        ratios, weights = tuple(ratios), tuple(weights)
         if not ratios or len(ratios) != len(weights):
             raise DomainError("one positive weight per ratio")
-        if not all(isinstance(w, int) and w >= 1 for w in weights):
+        if not all(type(w) is int and w >= 1 for w in weights):
             raise DomainError("weights must be positive integers")
+        if not all(isinstance(r, TargetRatio) for r in ratios):
+            raise DomainError("ratios must be TargetRatios")
         if len(set(ratios)) != len(ratios):
             raise DomainError("duplicate ratio in plan")
         self._set(ratios, weights)

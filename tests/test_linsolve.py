@@ -235,12 +235,17 @@ entries = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
 
 
 @st.composite
-def integer_matrices(draw, min_cols=1):
-    """Small matrices, often rank-deficient: zero, duplicate and combined rows."""
+def integer_matrices(draw, min_cols=1, tall=False):
+    """Small matrices, often rank-deficient: zero, duplicate and combined rows.
+
+    tall=True always draws more rows than columns, the shape the kernel packs
+    by column; the extra rows are the zero, duplicate and combined ones.
+    """
     ncols = draw(st.integers(min_cols, 6))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
-    rows = draw(st.lists(row, min_size=1, max_size=4))
-    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "mix"]), max_size=4)):
+    rows = draw(st.lists(row, min_size=1, max_size=ncols + 2 if tall else 4))
+    extra = max(ncols + 1 - len(rows), 0) if tall else 0
+    for kind in draw(st.lists(st.sampled_from(["zero", "copy", "mix"]), min_size=extra, max_size=extra + 4)):
         if kind == "zero":
             rows.append([0] * ncols)
         else:
@@ -299,8 +304,16 @@ def test_only_linsolve_names_the_kernel():
 
 @pytest.mark.parametrize(
     "rows, what",
-    [([], "empty"), ([[]], "empty"), ([[1], [3, 4]], "ragged"), ([[1, 2], [3]], "ragged")],
-    ids=["[]", "[[]]", "[[1], [3, 4]]", "[[1, 2], [3]]"],
+    [
+        ([], "empty"),
+        ([[]], "empty"),
+        ([[1], [3, 4]], "ragged"),
+        ([[1, 2], [3]], "ragged"),
+        ([[], [], []], "empty"),
+        ([[1], [2], [3, 4]], "ragged"),
+        ([[1, 2], [3], [4], [5]], "ragged"),
+    ],
+    ids=["[]", "[[]]", "[[1], [3, 4]]", "[[1, 2], [3]]", "[[], [], []]", "[[1], [2], [3, 4]]", "[[1, 2], [3], [4], [5]]"],
 )
 def test_kernel_rejects_empty_and_ragged_matrices(rows, what):
     with pytest.raises(DomainError, match=what):
@@ -316,6 +329,12 @@ def test_kernel_matches_the_rational_oracle(rows, data):
     assert all(isinstance(x, int) for row in m for x in row)
     assert [[F(x, d) for x in row] for row in m] == [row[first_column:] for row in reduced]
     assert pivots == oracle_pivots
+
+
+@given(integer_matrices(tall=True))
+def test_kernel_matches_the_rational_oracle_on_tall_matrices(rows):
+    assert len(rows) > len(rows[0])
+    assert_kernel_matches_the_oracle(rows)
 
 
 def assert_kernel_matches_the_oracle(rows):
@@ -350,6 +369,33 @@ def test_kernel_matrix_at_each_field_width(big):
 @pytest.mark.parametrize("rows", [[[0, 0, 0]], [[1, 2, 3], [0, 0, 0], [2, 4, 5]]], ids=["alone", "between"])
 def test_kernel_keeps_an_all_zero_row(rows):
     assert_kernel_matches_the_oracle(rows)
+
+
+# The full families' loop systems are tall (F codes, n + 2 columns): the
+# kernel eliminates them column by column.
+@pytest.mark.parametrize("form", ["loop", "step_up"])
+@pytest.mark.parametrize("ratio", [TargetRatio(85, 2, 8), TargetRatio(341, 2, 10)], ids=str)
+def test_kernel_on_full_family_systems(ratio, form):
+    system = build_system(spawn_codes(ratio))
+    if form == "step_up":
+        system = step_up(system)
+    rows = [[*row, b] for row, b in zip(system.matrix, system.rhs)]
+    assert len(rows) > len(rows[0])
+    assert_kernel_matches_the_oracle(rows)
+
+
+def test_tall_kernel_swaps_rows_with_wide_fields():
+    # a = 10**25 needs fields of 32 bytes, past the machine ints. The pivots of
+    # columns 0 and 1 lie below the first free row, so both swap rows in every
+    # column from theirs on; column 3 = 2 c0 - c1 + 3 c2 is the part of the
+    # reduced form that a swap missed in any column would change.
+    a = 10**25
+    rows = [[x, y, z, 2 * x - y + 3 * z] for x, y, z in
+            [(0, 0, 1), (0, 0, -a), (a, 3, 2), (-a, a, 0), (0, -1, a), (0, 0, 5)]]
+    assert_kernel_matches_the_oracle(rows)
+    m, pivots, d = fraction_free_rref(rows)
+    assert pivots == [0, 1, 2]
+    assert [row[3] for row in m[:3]] == [2 * d, -d, 3 * d]
 
 
 @given(integer_matrices(min_cols=3))

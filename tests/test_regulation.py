@@ -49,6 +49,24 @@ def test_plan_validation():
         DitherPlan((R(3),), (1.5,))
 
 
+def test_plan_refuses_bool_weights_and_non_ratios():
+    # a bool is an int, but a plan of True periods would print "weights": [true]
+    with pytest.raises(DomainError, match="weights must be positive integers"):
+        DitherPlan((R(3),), (True,))
+    with pytest.raises(DomainError, match="ratios must be TargetRatios"):
+        DitherPlan((0.5,), (1,))
+    with pytest.raises(DomainError, match="ratios must be TargetRatios"):
+        DitherPlan((R(3), F(1, 2)), (1, 1))
+
+
+def test_plan_holds_tuples():
+    plan = DitherPlan([R(3), R(4)], [4, 1])
+    assert plan.ratios == (R(3), R(4)) and plan.weights == (4, 1)
+    assert plan == DitherPlan((R(3), R(4)), (4, 1))
+    assert hash(plan) == hash(DitherPlan((R(3), R(4)), (4, 1)))
+    assert plan.to_json_dict()["weights"] == [4, 1]
+
+
 def test_lattice_target_needs_no_dither():
     for target in (F(3, 8), 0.375, "3/8"):
         plan = dither_plan(target, 3, 8)
