@@ -7,7 +7,7 @@ and plan regulation around the lattice (regulation). topology holds the
 board switch vector of each code of the radix-2, three-capacitor bank.
 """
 
-from .chargesim import BankState, SimTrace, TraceRecord, charge_locus, run
+from .chargesim import BankState, SimTrace, charge_locus, run
 from .errors import (
     DomainError,
     FitError,
@@ -17,7 +17,6 @@ from .errors import (
 )
 from .linsolve import (
     KvlSystem,
-    active_schedule,
     build_system,
     current_balance,
     find_redundant,
@@ -73,9 +72,7 @@ __all__ = [
     "SimTrace",
     "SingularSystemError",
     "TargetRatio",
-    "TraceRecord",
     "UnsupportedCodeError",
-    "active_schedule",
     "average_extracted_req",
     "balanced_sequence",
     "build_req_spec",

@@ -17,10 +17,10 @@ import math
 from array import array
 from functools import cached_property
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence, TextIO
+from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from ._value import Value
-from .errors import DomainError, require_positive
+from .errors import DomainError, require_integer, require_positive
 from .numrep import SignedDigitCode
 
 if TYPE_CHECKING:
@@ -56,13 +56,6 @@ class BankState(Value):
         return len(self.flying_caps)
 
 
-class TraceRecord(NamedTuple):
-    iteration: int
-    flying_voltages: tuple[float, ...]
-    output_voltage: float
-    charge: float
-
-
 class SimTrace(Value):
     """Per-slot history of a simulation run.
 
@@ -70,9 +63,9 @@ class SimTrace(Value):
     and Vo after the slot, then the charge Q it moved, so 8 * (n + 2) bytes
     per slot. run keeps these n + 2 values at the head of its float64 state
     vector and appends their bytes after each slot, so the buffer holds the
-    doubles LAPACK returned, bit for bit. records unpacks it into
-    TraceRecords on first read and keeps them; nothing in the library reads
-    records, so only callers that ask for them pay for one object per slot.
+    doubles LAPACK returned, bit for bit. records unpacks it on first read
+    into one (iteration, flying_voltages, output_voltage, charge) tuple per
+    slot and keeps them; nothing in the library reads records.
     periods counts the full passes of the sequence that ran.
     adjustment_iterations counts the slots executed before the first period
     whose boundary-to-boundary voltage change stayed below tolerance; None
@@ -87,11 +80,11 @@ class SimTrace(Value):
         self._set(buffer, periods, converged, adjustment_iterations, final_state)
 
     @cached_property
-    def records(self) -> tuple[TraceRecord, ...]:
+    def records(self) -> tuple[tuple[int, tuple[float, ...], float, float], ...]:
         n = self.final_state.size
         buf = self.buffer
         return tuple(
-            TraceRecord(i, tuple(buf[k : k + n]), buf[k + n], buf[k + n + 1])
+            (i, tuple(buf[k : k + n]), buf[k + n], buf[k + n + 1])
             for i, k in enumerate(range(0, len(buf), n + 2))
         )
 
@@ -144,11 +137,14 @@ def run(
     seq = tuple(sequence)
     if not seq:
         raise DomainError("empty code sequence")
+    if not math.isfinite(vin):
+        raise DomainError(f"vin must be finite, got {vin!r}")
     if tol is None:
         if vin == 0:
             raise DomainError("the default tolerance scales with vin; give tol when vin is 0")
         tol = 1e-9 * abs(vin)
     require_positive("tolerance must be positive", tol)
+    max_periods = require_integer("max_periods", max_periods)
     if max_periods < 0:
         raise DomainError("max_periods must be non-negative")
     import numpy as np

@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the shared positivity check."""
+"""Exception types shared across the package, and the shared positivity and integer checks."""
 
 import math
+from operator import index
 
 _INF = math.inf
 
@@ -18,6 +19,14 @@ def require_positive(message: str, *values, zero_ok: bool = False) -> None:
     for v in values:
         if not 0 < v < _INF and not (zero_ok and v == 0):
             raise DomainError(message)
+
+
+def require_integer(name: str, value) -> int:
+    """value as an int (operator.index: True reads as 1, 3.0 is refused), else DomainError naming it."""
+    try:
+        return index(value)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class ResourceLimitError(RuntimeError):

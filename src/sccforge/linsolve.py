@@ -47,9 +47,9 @@ class KvlSystem(Value):
     Every matrix and rhs entry is an int, as loop equations of signed-digit
     codes are; the solutions are Fractions. Unknowns are labelled V1..Vn
     then Vo; the last matrix column always belongs to the output. Hand-built
-    systems and drop_rows are checked; build_system and step_up skip the
-    checks, which loop rows of codes of one radix and resolution always
-    pass, a code's fields being ints, and so does step_up's rewrite of them.
+    systems are checked; build_system and step_up skip the checks, which
+    loop rows of codes of one radix and resolution always pass, a code's
+    fields being ints, and so does step_up's rewrite of them.
     """
 
     __slots__ = _fields = ("matrix", "rhs")
@@ -80,17 +80,6 @@ class KvlSystem(Value):
     @property
     def labels(self) -> tuple[str, ...]:
         return tuple(f"V{j}" for j in range(1, self.unknowns)) + ("Vo",)
-
-    def drop_rows(self, indices: Sequence[int]) -> "KvlSystem":
-        """System with the given 0-based rows removed, order preserved."""
-        drop = set(indices)
-        bad = [i for i in drop if not 0 <= i < self.rows]
-        if bad:
-            raise DomainError(f"row indices out of range: {sorted(bad)}")
-        keep = [i for i in range(self.rows) if i not in drop]
-        if not keep:
-            raise DomainError("cannot drop every row")
-        return KvlSystem(tuple(self.matrix[i] for i in keep), tuple(self.rhs[i] for i in keep))
 
 
 def kvl_row(code: SignedDigitCode) -> tuple[tuple[int, ...], int]:
@@ -307,17 +296,23 @@ def sort_codes_by_zeros(codes: CodeSet | Sequence[SignedDigitCode]) -> list[Sign
     return sorted(codes, key=lambda c: -c.digits.count(0))
 
 
-def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction, ...] | None]:
-    """_basic over [A transposed | e]: A is the loop matrix of seq, e is 0 per capacitor, -1 for Vo."""
+def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction, ...]]:
+    """_basic over [A transposed | e]: A is the loop matrix of seq, e is 0 per capacitor, -1 for Vo.
+
+    The one place that decides balance: SingularSystemError if e pivots.
+    """
     rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
     rows.append([-1] * (len(seq) + 1))
-    return _basic(rows)
+    pivots, currents = _basic(rows)
+    if currents is None:
+        raise SingularSystemError("no current assignment balances these codes")
+    return pivots, currents
 
 
 def schedule_currents(
     codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
-) -> tuple[list[SignedDigitCode], tuple[Fraction, ...] | None]:
-    """The active schedule and its current_balance (None if none), from one elimination.
+) -> tuple[list[SignedDigitCode], tuple[Fraction, ...]]:
+    """The active schedule and its current_balance, from one elimination.
 
     A TargetRatio is expanded with spawn_codes; other codes must be one
     family (check_family). Of the zero-sorted codes, the pivot columns of
@@ -326,7 +321,7 @@ def schedule_currents(
     find_redundant score is 1 only if the combination is convex. No code of
     a family is a convex mix of others: codes that agree below digit j take
     digit j from the same two values. So find_redundant flags exactly the
-    non-pivot columns.
+    non-pivot columns. SingularSystemError if no currents balance the schedule.
     """
     if isinstance(codes_or_ratio, TargetRatio):
         codes_or_ratio = spawn_codes(codes_or_ratio)
@@ -335,13 +330,6 @@ def schedule_currents(
     ordered = sort_codes_by_zeros(codes_or_ratio)
     pivots, currents = _tableau(ordered)
     return [ordered[j] for j in pivots], currents
-
-
-def active_schedule(
-    codes_or_ratio: TargetRatio | CodeSet | Sequence[SignedDigitCode],
-) -> list[SignedDigitCode]:
-    """The slots a schedule runs (see schedule_currents): zero-sorted, dependent rows dropped."""
-    return schedule_currents(codes_or_ratio)[0]
 
 
 def current_balance(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[Fraction, ...]:
@@ -361,8 +349,6 @@ def current_balance(codes: CodeSet | Sequence[SignedDigitCode]) -> tuple[Fractio
     """
     check_family(codes)
     pivots, currents = _tableau(codes)
-    if currents is None:
-        raise SingularSystemError("no current assignment balances these codes")
     if len(pivots) < len(codes):
         raise SingularSystemError(
             "charge balance is underdetermined; eliminate dependent slots first "

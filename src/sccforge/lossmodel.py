@@ -31,7 +31,7 @@ from typing import Sequence
 
 from ._si import fraction_text
 from ._value import Value
-from .errors import DomainError, FitError, SingularSystemError, require_positive
+from .errors import DomainError, FitError, require_positive
 from .linsolve import current_balance, schedule_currents
 from .numrep import CodeSet, SignedDigitCode, TargetRatio
 
@@ -95,7 +95,10 @@ class ReqSpec(Value):
         for k, (current, _) in enumerate(slots, start=1):
             if not isinstance(current, (int, Fraction)):
                 raise DomainError(f"slot {k} current {current!r} is not exact: give an int or a Fraction")
-        t_over_ts = t_over_ts if isinstance(t_over_ts, Fraction) else Fraction(t_over_ts)
+        if not isinstance(t_over_ts, Fraction):
+            # NaN and the infinities have no Fraction, so they are refused here, by name
+            require_positive("slot duration t_over_ts must be positive", t_over_ts)
+            t_over_ts = Fraction(t_over_ts)
         # 0 < t <= 1/L, in integers: a Fraction's denominator is positive
         if not 0 < t_over_ts.numerator * len(slots) <= t_over_ts.denominator:
             raise DomainError(
@@ -144,8 +147,6 @@ def build_req_spec(
     """
     if isinstance(codes, TargetRatio):
         codes, currents = schedule_currents(codes)
-        if currents is None:
-            raise SingularSystemError("no current assignment balances these codes")
     else:
         currents = current_balance(codes)
     slots = []

@@ -15,22 +15,14 @@ in which direction each capacitor is engaged.
 from __future__ import annotations
 
 import itertools
-from operator import index
 from fractions import Fraction
 from typing import Sequence
 
 from ._value import Value
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, require_integer
 
 _ENUMERATION_CELL_LIMIT = 10**7
 _BALANCE_RESOLUTION_LIMIT = 10
-
-
-def _integer(name: str, value) -> int:
-    try:
-        return index(value)
-    except TypeError:
-        raise DomainError(f"{name} must be an integer, got {value!r}") from None
 
 
 class TargetRatio(Value):
@@ -39,7 +31,8 @@ class TargetRatio(Value):
     __slots__ = _fields = ("m", "radix", "resolution")
 
     def __init__(self, m: int, radix: int, resolution: int) -> None:
-        m, radix, resolution = _integer("m", m), _integer("radix", radix), _integer("resolution", resolution)
+        m = require_integer("m", m)
+        radix, resolution = require_integer("radix", radix), require_integer("resolution", resolution)
         if radix < 2:
             raise DomainError(f"radix must be at least 2, got {radix}")
         if resolution < 1:
@@ -100,11 +93,11 @@ class SignedDigitCode(Value):
     __slots__ = _fields = ("a0", "digits", "radix")
 
     def __init__(self, a0: int, digits: tuple[int, ...], radix: int = 2) -> None:
-        digits = tuple(_integer(f"digit {j}", d) for j, d in enumerate(digits, start=1))
-        a0 = _integer("a0", a0)
+        digits = tuple(require_integer(f"digit {j}", d) for j, d in enumerate(digits, start=1))
+        a0 = require_integer("a0", a0)
         if a0 not in (0, 1):
             raise DomainError(f"a0 must be 0 or 1, got {a0}")
-        radix = _integer("radix", radix)
+        radix = require_integer("radix", radix)
         if radix < 2:
             raise DomainError(f"radix must be at least 2, got {radix}")
         if not digits:

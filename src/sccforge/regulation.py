@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from ._si import fraction_text
 from ._value import Value
-from .errors import DomainError, ResourceLimitError, require_positive
+from .errors import DomainError, ResourceLimitError, require_integer, require_positive
 from .numrep import TargetRatio
 
 _MAX_PERIOD_LIMIT = 10_000
@@ -23,11 +23,13 @@ _MAX_PERIOD_LIMIT = 10_000
 _RESOLUTION_LIMIT = 1000
 
 
-def _check_resolution(resolution: int) -> None:
+def _check_resolution(resolution: int) -> int:
+    resolution = require_integer("resolution", resolution)
     if resolution < 1:
         raise DomainError("resolution must be at least 1")
     if resolution > _RESOLUTION_LIMIT:
         raise ResourceLimitError(f"resolution {resolution} beyond the limit {_RESOLUTION_LIMIT}")
+    return resolution
 
 
 class DitherPlan(Value):
@@ -92,7 +94,8 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
     of the fractional part of target * 2**n: Fraction.limit_denominator,
     a continued-fraction walk of O(log max_period) steps.
     """
-    _check_resolution(resolution)
+    resolution = _check_resolution(resolution)
+    max_period = require_integer("max_period", max_period)
     if max_period < 1:
         raise DomainError("max_period must be at least 1")
     if max_period > _MAX_PERIOD_LIMIT:
@@ -171,7 +174,7 @@ def ldo_select_ratio(
     """
     require_positive("vin and vout must be positive", vin, vout)
     require_positive("dropout must be non-negative", dropout, zero_ok=True)
-    _check_resolution(resolution)
+    resolution = _check_resolution(resolution)
     need = vout + dropout
     denom = 2**resolution
     m = _first_true(1, denom, lambda m: Fraction(m, denom) * vin >= need)

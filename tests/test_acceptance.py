@@ -14,10 +14,10 @@ from fractions import Fraction
 from sccforge.chargesim import BankState, run
 from sccforge.errors import UnsupportedCodeError
 from sccforge.linsolve import (
-    active_schedule,
     build_system,
     find_redundant,
     redundancy_scores,
+    schedule_currents,
     solve_unique,
     step_up,
 )
@@ -130,9 +130,11 @@ def test_ac04_redundancy_elimination(capsys):
     if find_redundant(sorted_system) != [4]:
         failures.append(f"flagged rows {find_redundant(sorted_system)} in sorted order")
     want = (F(1, 2), F(1, 4), F(1, 8), F(3, 8))
-    for sys_ in (system, sorted_system):
+    for codes in (codes_of(DEPENDENT_ROW_ORDER_38), codes_of(ZEROSORT_R2_N3[3])):
+        sys_ = build_system(codes)
+        drop = find_redundant(sys_)
         before = solve_unique(sys_)
-        after = solve_unique(sys_.drop_rows(find_redundant(sys_)))
+        after = solve_unique(build_system([c for i, c in enumerate(codes) if i not in drop]))
         if before != want or after != want:
             failures.append(f"solution changed: {before} -> {after}")
     report(capsys, 4, "dependent rows are flagged and removable", failures)
@@ -171,7 +173,7 @@ def test_ac06_redistribution_convergence(capsys):
 
 def operating_spec(m: int) -> ReqSpec:
     return build_req_spec(
-        active_schedule(TargetRatio(m, 2, 3)),
+        schedule_currents(TargetRatio(m, 2, 3))[0],
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
         REQ_OPERATING["r_on"],

@@ -1,6 +1,7 @@
 import io
 import math
 import random
+import re
 from array import array
 
 import numpy as np
@@ -373,6 +374,23 @@ def test_run_validation(lapack_calls):
     with pytest.raises(DomainError, match="the simulation left the float range in period 1$"):
         run(tiny, SEQ_38, VIN, max_periods=10**4)
     assert len(lapack_calls) == len(SEQ_38)
+
+
+@pytest.mark.parametrize(
+    "kwargs, text",
+    [
+        (dict(vin=VIN, max_periods=2.5), "max_periods must be an integer, got 2.5"),
+        (dict(vin=VIN, max_periods="3"), "max_periods must be an integer, got '3'"),
+        (dict(vin=math.nan), "vin must be finite, got nan"),
+        (dict(vin=-math.inf, tol=1e-6), "vin must be finite, got -inf"),
+    ],
+    ids=["periods-float", "periods-text", "vin-nan", "vin-inf-with-tol"],
+)
+def test_run_names_the_bad_argument(kwargs, text, lapack_calls):
+    state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        run(state, SEQ_38, **kwargs)
+    assert lapack_calls == []
 
 
 def test_run_makes_one_lapack_call_per_slot(lapack_calls):

@@ -6,13 +6,13 @@ import pytest
 from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
 from sccforge.errors import DomainError
-from sccforge.linsolve import active_schedule
+from sccforge.linsolve import schedule_currents
 from sccforge.lossmodel import build_req_spec, extract_req, req_follower, vo_under_load
 from sccforge.numrep import TargetRatio, spawn_codes
 from sccforge.regulation import ldo_efficiency_bound, ldo_select_ratio
 
 NAN, INF = math.nan, math.inf
-ACTIVE_38 = active_schedule(TargetRatio(3, 2, 3))
+ACTIVE_38 = schedule_currents(TargetRatio(3, 2, 3))[0]
 BANK = BankState((4.7e-6,) * 3, 47e-6, (0.0,) * 3, 0.0)
 
 # each call passed its validator with a NaN or infinite quantity before the
@@ -22,6 +22,8 @@ NON_FINITE_CALLS = {
     "bank-output-cap-inf": lambda: BankState((1.0,), INF, (0.0,), 0.0),
     "req-spec-fs-nan": lambda: build_req_spec(ACTIVE_38, NAN, 4.7e-6, 1.2, 4),
     "req-spec-c-inf": lambda: build_req_spec(ACTIVE_38, 1e5, INF, 1.2, 4),
+    "req-spec-slot-nan": lambda: build_req_spec(TargetRatio(3, 2, 3), 1e5, 4.7e-6, 1.2, 4, NAN),
+    "req-spec-slot-inf": lambda: build_req_spec(TargetRatio(3, 2, 3), 1e5, 4.7e-6, 1.2, 4, INF),
     "follower-fs-nan": lambda: req_follower(NAN, 1e-6, 1.0, 1.0),
     "follower-beta-nan": lambda: req_follower(1e5, 1e-6, NAN, 1.0),
     "load-ro-nan": lambda: vo_under_load(3.0, 0.5, NAN),

@@ -104,7 +104,7 @@ def test_hand_built_system_shape_is_checked(matrix, rhs, text):
 @pytest.mark.parametrize("ratio", [TargetRatio(3, 2, 3), TargetRatio(4, 3, 2)])
 def test_derived_systems_carry_ints(ratio):
     system = build_system(spawn_codes(ratio))
-    for derived in (system, step_up(system), system.drop_rows([0])):
+    for derived in (system, step_up(system)):
         entries = [x for row in (*derived.matrix, derived.rhs) for x in row]
         assert all(type(x) is int for x in entries)
 
@@ -302,6 +302,13 @@ def test_only_linsolve_names_the_kernel():
     assert users == ["linsolve"]
 
 
+def test_only_linsolve_decides_the_balance():
+    # the no-balance verdict is written once, where the tableau is eliminated
+    sources = sorted(Path(sccforge.__file__).parent.glob("*.py"))
+    deciders = [path.stem for path in sources if "no current assignment balances" in path.read_text()]
+    assert deciders == ["linsolve"]
+
+
 @pytest.mark.parametrize(
     "rows, what",
     [
@@ -440,9 +447,11 @@ def test_redundant_rows_are_the_scores_above_one(codes):
 def test_elimination_preserves_the_solution():
     for m in range(1, 8):
         ratio = TargetRatio(m, 2, 3).reduced()
-        system = build_system(sort_codes_by_zeros(spawn_codes(ratio)))
+        ordered = sort_codes_by_zeros(spawn_codes(ratio))
+        system = build_system(ordered)
         before = solve_unique(system)
-        trimmed = system.drop_rows(find_redundant(system))
+        drop = find_redundant(system)
+        trimmed = build_system([c for i, c in enumerate(ordered) if i not in drop])
         assert solve_unique(trimmed) == before
         assert find_redundant(trimmed) == []
 
@@ -500,10 +509,6 @@ def test_step_up_is_reciprocal(n, m_raw):
     assert up[-1] == 1 / down[-1]
     for j in range(len(down) - 1):
         assert up[j] == down[j] / down[-1]
-    # the rewrite reads rows, not codes: dropping rows commutes with it
-    drop = find_redundant(system)
-    kept = [c for i, c in enumerate(spawn_codes(ratio)) if i not in drop]
-    assert step_up(system.drop_rows(drop)) == step_up(build_system(kept))
 
 
 def test_step_up_needs_loop_rows():
@@ -513,14 +518,6 @@ def test_step_up_needs_loop_rows():
 
 
 # -- exports ----------------------------------------------------------------------
-
-
-def test_drop_rows_validation():
-    system = fixture_system_38()
-    with pytest.raises(DomainError):
-        system.drop_rows([7])
-    with pytest.raises(DomainError):
-        system.drop_rows(range(5))
 
 
 def test_generated_objects_pass_their_constructors():

@@ -8,7 +8,6 @@ from hypothesis import given, strategies as st
 
 from sccforge.errors import DomainError, FitError, SingularSystemError
 from sccforge.linsolve import (
-    active_schedule,
     build_system,
     current_balance,
     find_redundant,
@@ -52,7 +51,7 @@ F = Fraction
 
 def operating_spec(m: int, t_over_ts=None) -> ReqSpec:
     return build_req_spec(
-        active_schedule(TargetRatio(m, 2, 3)),
+        schedule_currents(TargetRatio(m, 2, 3))[0],
         REQ_OPERATING["f_s"],
         REQ_OPERATING["c"],
         REQ_OPERATING["r_on"],
@@ -121,16 +120,16 @@ def test_active_schedule_takes_a_ratio_or_its_codes():
     ratio = TargetRatio(3, 2, 3)
     ordered = sort_codes_by_zeros(spawn_codes(ratio))
     # the zero-sorted 3/8 family loses its last row (see the linsolve tests)
-    assert active_schedule(ratio) == active_schedule(spawn_codes(ratio)) == ordered[:4]
+    assert schedule_currents(ratio)[0] == schedule_currents(spawn_codes(ratio))[0] == ordered[:4]
 
 
 def test_balance_of_the_sorted_schedule():
-    three, four = (active_schedule(TargetRatio(m, 2, 3)) for m in (3, 4))
+    three, four = (schedule_currents(TargetRatio(m, 2, 3))[0] for m in (3, 4))
     assert current_balance(three) == (F(1, 8), F(3, 8), F(1, 4), F(1, 4))
     assert current_balance(four) == (F(1, 2), F(1, 2))
     # 5/9 runs 1 -1 -1, 0 2 -1 and 1 -2 2: a digit of 2 moves charge
     # through two units of its group
-    five_ninths = active_schedule(TargetRatio(5, 3, 2))
+    five_ninths = schedule_currents(TargetRatio(5, 3, 2))[0]
     assert current_balance(five_ninths) == (F(2, 9), F(4, 9), F(1, 3))
 
 
@@ -149,7 +148,7 @@ def test_balance_zeroes_every_capacitor(n):
     # digit-weighted; radix 3 has digits of magnitude 2
     for radix in (2, 3) if n <= 4 else (2,):
         for m in range(1, radix**n):
-            active = active_schedule(TargetRatio(m, radix, n))
+            active = schedule_currents(TargetRatio(m, radix, n))[0]
             currents = current_balance(active)
             assert sum(currents) == 1
             for j in range(n):
@@ -163,7 +162,7 @@ def test_balance_conserves_energy():
         for n in range(1, top + 1):
             for m in range(1, radix**n):
                 ratio = TargetRatio(m, radix, n)
-                active = active_schedule(ratio)
+                active = schedule_currents(ratio)[0]
                 currents = current_balance(active)
                 drawn = sum(c.a0 * i for c, i in zip(active, currents))
                 assert drawn == ratio.value, str(ratio)
@@ -171,7 +170,7 @@ def test_balance_conserves_energy():
 
 @pytest.mark.parametrize("m", range(1, 8))
 def test_schedule_table(m):
-    active = active_schedule(TargetRatio(m, 2, 3))
+    active = schedule_currents(TargetRatio(m, 2, 3))[0]
     spec = build_req_spec(active, 1e5, 4.7e-6, 1.2, 4)
     assert tuple(i for i, _ in spec.slots) == current_balance(active)
     assert tuple((i, F(1, stack)) for i, stack in spec.slots) == CURRENT_CAP_TABLE[m]
@@ -236,12 +235,13 @@ def test_one_elimination_matches_two(codes):
     # so the one tableau gives what dropping those rows and balancing the rest gives
     ordered = sort_codes_by_zeros(codes)
     schedule, currents = two_elimination_schedule(ordered, find_redundant(build_system(ordered)))
-    assert active_schedule(codes) == schedule
-    assert schedule_currents(codes) == (schedule, currents)
     if currents is None:
+        with pytest.raises(SingularSystemError, match="no current assignment"):
+            schedule_currents(codes)
         with pytest.raises(SingularSystemError, match="no current assignment"):
             current_balance(schedule)
     else:
+        assert schedule_currents(codes) == (schedule, currents)
         assert current_balance(schedule) == currents
     # an underdetermined balance names exactly the rows find_redundant flags
     try:
@@ -275,15 +275,15 @@ def test_schedule_inputs_must_be_one_family():
     ]
     for codes, what in bad:
         with pytest.raises(DomainError, match=what):
-            active_schedule(codes)
+            schedule_currents(codes)[0]
         with pytest.raises(DomainError, match=what):
             current_balance(codes)
         with pytest.raises(DomainError, match=what):
             build_req_spec(codes, 1e5, 4.7e-6, 1.2, 4)
     # a ratio or a CodeSet is one family already
     ratio = TargetRatio(3, 2, 3)
-    active = active_schedule(ratio)
-    assert active_schedule(CodeSet(ratio, tuple(reversed(three)))) == active
+    active = schedule_currents(ratio)[0]
+    assert schedule_currents(CodeSet(ratio, tuple(reversed(three))))[0] == active
     assert build_req_spec(ratio, 1e5, 4.7e-6, 1.2, 4) == build_req_spec(active, 1e5, 4.7e-6, 1.2, 4)
 
 
@@ -294,7 +294,7 @@ def test_floor_over_one_denominator_is_the_fraction_sum():
                 ratio = TargetRatio(m, radix, n)
                 for t_over_ts in (None, F(1, 8)):
                     spec = build_req_spec(ratio, 1e5, 4.7e-6, 1.2, 4, t_over_ts)
-                    assert spec == build_req_spec(active_schedule(ratio), 1e5, 4.7e-6, 1.2, 4, t_over_ts)
+                    assert spec == build_req_spec(schedule_currents(ratio)[0], 1e5, 4.7e-6, 1.2, 4, t_over_ts)
                     shares = sum((i**2 for i, _ in spec.slots), F(0))
                     floor = req_zero_beta_multiplier(spec)
                     assert floor == shares / spec.t_over_ts
@@ -367,7 +367,7 @@ def test_req_multi_has_the_bits_of_the_float_fraction_loop():
         for n in range(1, top + 1):
             for m in range(1, radix**n):
                 ratio = TargetRatio(m, radix, n)
-                slots = len(active_schedule(ratio))
+                slots = len(schedule_currents(ratio)[0])
                 for point in ((1e5, 4.7e-6, 1.2, 4), (5e4, 1e-6, 0.02, 2)):
                     for t_over_ts in (None, F(2, 7 * slots)):
                         spec = build_req_spec(ratio, *point, t_over_ts)
@@ -434,7 +434,7 @@ def test_resistance_falls_with_capacitance_and_duty():
     previous = math.inf
     for scale in (0.5, 1.0, 2.0, 4.0, 8.0):
         spec = build_req_spec(
-            active_schedule(TargetRatio(3, 2, 3)),
+            schedule_currents(TargetRatio(3, 2, 3))[0],
             REQ_OPERATING["f_s"], REQ_OPERATING["c"] * scale,
             REQ_OPERATING["r_on"], REQ_OPERATING["switches"],
         )

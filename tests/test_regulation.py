@@ -143,6 +143,22 @@ def test_planner_guards():
         dither_plan(F(2, 5), 3, 10_001)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: dither_plan(0.4, 3.0, 8), "resolution"),
+        (lambda: dither_plan(0.4, 3, 8.5), "max_period"),
+        (lambda: dither_plan(0.4, 3, "8"), "max_period"),
+        (lambda: ldo_select_ratio(10, 3.3, 0.3, 3.0), "resolution"),
+    ],
+    ids=["dither-resolution-float", "dither-period-float", "dither-period-text", "ldo-resolution-float"],
+)
+def test_counts_must_be_integers(call, name):
+    # a float count would fail inside Fraction or plan a fractional period: refused by name
+    with pytest.raises(DomainError, match=f"^{name} must be an integer, got "):
+        call()
+
+
 def test_plan_json_shape():
     data = dither_plan(F(2, 5), 3, 8).to_json_dict()
     assert data == {
