@@ -33,7 +33,6 @@ from .lossmodel import (
     build_req_spec,
     extract_req,
     load_line_fit,
-    req_follower,
     req_multi,
     req_zero_beta_multiplier,
     vo_under_load,
@@ -89,7 +88,6 @@ __all__ = [
     "ldo_select_ratio",
     "load_line_fit",
     "redundancy_scores",
-    "req_follower",
     "req_multi",
     "req_zero_beta_multiplier",
     "run",

@@ -40,7 +40,11 @@ class BankState(Value):
 
     def __init__(self, flying_caps: tuple[float, ...], output_cap: float,
                  flying_voltages: tuple[float, ...], output_voltage: float) -> None:
-        flying_caps, flying_voltages = tuple(map(float, flying_caps)), tuple(map(float, flying_voltages))
+        try:
+            flying_caps, flying_voltages = tuple(map(float, flying_caps)), tuple(map(float, flying_voltages))
+            output_voltage = float(output_voltage)
+        except (TypeError, ValueError, OverflowError) as err:
+            raise DomainError(f"flying capacitances and voltages must be numbers: {err}") from None
         if not flying_caps:
             raise DomainError("bank needs at least one flying capacitor")
         if len(flying_voltages) != len(flying_caps):
@@ -137,7 +141,11 @@ def run(
     seq = tuple(sequence)
     if not seq:
         raise DomainError("empty code sequence")
-    if not math.isfinite(vin):
+    try:
+        finite = math.isfinite(vin)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
         raise DomainError(f"vin must be finite, got {vin!r}")
     if tol is None:
         if vin == 0:

@@ -15,10 +15,14 @@ def require_positive(message: str, *values, zero_ok: bool = False) -> None:
 
     zero_ok also admits 0. NaN and the infinities always fail: NaN slips
     through a bare `x <= 0` test because every comparison with it is false.
+    A str, None or complex fails too: it has no order against 0.
     """
-    for v in values:
-        if not 0 < v < _INF and not (zero_ok and v == 0):
-            raise DomainError(message)
+    try:
+        for v in values:
+            if not 0 < v < _INF and not (zero_ok and v == 0):
+                raise DomainError(message)
+    except TypeError:
+        raise DomainError(message) from None
 
 
 def require_integer(name: str, value) -> int:

@@ -18,6 +18,10 @@ the floor also bounds R_eq from below at every beta. The floor is exact in
 rationals here.
 Equivalent-series resistance of the capacitors is folded into r_on.
 
+The two-phase single-capacitor follower is the two-slot case: currents 1,
+stack 1, t = T_s/2, so R_eq = coth(beta/2) / (f_s * C), which rises as 4R
+under fast switching and floors at 1/(f_s * C) under slow switching.
+
 The slot currents I_k come from linsolve's exact charge balance.
 """
 
@@ -44,28 +48,6 @@ def _coth(x: float) -> float:
         return 1.0 / x + x / 3.0
     e = math.exp(-2.0 * x)
     return (1.0 + e) / (1.0 - e)
-
-
-def req_follower(f_s: float, c: float, beta1: float, beta2: float) -> float:
-    """Equivalent resistance of the two-phase single-capacitor follower.
-
-        R_eq = (coth(beta1/2) + coth(beta2/2)) / (2 * f_s * C)
-
-    Fast switching (small beta) raises it as 4R; slow switching floors it
-    at 1/(f_s * C).
-    """
-    require_positive("frequency and capacitance must be positive", f_s, c)
-    require_positive("beta must be positive", beta1, beta2)
-    # normal (not subnormal) values, as in ReqSpec, keep the divisors off zero
-    fc = f_s * c
-    if not _NORMAL_MIN <= fc < math.inf:
-        raise DomainError(f"operating point out of float range: f_s*C = {fc:g}")
-    if min(beta1, beta2) < _NORMAL_MIN:
-        raise DomainError(f"operating point out of float range: beta = {min(beta1, beta2):g}")
-    r_eq = (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * fc)
-    if not math.isfinite(r_eq):
-        raise DomainError(f"R_eq is {r_eq} at this operating point, out of float range")
-    return r_eq
 
 
 class ReqSpec(Value):
@@ -232,12 +214,14 @@ def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     """
     if len(points) < 2:
         raise FitError("need at least two measurements")
-    xs, ys = [], []
-    for r_o, v_o in points:
-        if not (0 < r_o < math.inf and 0 < v_o < math.inf):
-            raise FitError("measurements must be positive")
-        xs.append(r_o)
-        ys.append(r_o / v_o)
+    try:
+        positive = all(0 < r_o < math.inf and 0 < v_o < math.inf for r_o, v_o in points)
+    except TypeError:  # a str or None has no order against 0
+        positive = False
+    if not positive:
+        raise FitError("measurements must be positive")
+    xs = [r_o for r_o, _ in points]
+    ys = [r_o / v_o for r_o, v_o in points]
     if len(set(xs)) < 2:
         raise FitError("need at least two distinct load points")
     n = len(xs)

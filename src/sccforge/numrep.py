@@ -47,6 +47,7 @@ class TargetRatio(Value):
     @classmethod
     def from_fraction(cls, numerator: int, denominator: int, radix: int = 2) -> "TargetRatio":
         """Build from numerator/denominator where the denominator is a radix power."""
+        radix, denominator = require_integer("radix", radix), require_integer("denominator", denominator)
         if radix < 2:
             # the power search below would never end for radix 1
             raise DomainError(f"radix must be at least 2, got {radix}")

@@ -74,7 +74,7 @@ def _as_fraction(target) -> Fraction:
     # floats are read at their printed decimal value, not their binary one
     try:
         return Fraction(str(target) if isinstance(target, float) else target)
-    except (ValueError, OverflowError):
+    except (TypeError, ValueError, OverflowError):
         raise DomainError(f"target {target} is not a finite number") from None
 
 

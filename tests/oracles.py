@@ -12,8 +12,10 @@ bisects, and the cell oracle tries every engagement mask for every sign
 pattern where the library builds the code family digit by digit, and the run
 oracle builds each slot's right-hand side as a list and scatters the
 solution back voltage by voltage where the library picks both through index
-maps built once per code, and the resistance oracle reads every Fraction
-through float() where the library divides its integers. Keep them dumb.
+maps built once per code, the resistance oracle reads every Fraction
+through float() where the library divides its integers, and the follower
+oracle prices the two-phase follower by its closed form where the library
+sums it over two slots. Keep them dumb.
 """
 
 import math
@@ -175,6 +177,17 @@ def float_fraction_req_multi(spec):
         half_period_cap = 1.0 / (2.0 * spec.f_s * spec.c * float(Fraction(1, stack)))
         total += share * half_period_cap * _coth(stack * beta / 2.0)
     return total
+
+
+def follower_req(f_s, c, beta1, beta2):
+    """Two-phase single-capacitor follower, (coth(beta1/2) + coth(beta2/2)) / (2 f_s C).
+
+    The closed form, with no input checks; req_multi reaches it as a sum over
+    two slots. Same coth as the library, so the two agree to rounding.
+    """
+    from sccforge.lossmodel import _coth
+
+    return (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * f_s * c)
 
 
 def trace_rows(trace):

@@ -26,7 +26,6 @@ from sccforge.lossmodel import (
     build_req_spec,
     extract_req,
     load_line_fit,
-    req_follower,
     req_multi,
     req_zero_beta_multiplier,
     vo_under_load,
@@ -205,14 +204,16 @@ def test_ac07_equivalent_resistance_column(capsys):
 
 
 def test_ac08_follower_limits(capsys):
+    # the two-phase follower is two slots, each carrying the whole output
+    # current through one capacitor for half the period; r_on = 1/(2 f_s C beta)
     failures = []
     r, c, beta = 1.0, 1e-6, 1e-3
     f_s = 1.0 / (2.0 * beta * r * c)
-    fast = req_follower(f_s, c, beta, beta)
+    fast = req_multi(ReqSpec(f_s, c, r, 1, F(1, 2), ((1, 1), (1, 1))))
     if abs(fast - 4.0 * r) > 0.01 * 4.0 * r:
         failures.append(f"fast limit {fast:.4f}, expected 4R")
     f_s, c = 1e5, 4.7e-6
-    slow = req_follower(f_s, c, 20.0, 20.0)
+    slow = req_multi(ReqSpec(f_s, c, 1.0 / (2.0 * f_s * c * 20.0), 1, F(1, 2), ((1, 1), (1, 1))))
     if abs(slow - 1.0 / (f_s * c)) > 0.001 / (f_s * c):
         failures.append(f"slow limit {slow:.4f}, expected 1/(f_s C)")
     report(capsys, 8, "follower resistance limits", failures)

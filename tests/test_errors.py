@@ -5,11 +5,11 @@ import pytest
 
 from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
-from sccforge.errors import DomainError
+from sccforge.errors import DomainError, FitError
 from sccforge.linsolve import schedule_currents
-from sccforge.lossmodel import build_req_spec, extract_req, req_follower, vo_under_load
+from sccforge.lossmodel import ReqSpec, build_req_spec, extract_req, load_line_fit, vo_under_load
 from sccforge.numrep import TargetRatio, spawn_codes
-from sccforge.regulation import ldo_efficiency_bound, ldo_select_ratio
+from sccforge.regulation import dither_plan, ldo_efficiency_bound, ldo_select_ratio
 
 NAN, INF = math.nan, math.inf
 ACTIVE_38 = schedule_currents(TargetRatio(3, 2, 3))[0]
@@ -24,8 +24,8 @@ NON_FINITE_CALLS = {
     "req-spec-c-inf": lambda: build_req_spec(ACTIVE_38, 1e5, INF, 1.2, 4),
     "req-spec-slot-nan": lambda: build_req_spec(TargetRatio(3, 2, 3), 1e5, 4.7e-6, 1.2, 4, NAN),
     "req-spec-slot-inf": lambda: build_req_spec(TargetRatio(3, 2, 3), 1e5, 4.7e-6, 1.2, 4, INF),
-    "follower-fs-nan": lambda: req_follower(NAN, 1e-6, 1.0, 1.0),
-    "follower-beta-nan": lambda: req_follower(1e5, 1e-6, NAN, 1.0),
+    # the two-phase follower as a two-slot spec, where beta NaN is r_on NaN
+    "follower-beta-nan": lambda: ReqSpec(1e5, 1e-6, NAN, 1, Fraction(1, 2), ((1, 1), (1, 1))),
     "load-ro-nan": lambda: vo_under_load(3.0, 0.5, NAN),
     "load-vtrg-nan": lambda: vo_under_load(NAN, 0.5, 100.0),
     "extract-vtrg-inf": lambda: extract_req(INF, 1.0, 100.0),
@@ -39,6 +39,41 @@ NON_FINITE_CALLS = {
 def test_non_finite_quantities_are_domain_errors(call):
     # the validator's own message, not a failure further down
     with pytest.raises(DomainError, match="must be (positive|non-negative)"):
+        call()
+
+
+# each call ended in a bare TypeError, ValueError or OverflowError from a
+# comparison or a float() before its validator could name the argument
+NON_NUMBER_CALLS = {
+    "run-tol-str": (lambda: run(BANK, ACTIVE_38, 8.0, tol="1e-6"), DomainError, "tolerance must be positive"),
+    "run-vin-str": (lambda: run(BANK, ACTIVE_38, "8"), DomainError, "vin must be finite, got '8'"),
+    "run-vin-huge-int": (lambda: run(BANK, ACTIVE_38, 10**400), DomainError, "vin must be finite"),
+    "req-spec-fs-str": (
+        lambda: build_req_spec(TargetRatio(3, 2, 3), "1e5", 4.7e-6, 1.2, 4),
+        DomainError,
+        "f_s, c, and r_on must be positive",
+    ),
+    "ldo-vin-str": (lambda: ldo_select_ratio("10", 3.3, 0.3, 3), DomainError, "vin and vout must be positive"),
+    "ldo-dropout-complex": (lambda: ldo_select_ratio(5.0, 1.8, 0.2j, 3), DomainError, "dropout must be non-negative"),
+    "ldo-bound-vout-str": (lambda: ldo_efficiency_bound("3.3", 0.3), DomainError, "vout must be positive"),
+    "extract-vo-str": (lambda: extract_req(3.0, "2.9", 10.0), DomainError, "measured output must be positive"),
+    "load-ro-none": (lambda: vo_under_load(3.0, 0.5, None), DomainError, "load resistance must be positive"),
+    "bank-cap-none": (lambda: BankState((None,), 1.0, (0.0,), 0.0), DomainError, "must be numbers: .*NoneType"),
+    "bank-cap-text": (lambda: BankState(("1u",), 1.0, (0.0,), 0.0), DomainError, "must be numbers: .*'1u'"),
+    "bank-output-voltage-str": (lambda: BankState((1.0,), 1.0, (0.0,), "0V"), DomainError, "must be numbers"),
+    "fit-vo-str": (lambda: load_line_fit([(1.0, "1"), (2.0, 1.5)]), FitError, "measurements must be positive"),
+    "dither-target-none": (lambda: dither_plan(None, 3, 8), DomainError, "target None is not a finite number"),
+    "ratio-denominator-str": (
+        lambda: TargetRatio.from_fraction(3, "8"),
+        DomainError,
+        "denominator must be an integer, got '8'",
+    ),
+}
+
+
+@pytest.mark.parametrize("call, error, text", NON_NUMBER_CALLS.values(), ids=NON_NUMBER_CALLS)
+def test_non_numbers_are_named_errors(call, error, text):
+    with pytest.raises(error, match=text):
         call()
 
 

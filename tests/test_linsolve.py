@@ -302,6 +302,19 @@ def test_only_linsolve_names_the_kernel():
     assert users == ["linsolve"]
 
 
+def test_only_req_multi_calls_coth():
+    # one resistance model: every schedule, the two-phase follower too, is priced by req_multi
+    callers = []
+    for path in sorted(Path(sccforge.__file__).parent.glob("*.py")):
+        for func in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            callees = [node.func for node in ast.walk(func) if isinstance(node, ast.Call)]
+            if any("_coth" in (getattr(f, "id", None), getattr(f, "attr", None)) for f in callees):
+                callers.append(f"{path.stem}.{func.name}")
+    assert callers == ["lossmodel.req_multi"]
+
+
 def test_only_linsolve_decides_the_balance():
     # the no-balance verdict is written once, where the tableau is eliminated
     sources = sorted(Path(sccforge.__file__).parent.glob("*.py"))

@@ -20,7 +20,6 @@ from sccforge.lossmodel import (
     build_req_spec,
     extract_req,
     load_line_fit,
-    req_follower,
     req_multi,
     req_zero_beta_multiplier,
     vo_under_load,
@@ -44,7 +43,13 @@ from golden import (
     UNSORTED_38_FLOOR,
     UNSORTED_38_REQ,
 )
-from oracles import float_fraction_req_multi, rational_rref, redistribution_loss, two_elimination_schedule
+from oracles import (
+    float_fraction_req_multi,
+    follower_req,
+    rational_rref,
+    redistribution_loss,
+    two_elimination_schedule,
+)
 
 F = Fraction
 
@@ -79,37 +84,56 @@ def test_loss_is_the_settled_energy_gap(c1, c2, dv):
     assert redistribution_loss(c1, c2, dv) == pytest.approx(e_init - e_final, rel=1e-9)
 
 
+def follower_spec(f_s: float, c: float, r_on: float) -> ReqSpec:
+    """The two-phase single-capacitor follower: two slots, each carrying the
+    whole output current through one capacitor for half the period."""
+    return ReqSpec(f_s, c, r_on, 1, F(1, 2), ((1, 1), (1, 1)))
+
+
 def test_follower_limits():
     # fast switching looks like four times the loop resistance
     r, c, beta = 1.0, 1e-6, 1e-3
     f_s = 1.0 / (2.0 * beta * r * c)
-    assert req_follower(f_s, c, beta, beta) == pytest.approx(4.0 * r, rel=1e-2)
+    spec = follower_spec(f_s, c, r)
+    assert spec.beta == pytest.approx(beta)
+    assert req_multi(spec) == pytest.approx(4.0 * r, rel=1e-2)
     # slow switching floors at 1/(f_s C)
     f_s, c = 1e5, 4.7e-6
-    assert req_follower(f_s, c, 20.0, 20.0) == pytest.approx(1.0 / (f_s * c), rel=1e-3)
-    with pytest.raises(DomainError):
-        req_follower(f_s, c, 0.0, 1.0)
-    with pytest.raises(DomainError):
-        req_follower(-f_s, c, 1.0, 1.0)
+    spec = follower_spec(f_s, c, 1.0 / (2.0 * f_s * c * 20.0))
+    assert spec.beta == pytest.approx(20.0)
+    assert req_multi(spec) == pytest.approx(1.0 / (f_s * c), rel=1e-3)
+    # beta 0 is r_on = inf
+    with pytest.raises(DomainError, match="must be positive"):
+        follower_spec(f_s, c, math.inf)
+    with pytest.raises(DomainError, match="must be positive"):
+        follower_spec(-f_s, c, 1.0)
+
+
+@given(st.floats(0.0, 7.0), st.floats(-9.0, -3.0), st.floats(-7.0, 2.0))
+def test_req_multi_prices_the_follower_by_its_closed_form(log_f_s, log_c, log_beta):
+    # f_s 1 Hz .. 10 MHz, C 1 nF .. 1 mF, beta 1e-7 .. 100
+    f_s, c, beta = 10.0**log_f_s, 10.0**log_c, 10.0**log_beta
+    spec = follower_spec(f_s, c, 1.0 / (2.0 * f_s * c * beta))
+    assert math.isclose(req_multi(spec), follower_req(f_s, c, spec.beta, spec.beta), rel_tol=1e-14)
 
 
 @pytest.mark.parametrize(
     "args, text",
     [
-        # 5e-324 halved to 0 in coth (ZeroDivisionError); 1e-310 gave R_eq inf
-        ((1.0, 1.0, 5e-324, 1.0), "beta = 4.94066e-324"),
-        ((1.0, 1.0, 1.0, 1e-310), "beta = 1e-310"),
-        # f_s*C underflowed to a zero divisor, or overflowed to R_eq 0
-        ((1e-200, 1e-200, 1.0, 1.0), "f_s*C = 0"),
-        ((1e300, 1e300, 1.0, 1.0), "f_s*C = inf"),
-        # normal betas whose two coth terms sum past the float range
-        ((1.0, 1.0, 2.0**-1022, 2.0**-1022), "R_eq is inf"),
+        # a subnormal beta would halve to 0 in coth (5e-324) or price R_eq at inf (1e-310)
+        ((1e16, 1.0, 1e307), "beta = 4.94066e-324"),
+        ((1e16, 1.0, 5e293), "beta = 1e-310"),
+        # f_s*C underflows to a zero divisor, or overflows to R_eq 0
+        ((1e-200, 1e-200, 1e200), "f_s*C = 0"),
+        ((1e300, 1e300, 1e-300), "f_s*C = inf"),
+        # a normal beta (2**-1022) whose two coth terms sum past the float range
+        ((1.0, 0.25, 2.0**1023), "R_eq is inf"),
     ],
     ids=["beta-5e-324", "beta-1e-310", "fc-underflow", "fc-overflow", "req-overflow"],
 )
 def test_follower_refuses_an_operating_point_out_of_float_range(args, text):
     with pytest.raises(DomainError, match="out of float range") as err:
-        req_follower(*args)
+        req_multi(follower_spec(*args))
     assert text in str(err.value)
 
 
