@@ -20,7 +20,7 @@ from itertools import count
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
 from ._value import Value
-from .errors import DomainError, require_integer, require_positive
+from .errors import DomainError, require_finite, require_integer, require_positive
 from .numrep import SignedDigitCode
 
 if TYPE_CHECKING:
@@ -41,19 +41,17 @@ class BankState(Value):
     def __init__(self, flying_caps: tuple[float, ...], output_cap: float,
                  flying_voltages: tuple[float, ...], output_voltage: float) -> None:
         try:
-            flying_caps, flying_voltages = tuple(map(float, flying_caps)), tuple(map(float, flying_voltages))
-            output_voltage = float(output_voltage)
-        except (TypeError, ValueError, OverflowError) as err:
-            raise DomainError(f"flying capacitances and voltages must be numbers: {err}") from None
+            caps = require_positive("capacitances must be positive", *flying_caps, output_cap)
+            # negative voltages are legitimate transients; non-finite are not
+            volts = require_finite("voltages must be finite", *flying_voltages, output_voltage)
+        except TypeError:  # only the unpacking raises it: the gate names a bad number
+            raise DomainError("flying capacitances and voltages must each be a sequence") from None
+        flying_caps, flying_voltages = caps[:-1], volts[:-1]
         if not flying_caps:
             raise DomainError("bank needs at least one flying capacitor")
         if len(flying_voltages) != len(flying_caps):
             raise DomainError("one voltage per flying capacitor")
-        require_positive("capacitances must be positive", *flying_caps, output_cap)
-        # negative voltages are legitimate transients; non-finite are not
-        if not all(map(math.isfinite, (*flying_voltages, output_voltage))):
-            raise DomainError("voltages must be finite")
-        self._set(flying_caps, output_cap, flying_voltages, output_voltage)
+        self._set(flying_caps, caps[-1], flying_voltages, volts[-1])
 
     @property
     def size(self) -> int:
@@ -141,17 +139,12 @@ def run(
     seq = tuple(sequence)
     if not seq:
         raise DomainError("empty code sequence")
-    try:
-        finite = math.isfinite(vin)
-    except (TypeError, OverflowError):
-        finite = False
-    if not finite:
-        raise DomainError(f"vin must be finite, got {vin!r}")
+    (vin,) = require_finite(f"vin must be finite, got {vin!r}", vin)
     if tol is None:
         if vin == 0:
             raise DomainError("the default tolerance scales with vin; give tol when vin is 0")
         tol = 1e-9 * abs(vin)
-    require_positive("tolerance must be positive", tol)
+    (tol,) = require_positive("tolerance must be positive", tol)
     max_periods = require_integer("max_periods", max_periods)
     if max_periods < 0:
         raise DomainError("max_periods must be non-negative")

@@ -1,28 +1,35 @@
-"""Exception types shared across the package, and the shared positivity and integer checks."""
+"""Exception types shared across the package, and the shared number checks.
+
+require_finite is the one gate for real-number inputs: it returns them as
+floats, or raises the caller's DomainError for NaN, an infinity, a str, None,
+a complex, or an int or Fraction past the float range.
+"""
 
 import math
 from operator import index
-
-_INF = math.inf
 
 
 class DomainError(ValueError):
     """Input is well-formed but outside the domain of the operation."""
 
 
-def require_positive(message: str, *values, zero_ok: bool = False) -> None:
-    """Raise DomainError(message) unless every value is finite and above zero.
-
-    zero_ok also admits 0. NaN and the infinities always fail: NaN slips
-    through a bare `x <= 0` test because every comparison with it is false.
-    A str, None or complex fails too: it has no order against 0.
-    """
+def require_finite(message: str, *values) -> tuple[float, ...]:
+    """values as floats; DomainError(message) unless math.isfinite accepts every one."""
     try:
-        for v in values:
-            if not 0 < v < _INF and not (zero_ok and v == 0):
-                raise DomainError(message)
-    except TypeError:
-        raise DomainError(message) from None
+        if all(map(math.isfinite, values)):
+            return tuple(map(float, values))
+    except (TypeError, OverflowError):  # a str, None or complex; an int or Fraction past the float range
+        pass
+    raise DomainError(message)
+
+
+def require_positive(message: str, *values, zero_ok: bool = False) -> tuple[float, ...]:
+    """require_finite's floats; DomainError(message) unless each is above zero (or is zero, with zero_ok)."""
+    floats = require_finite(message, *values)
+    for v in floats:
+        if not (v > 0 or zero_ok and v == 0):
+            raise DomainError(message)
+    return floats
 
 
 def require_integer(name: str, value) -> int:

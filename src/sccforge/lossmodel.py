@@ -28,14 +28,13 @@ The slot currents I_k come from linsolve's exact charge balance.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from operator import index
 from typing import Sequence
 
 from ._si import fraction_text
 from ._value import Value
-from .errors import DomainError, FitError, require_positive
+from .errors import DomainError, FitError, require_finite, require_positive
 from .linsolve import current_balance, schedule_currents
 from .numrep import CodeSet, SignedDigitCode, TargetRatio
 
@@ -43,6 +42,7 @@ _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
 
 def _coth(x: float) -> float:
+    # within 3e-11 relative (1e-15 from x = 0.05 up); 1/tanh is closer but moves req's pinned JSON bytes
     # series head below 1e-6 dodges the 0/0 of the exponential form
     if x < 1e-6:
         return 1.0 / x + x / 3.0
@@ -63,7 +63,7 @@ class ReqSpec(Value):
 
     def __init__(self, f_s: float, c: float, r_on: float, switches_per_loop: int,
                  t_over_ts: Fraction, slots: tuple[tuple[Fraction, int], ...]) -> None:
-        require_positive("f_s, c, and r_on must be positive", f_s, c, r_on)
+        f_s, c, r_on = require_positive("f_s, c, and r_on must be positive", f_s, c, r_on)
         if not slots:
             raise DomainError("at least one slot")
         # index reads True as 1 and a numpy int as an int, and refuses 1.5 and Fraction(3, 2)
@@ -86,8 +86,8 @@ class ReqSpec(Value):
             raise DomainError(
                 f"slot duration {fraction_text(t_over_ts)} of a period does not fit {len(slots)} slots"
             )
-        if switches_per_loop > sys.float_info.max:
-            raise DomainError("operating point out of float range: switches_per_loop above the largest float")
+        require_finite("operating point out of float range: switches_per_loop above the largest float",
+                       switches_per_loop)
         self._set(f_s, c, r_on, switches_per_loop, t_over_ts, slots)
         # a product can leave the float range although each factor lies in it;
         # normal (not subnormal) values keep req_multi's divisors off zero
@@ -166,9 +166,9 @@ def req_zero_beta_multiplier(spec: ReqSpec) -> Fraction:
 
 def vo_under_load(v_trg, r_eq: float, r_o: float):
     """Output of an ideal target source v_trg behind r_eq loaded by r_o."""
-    require_positive("target voltage must be positive", v_trg)
-    require_positive("load resistance must be positive", r_o)
-    require_positive("equivalent resistance must be non-negative", r_eq, zero_ok=True)
+    (v_trg,) = require_positive("target voltage must be positive", v_trg)
+    (r_o,) = require_positive("load resistance must be positive", r_o)
+    (r_eq,) = require_positive("equivalent resistance must be non-negative", r_eq, zero_ok=True)
     v_o = v_trg * r_o / (r_eq + r_o)
     if not math.isfinite(v_o):
         raise DomainError(f"output voltage is {v_o} at this load, out of float range")
@@ -177,9 +177,9 @@ def vo_under_load(v_trg, r_eq: float, r_o: float):
 
 def extract_req(v_trg: float, v_o: float, r_o: float) -> float:
     """Equivalent resistance recovered from one loaded measurement."""
-    require_positive("target voltage must be positive", v_trg)
-    require_positive("load resistance must be positive", r_o)
-    require_positive("measured output must be positive", v_o)
+    (v_trg,) = require_positive("target voltage must be positive", v_trg)
+    (r_o,) = require_positive("load resistance must be positive", r_o)
+    (v_o,) = require_positive("measured output must be positive", v_o)
     if v_o >= v_trg:
         raise DomainError(
             f"measured output {v_o} does not droop below the target {v_trg}"
@@ -215,11 +215,10 @@ def load_line_fit(points: Sequence[tuple[float, float]]) -> tuple[float, float]:
     if len(points) < 2:
         raise FitError("need at least two measurements")
     try:
-        positive = all(0 < r_o < math.inf and 0 < v_o < math.inf for r_o, v_o in points)
-    except TypeError:  # a str or None has no order against 0
-        positive = False
-    if not positive:
-        raise FitError("measurements must be positive")
+        for r_o, v_o in points:
+            require_positive("measurements must be positive", r_o, v_o)
+    except (DomainError, TypeError):  # TypeError: a point that is not a pair
+        raise FitError("measurements must be positive") from None
     xs = [r_o for r_o, _ in points]
     ys = [r_o / v_o for r_o, v_o in points]
     if len(set(xs)) < 2:

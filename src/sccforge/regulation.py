@@ -193,6 +193,6 @@ def ldo_select_ratio(
 
 def ldo_efficiency_bound(vout: float, dropout: float) -> float:
     """Best-case efficiency of the downstream regulator itself."""
-    require_positive("vout must be positive", vout)
-    require_positive("dropout must be non-negative", dropout, zero_ok=True)
+    (vout,) = require_positive("vout must be positive", vout)
+    (dropout,) = require_positive("dropout must be non-negative", dropout, zero_ok=True)
     return vout / (vout + dropout)

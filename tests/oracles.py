@@ -15,11 +15,13 @@ solution back voltage by voltage where the library picks both through index
 maps built once per code, the resistance oracle reads every Fraction
 through float() where the library divides its integers, and the follower
 oracle prices the two-phase follower by its closed form where the library
-sums it over two slots. Keep them dumb.
+sums it over two slots, and the coth oracle works in 40-digit decimals where
+the library's coth works in floats. Keep them dumb.
 """
 
 import math
 from array import array
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 
@@ -188,6 +190,19 @@ def follower_req(f_s, c, beta1, beta2):
     from sccforge.lossmodel import _coth
 
     return (_coth(beta1 / 2.0) + _coth(beta2 / 2.0)) / (2.0 * f_s * c)
+
+
+def decimal_coth(x: float) -> Decimal:
+    """coth x = (exp(2x) + 1) / (exp(2x) - 1) to 40 significant digits.
+
+    Worked at 60 digits: exp(2x) - 1 cancels about 7 of them at x = 1e-7.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        e = (2 * Decimal(x)).exp()
+        ratio = (e + 1) / (e - 1)
+        ctx.prec = 40
+        return +ratio
 
 
 def trace_rows(trace):

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -43,11 +44,24 @@ def test_non_finite_quantities_are_domain_errors(call):
 
 
 # each call ended in a bare TypeError, ValueError or OverflowError from a
-# comparison or a float() before its validator could name the argument
+# comparison or a float() before its validator could name the argument, or
+# was accepted: a numeric str as a capacitance, an int past the float range
+# as a tolerance or output capacitance
 NON_NUMBER_CALLS = {
     "run-tol-str": (lambda: run(BANK, ACTIVE_38, 8.0, tol="1e-6"), DomainError, "tolerance must be positive"),
     "run-vin-str": (lambda: run(BANK, ACTIVE_38, "8"), DomainError, "vin must be finite, got '8'"),
     "run-vin-huge-int": (lambda: run(BANK, ACTIVE_38, 10**400), DomainError, "vin must be finite"),
+    "run-tol-huge-int": (lambda: run(BANK, ACTIVE_38, 8.0, tol=10**400), DomainError, "tolerance must be positive"),
+    "req-spec-fs-huge-int": (
+        lambda: ReqSpec(10**400, 1e-6, 1.0, 1, Fraction(1, 2), ((1, 1), (1, 1))),
+        DomainError,
+        "f_s, c, and r_on must be positive",
+    ),
+    "req-spec-c-huge-int": (
+        lambda: build_req_spec(TargetRatio(3, 2, 3), 1e5, 10**400, 1.2, 4),
+        DomainError,
+        "f_s, c, and r_on must be positive",
+    ),
     "req-spec-fs-str": (
         lambda: build_req_spec(TargetRatio(3, 2, 3), "1e5", 4.7e-6, 1.2, 4),
         DomainError,
@@ -56,12 +70,41 @@ NON_NUMBER_CALLS = {
     "ldo-vin-str": (lambda: ldo_select_ratio("10", 3.3, 0.3, 3), DomainError, "vin and vout must be positive"),
     "ldo-dropout-complex": (lambda: ldo_select_ratio(5.0, 1.8, 0.2j, 3), DomainError, "dropout must be non-negative"),
     "ldo-bound-vout-str": (lambda: ldo_efficiency_bound("3.3", 0.3), DomainError, "vout must be positive"),
+    "ldo-bound-vout-huge-int": (lambda: ldo_efficiency_bound(10**400, 0.3), DomainError, "vout must be positive"),
     "extract-vo-str": (lambda: extract_req(3.0, "2.9", 10.0), DomainError, "measured output must be positive"),
+    "extract-ro-huge-int": (lambda: extract_req(3.0, 2.9, 10**400), DomainError, "load resistance must be positive"),
     "load-ro-none": (lambda: vo_under_load(3.0, 0.5, None), DomainError, "load resistance must be positive"),
-    "bank-cap-none": (lambda: BankState((None,), 1.0, (0.0,), 0.0), DomainError, "must be numbers: .*NoneType"),
-    "bank-cap-text": (lambda: BankState(("1u",), 1.0, (0.0,), 0.0), DomainError, "must be numbers: .*'1u'"),
-    "bank-output-voltage-str": (lambda: BankState((1.0,), 1.0, (0.0,), "0V"), DomainError, "must be numbers"),
+    "load-vtrg-huge-int": (lambda: vo_under_load(10**400, 0.5, 100.0), DomainError, "target voltage must be positive"),
+    "bank-cap-none": (lambda: BankState((None,), 1.0, (0.0,), 0.0), DomainError, "capacitances must be positive"),
+    "bank-cap-text": (lambda: BankState(("1u",), 1.0, (0.0,), 0.0), DomainError, "capacitances must be positive"),
+    "bank-cap-numeric-str": (
+        lambda: BankState(("1e-6",), 1.0, ("0.5",), 0.0),
+        DomainError,
+        "capacitances must be positive",
+    ),
+    "bank-output-cap-huge-int": (
+        lambda: BankState((1e-6,), 10**400, (0.5,), 0.0),
+        DomainError,
+        "capacitances must be positive",
+    ),
+    # a DomainError already: the gate must not put a bare tuple(None) in front of itself
+    "bank-caps-none": (
+        lambda: BankState(None, 1.0, (0.0,), 0.0),
+        DomainError,
+        "flying capacitances and voltages must",
+    ),
+    "bank-output-voltage-str": (lambda: BankState((1.0,), 1.0, (0.0,), "0V"), DomainError, "voltages must be finite"),
     "fit-vo-str": (lambda: load_line_fit([(1.0, "1"), (2.0, 1.5)]), FitError, "measurements must be positive"),
+    "fit-ro-huge-int": (
+        lambda: load_line_fit([(10**400, 1.0), (2.0, 1.5)]),
+        FitError,
+        "measurements must be positive",
+    ),
+    "fit-ro-huge-fraction": (
+        lambda: load_line_fit([(Fraction(10**400), 1.0), (2.0, 1.5)]),
+        FitError,
+        "measurements must be positive",
+    ),
     "dither-target-none": (lambda: dither_plan(None, 3, 8), DomainError, "target None is not a finite number"),
     "ratio-denominator-str": (
         lambda: TargetRatio.from_fraction(3, "8"),
@@ -75,6 +118,18 @@ NON_NUMBER_CALLS = {
 def test_non_numbers_are_named_errors(call, error, text):
     with pytest.raises(error, match=text):
         call()
+
+
+def test_numbers_go_on_as_floats():
+    # a Fraction output_cap is stored as the float the flying caps are
+    bank = BankState((1e-6,), Fraction(1), (0.5,), 0)
+    values = (*bank.flying_caps, bank.output_cap, *bank.flying_voltages, bank.output_voltage)
+    assert [type(v) for v in values] == [float] * 4
+    assert run(BANK, ACTIVE_38, Decimal(8)).buffer == run(BANK, ACTIVE_38, 8.0).buffer
+    # a Decimal has no arithmetic with a float; the gate's float has
+    assert vo_under_load(Decimal(3), 5.0, 100.0) == vo_under_load(3.0, 5.0, 100.0)
+    assert extract_req(Decimal(4), 3.816, 100.0) == extract_req(4.0, 3.816, 100.0)
+    assert ldo_efficiency_bound(Decimal("1.8"), 0.3) == ldo_efficiency_bound(1.8, 0.3)
 
 
 def test_zero_dropout_stays_legal():

@@ -1,5 +1,6 @@
 import ast
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from sccforge.linsolve import (
 )
 from sccforge.lossmodel import (
     ReqSpec,
+    _coth,
     average_extracted_req,
     build_req_spec,
     extract_req,
@@ -44,6 +46,7 @@ from golden import (
     UNSORTED_38_REQ,
 )
 from oracles import (
+    decimal_coth,
     float_fraction_req_multi,
     follower_req,
     rational_rref,
@@ -117,6 +120,15 @@ def test_req_multi_prices_the_follower_by_its_closed_form(log_f_s, log_c, log_be
     assert math.isclose(req_multi(spec), follower_req(f_s, c, spec.beta, spec.beta), rel_tol=1e-14)
 
 
+def test_coth_error_bound():
+    # 1 - exp(-2x) cancels just above the series head's 1e-6 (2.7e-11 there);
+    # the req table's terms lie at x >= 0.05, where coth is within 1e-15
+    for k in range(4501):
+        x = 10.0 ** (-7 + k / 500)
+        err = abs(Decimal(_coth(x)) / decimal_coth(x) - 1)
+        assert err < (1e-15 if x >= 0.05 else 3e-11), x
+
+
 @pytest.mark.parametrize(
     "args, text",
     [
@@ -140,7 +152,7 @@ def test_follower_refuses_an_operating_point_out_of_float_range(args, text):
 # -- charge balance -----------------------------------------------------------------
 
 
-def test_active_schedule_takes_a_ratio_or_its_codes():
+def test_schedule_currents_takes_a_ratio_or_its_codes():
     ratio = TargetRatio(3, 2, 3)
     ordered = sort_codes_by_zeros(spawn_codes(ratio))
     # the zero-sorted 3/8 family loses its last row (see the linsolve tests)
