@@ -16,14 +16,15 @@ import argparse
 import contextlib
 import functools
 import json
+import math
 import os
 import sys
-from fractions import Fraction
+from decimal import Decimal
 from typing import Iterable, NamedTuple
 
 from . import _si
 from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
-from .errors import DomainError, ResourceLimitError, SingularSystemError
+from .errors import DomainError, ResourceLimitError, SingularSystemError, require_exact
 from .linsolve import build_system, find_redundant, solve_unique, sort_codes_by_zeros, step_up
 from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
 from .numrep import TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
@@ -238,10 +239,9 @@ def _cmd_req(o) -> _Out:
 
     rows = []
     table = [("ratio", "slots", "t/Ts", "R_eq[Ohm]", "floor[R]")]
-    if o.slot is None or isinstance(o.slot, Fraction):
-        t_over_ts = o.slot
-    else:
-        t_over_ts = Fraction(o.slot) * Fraction(str(o.fs))
+    t_over_ts = o.slot  # None (the even split) or a fraction of the period, "Ts/4"
+    if isinstance(o.slot, Decimal):  # seconds, "2.5u": times --fs, a fraction of the period
+        t_over_ts = math.prod(require_exact("--slot and --fs must be finite", o.slot, o.fs))
     for ratio in ratios:
         spec = build_req_spec(ratio, o.fs, o.c, o.ron, o.switches, t_over_ts)
         req = req_multi(spec)

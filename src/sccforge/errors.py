@@ -1,11 +1,14 @@
 """Exception types shared across the package, and the shared number checks.
 
-require_finite is the one gate for real-number inputs: it returns them as
-floats, or raises the caller's DomainError for NaN, an infinity, a str, None,
-a complex, or an int or Fraction past the float range.
+require_finite is the one gate for real-number inputs, require_exact for exact
+ones: each returns floats or Fractions, or raises the caller's DomainError for NaN,
+an infinity, a str, None or a complex, and require_finite for an int or Fraction past the float range.
 """
 
 import math
+import numbers
+from decimal import Decimal
+from fractions import Fraction
 from operator import index
 
 
@@ -30,6 +33,21 @@ def require_positive(message: str, *values, zero_ok: bool = False) -> tuple[floa
         if not (v > 0 or zero_ok and v == 0):
             raise DomainError(message)
     return floats
+
+
+def require_exact(message: str, *values) -> tuple[Fraction, ...]:
+    """values as Fractions, exactly but for a float, read at its printed value (0.1 is 1/10)."""
+    exact = []
+    for v in values:
+        if isinstance(v, numbers.Real) and not isinstance(v, numbers.Rational):
+            v = str(v)  # a float, numpy's too; "nan" and "inf" do not parse
+        elif not isinstance(v, (numbers.Rational, Decimal)):
+            raise DomainError(message)  # a str, None or a complex
+        try:
+            exact.append(Fraction(index(v) if isinstance(v, numbers.Integral) else v))  # a numpy int as an int
+        except (ValueError, OverflowError):  # NaN or an infinity, a float's or a Decimal's
+            raise DomainError(message) from None
+    return tuple(exact)
 
 
 def require_integer(name: str, value) -> int:

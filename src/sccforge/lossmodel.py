@@ -34,7 +34,7 @@ from typing import Sequence
 
 from ._si import fraction_text
 from ._value import Value
-from .errors import DomainError, FitError, require_finite, require_positive
+from .errors import DomainError, FitError, require_exact, require_finite, require_positive
 from .linsolve import current_balance, schedule_currents
 from .numrep import CodeSet, SignedDigitCode, TargetRatio
 
@@ -55,8 +55,8 @@ class ReqSpec(Value):
 
     slots holds one (current, stack) pair per slot: its exact share of the
     output current and the int count of unit capacitors its digits stack in
-    series. t_over_ts is the slot duration as an exact fraction of the
-    period; it may not exceed 1/len(slots). Slot k's beta is stack_k * beta.
+    series. t_over_ts is the slot duration as an exact fraction of the period
+    (a float read at its printed value), at most 1/len(slots). Slot k's beta is stack_k * beta.
     """
 
     __slots__ = _fields = ("f_s", "c", "r_on", "switches_per_loop", "t_over_ts", "slots")
@@ -77,10 +77,7 @@ class ReqSpec(Value):
         for k, (current, _) in enumerate(slots, start=1):
             if not isinstance(current, (int, Fraction)):
                 raise DomainError(f"slot {k} current {current!r} is not exact: give an int or a Fraction")
-        if not isinstance(t_over_ts, Fraction):
-            # NaN and the infinities have no Fraction, so they are refused here, by name
-            require_positive("slot duration t_over_ts must be positive", t_over_ts)
-            t_over_ts = Fraction(t_over_ts)
+        (t_over_ts,) = require_exact("slot duration t_over_ts must be positive", t_over_ts)
         # 0 < t <= 1/L, in integers: a Fraction's denominator is positive
         if not 0 < t_over_ts.numerator * len(slots) <= t_over_ts.denominator:
             raise DomainError(

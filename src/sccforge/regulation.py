@@ -8,12 +8,13 @@ regulator's dropout (LDO pre-selection).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
 from ._si import fraction_text
 from ._value import Value
-from .errors import DomainError, ResourceLimitError, require_integer, require_positive
+from .errors import DomainError, ResourceLimitError, require_exact, require_integer, require_positive
 from .numrep import TargetRatio
 
 _MAX_PERIOD_LIMIT = 10_000
@@ -70,14 +71,6 @@ def dither_average(plan: DitherPlan) -> Fraction:
     return total / plan.period
 
 
-def _as_fraction(target) -> Fraction:
-    # floats are read at their printed decimal value, not their binary one
-    try:
-        return Fraction(str(target) if isinstance(target, float) else target)
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"target {target} is not a finite number") from None
-
-
 def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
     """Cheapest dither between adjacent lattice ratios approximating target.
 
@@ -100,7 +93,7 @@ def dither_plan(target, resolution: int, max_period: int) -> DitherPlan:
         raise DomainError("max_period must be at least 1")
     if max_period > _MAX_PERIOD_LIMIT:
         raise ResourceLimitError(f"max_period beyond {_MAX_PERIOD_LIMIT}")
-    t = _as_fraction(target)
+    (t,) = require_exact(f"target {target} is not a finite number", target)
     denom = 2**resolution
     if not Fraction(1, denom) <= t <= Fraction(denom - 1, denom):
         low, high = f"1/{denom}", f"{denom - 1}/{denom}"
@@ -145,18 +138,6 @@ class RatioChoice(NamedTuple):
         return str(self.ratio)
 
 
-def _first_true(lo: int, hi: int, pred) -> int:
-    """Smallest m in [lo, hi) with pred(m), or hi; pred is false, then true."""
-    # plain ints: bisect on a range would need len(), which overflows past 2**63
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def ldo_select_ratio(
     vin: float,
     vout: float,
@@ -169,24 +150,24 @@ def ldo_select_ratio(
     Takes the lowest step-down ratio m/2**n that clears vout + dropout,
     else (when allowed) the lowest step-up ratio 2**n/m. Headroom beyond
     vout + dropout is pure dissipation, so smaller sufficient gain means
-    better efficiency. Both tests are monotone in m, so each lattice is
-    bisected rather than scanned. Resolution is capped at _RESOLUTION_LIMIT.
+    better efficiency. The voltages are read exactly (a float at its printed
+    value), so each m has a closed form, below. Resolution is capped at _RESOLUTION_LIMIT.
     """
     require_positive("vin and vout must be positive", vin, vout)
     require_positive("dropout must be non-negative", dropout, zero_ok=True)
     resolution = _check_resolution(resolution)
+    vin, vout, dropout = require_exact("vin, vout and dropout must be finite", vin, vout, dropout)
     need = vout + dropout
     denom = 2**resolution
-    m = _first_true(1, denom, lambda m: Fraction(m, denom) * vin >= need)
+    m = math.ceil(need * denom / vin)  # the smallest m with m / 2**n * vin >= need
     if m < denom:
         return RatioChoice(TargetRatio(m, 2, resolution), False)
     if allow_step_up:
-        # the largest m whose gain 2**n/m still clears the need
-        m = _first_true(1, denom, lambda m: Fraction(denom, m) * vin < need) - 1
+        m = min(math.floor(denom * vin / need), denom - 1)  # the largest m with 2**n / m * vin >= need
         if m >= 1:
             return RatioChoice(TargetRatio(m, 2, resolution), True)
     raise DomainError(
-        f"no ratio at resolution {resolution} lifts {vin:g} V to {need:g} V"
+        f"no ratio at resolution {resolution} lifts {fraction_text(vin)} V to {fraction_text(need)} V"
         + ("" if allow_step_up else " without step-up")
     )
 
@@ -195,4 +176,6 @@ def ldo_efficiency_bound(vout: float, dropout: float) -> float:
     """Best-case efficiency of the downstream regulator itself."""
     (vout,) = require_positive("vout must be positive", vout)
     (dropout,) = require_positive("dropout must be non-negative", dropout, zero_ok=True)
+    if math.isinf(vout + dropout):  # halving is exact up here, and the halves' sum is finite
+        vout, dropout = vout / 2, dropout / 2
     return vout / (vout + dropout)

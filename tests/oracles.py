@@ -8,11 +8,11 @@ where the simulator only moves charge, the elimination oracle works in
 Fractions where the library kernel stays in integers, the schedule oracle
 drops the dependent rows and then balances what is left where the library
 reads both off one elimination, the LDO oracle scans the lattice the library
-bisects, and the cell oracle tries every engagement mask for every sign
-pattern where the library builds the code family digit by digit, and the run
-oracle builds each slot's right-hand side as a list and scatters the
-solution back voltage by voltage where the library picks both through index
-maps built once per code, the resistance oracle reads every Fraction
+solves in closed form, and the cell oracle tries every engagement mask for
+every sign pattern where the library builds the code family digit by digit,
+and the run oracle builds each slot's right-hand side as a list and scatters
+the solution back voltage by voltage where the library picks both through
+index maps built once per code, the resistance oracle reads every Fraction
 through float() where the library divides its integers, and the follower
 oracle prices the two-phase follower by its closed form where the library
 sums it over two slots, and the coth oracle works in 40-digit decimals where
@@ -151,7 +151,9 @@ def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):
 
     Walks the step-down gains m/2**n upward, then the step-up gains 2**n/m
     upward (m downward), and stops at the first that clears the need.
+    Each voltage is read at its printed value and compared exactly.
     """
+    vin, vout, dropout = (Fraction(str(x)) for x in (vin, vout, dropout))
     need = vout + dropout
     denom = 2**resolution
     for m in range(1, denom):

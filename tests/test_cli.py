@@ -545,6 +545,12 @@ def test_ldo_line(capsys):
     assert lines_of(capsys) == ["ratio 3/8 step-down, efficiency bound 0.9167"]
 
 
+def test_ldo_reads_voltages_at_their_printed_value(capsys):
+    # 6/32 of 19.2 V is 3.6 V exactly, which clears 3.1 V + 0.5 V
+    assert main(["ldo", "--vin", "19.2", "--vout", "3.1", "--dropout", "0.5", "--n", "5"]) == 0
+    assert lines_of(capsys) == ["ratio 6/32 step-down, efficiency bound 0.8611"]
+
+
 def test_ldo_step_up(capsys):
     assert main(["ldo", "--vin", "1.8", "--vout", "3.3", "--dropout", "0.3"]) == 0
     assert lines_of(capsys) == ["ratio 8/4 step-up, efficiency bound 0.9167"]

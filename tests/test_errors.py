@@ -1,12 +1,17 @@
+import ast
 import math
 from decimal import Decimal
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+import sccforge
+from sccforge import errors
 from sccforge._si import parse_fraction, parse_quantity, parse_slot
 from sccforge.chargesim import BankState, run
-from sccforge.errors import DomainError, FitError
+from sccforge.errors import DomainError, FitError, require_exact
 from sccforge.linsolve import schedule_currents
 from sccforge.lossmodel import ReqSpec, build_req_spec, extract_req, load_line_fit, vo_under_load
 from sccforge.numrep import TargetRatio, spawn_codes
@@ -130,6 +135,52 @@ def test_numbers_go_on_as_floats():
     assert vo_under_load(Decimal(3), 5.0, 100.0) == vo_under_load(3.0, 5.0, 100.0)
     assert extract_req(Decimal(4), 3.816, 100.0) == extract_req(4.0, 3.816, 100.0)
     assert ldo_efficiency_bound(Decimal("1.8"), 0.3) == ldo_efficiency_bound(1.8, 0.3)
+
+
+NOT_EXACT = {
+    "float-nan": NAN,
+    "float-inf": INF,
+    "float-minus-inf": -INF,
+    "decimal-nan": Decimal("NaN"),
+    "decimal-inf": Decimal("Infinity"),
+    "none": None,
+    "complex": 0.5j,
+    "str": "3/8",
+}
+
+
+@pytest.mark.parametrize("value", NOT_EXACT.values(), ids=NOT_EXACT)
+def test_exact_gate_refuses_with_the_callers_message(value):
+    with pytest.raises(DomainError, match="^the caller's words$"):
+        require_exact("the caller's words", 1, value)
+
+
+@pytest.mark.parametrize("value", NOT_EXACT.values(), ids=NOT_EXACT)
+def test_exact_readers_name_their_argument(value):
+    with pytest.raises(DomainError, match="slot duration t_over_ts must be positive"):
+        ReqSpec(1e5, 4.7e-6, 1.2, 4, value, ((1, 1),))
+    with pytest.raises(DomainError, match="is not a finite number"):
+        dither_plan(value, 3, 8)
+
+
+def test_exact_gate_reads_floats_at_their_printed_value():
+    values = (0.1, np.float64(0.1), Decimal("0.1"), Fraction(1, 10), 2, True, np.int64(3), 1e308)
+    exact = require_exact("unused", *values)
+    assert exact[:4] == (Fraction(1, 10),) * 4
+    assert exact[4:] == (2, 1, 3, 10**308)
+    assert all(type(f) is Fraction and type(f.numerator) is int for f in exact)
+
+
+def test_only_the_gate_reads_a_fraction_from_text():
+    # one exact reading of inputs: no module but errors, where require_exact lives, builds Fraction(str(...))
+    readers = set()
+    for path in sorted(set(Path(sccforge.__file__).parent.glob("*.py")) - {Path(errors.__file__)}):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Fraction":
+                inner = [n for arg in node.args for n in ast.walk(arg) if isinstance(n, ast.Call)]
+                if any(getattr(n.func, "id", None) == "str" for n in inner):
+                    readers.add(path.stem)
+    assert readers == set()
 
 
 def test_zero_dropout_stays_legal():

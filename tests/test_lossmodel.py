@@ -395,6 +395,14 @@ def test_slot_duration_must_fit_the_period():
     assert ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), slots).beta == pytest.approx(5e-6 / (4.8 * 4.7e-6))
 
 
+def test_float_slot_duration_is_read_at_its_printed_value():
+    # binary 0.1 is above 1/10 and would not fit ten slots
+    slots = ((F(1, 10), 1),) * 10
+    spec = ReqSpec(1e5, 4.7e-6, 1.2, 4, 0.1, slots)
+    assert spec.t_over_ts == F(1, 10)
+    assert req_multi(spec) == req_multi(ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 10), slots))
+
+
 def test_req_multi_has_the_bits_of_the_float_fraction_loop():
     # REQ_OPERATING (beta 0.11 at 3/8's even split) and a slow-switching point (beta 125)
     # where 1 / (2 f_s C * (1/k)) and k / (2 f_s C) differ in the last bit for k = 3, 5, 6,

@@ -68,12 +68,15 @@ def test_plan_holds_tuples():
 
 
 def test_lattice_target_needs_no_dither():
-    for target in (F(3, 8), 0.375, "3/8"):
+    for target in (F(3, 8), 0.375, Decimal("0.375")):
         plan = dither_plan(target, 3, 8)
         assert plan.ratios == (R(3),)
         assert plan.weights == (1,)
     edge = dither_plan(F(1, 8), 3, 8)
     assert edge.ratios == (R(1),)
+    # text is parsed at the command line, not here: the library takes numbers
+    with pytest.raises(DomainError, match="^target 3/8 is not a finite number$"):
+        dither_plan("3/8", 3, 8)
 
 
 def test_worked_plan():
@@ -253,10 +256,13 @@ def all_gains(resolution: int, allow_step_up: bool):
     st.booleans(),
 )
 def test_selected_gain_is_minimal(vin, vout, dropout, allow_step_up):
-    need = vout + dropout
     try:
         choice = ldo_select_ratio(vin, vout, dropout, 3, allow_step_up)
     except DomainError:
+        choice = None
+    # the library reads each float at its printed value, so the check does too
+    vin, need = F(str(vin)), F(str(vout)) + F(str(dropout))
+    if choice is None:
         assert all(g * vin < need for g in all_gains(3, allow_step_up))
         return
     assert choice.gain * vin >= need
@@ -281,6 +287,27 @@ def test_selection_matches_the_lattice_scan(vin, vout, dropout, resolution, allo
         return
     assert (choice.ratio.m, choice.step_up) == want
     assert choice.ratio.resolution == resolution
+
+
+@pytest.mark.parametrize(
+    "vin, vout, dropout, resolution, m, step_up",
+    [
+        # 6/32 of 19.2 V is 3.6 V exactly; in floats it fell short
+        (19.2, 3.1, 0.5, 5, 6, False),
+        (8.08, 4.4, 0.65, 4, 10, False),
+        (2.9, 12.5, 0.3, 11, 464, True),
+        # vout + dropout is past the float range; gain 2 falls short of it
+        (1e308, 1.5e308, 1e308, 3, 3, True),
+    ],
+    ids=["down-19.2", "down-8.08", "up-2.9", "need-past-float"],
+)
+def test_selection_on_the_boundary_is_exact(vin, vout, dropout, resolution, m, step_up):
+    assert ldo_select_ratio(vin, vout, dropout, resolution) == RatioChoice(R(m, resolution), step_up)
+
+
+def test_selection_takes_decimals():
+    assert ldo_select_ratio(Decimal(5), 1.8, 0.2, 3) == ldo_select_ratio(5.0, 1.8, 0.2, 3)
+    assert ldo_select_ratio(Decimal("19.2"), Decimal("3.1"), Decimal("0.5"), 5).ratio == R(6, 5)
 
 
 def test_selection_validation():
@@ -310,6 +337,10 @@ def test_efficiency_bound():
     assert ldo_efficiency_bound(3.3, 0.3) == pytest.approx(3.3 / 3.6, rel=1e-12)
     assert ldo_efficiency_bound(5.0, 0.5) == pytest.approx(10.0 / 11.0, rel=1e-12)
     assert ldo_efficiency_bound(3.3, 0.0) == 1.0
+    # the sum overflows, but the bound does not
+    assert ldo_efficiency_bound(1.5e308, 1e308) == 0.6
+    assert ldo_efficiency_bound(1e308, 1e308) == 0.5
+    assert ldo_efficiency_bound(1e308, 7.9e307) == 1e308 / (1e308 + 7.9e307)
     with pytest.raises(DomainError):
         ldo_efficiency_bound(0.0, 0.3)
     with pytest.raises(DomainError):
