@@ -8,14 +8,10 @@ from decimal import Context, Decimal
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import DomainError
+from .errors import FRACTION_DIGITS, DomainError
 
 # SI prefixes as powers of ten
 _PREFIXES = {"p": -12, "n": -9, "u": -6, "µ": -6, "m": -3, "k": 3, "M": 6, "G": 9}
-
-# numerator or denominator digits that parse_fraction admits; far above any
-# ratio a bank can reach, and far below Python's 4,300-digit int-to-str limit
-_FRACTION_DIGITS = 1000
 
 # unit letters that may trail a magnitude ("4.7uF", "100kHz", "1.2Ohm")
 _UNIT_SUFFIXES = ("ohm", "Ohm", "OHM", "Hz", "hz", "F", "V", "A", "s", "S")
@@ -58,7 +54,7 @@ def parse_fraction(text: str) -> Fraction:
 
     Neither numerator nor denominator can have more digits than the text
     before the exponent plus the exponent's size; text where that exceeds
-    _FRACTION_DIGITS is rejected before the Fraction is built, so
+    FRACTION_DIGITS is rejected before the Fraction is built, so
     "1e-9999999" costs nothing.
     """
     s = text.strip()
@@ -67,8 +63,8 @@ def parse_fraction(text: str) -> Fraction:
         size = len(mantissa) + abs(int(exponent or 0))
     except ValueError:
         raise DomainError(f"cannot parse fraction {text!r}") from None
-    if size > _FRACTION_DIGITS:
-        raise DomainError(f"fraction {text!r} exceeds the {_FRACTION_DIGITS}-digit limit")
+    if size > FRACTION_DIGITS:
+        raise DomainError(f"fraction {text!r} exceeds the {FRACTION_DIGITS}-digit limit")
     try:
         if "/" in s:
             num, den = s.split("/")

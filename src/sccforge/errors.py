@@ -11,6 +11,10 @@ from decimal import Decimal
 from fractions import Fraction
 from operator import index
 
+# digits (of the mantissa, plus the exponent's size) that require_exact and _si.parse_fraction admit:
+# far above any ratio a bank can reach, far below Python's 4,300-digit int-to-str limit
+FRACTION_DIGITS = 1000
+
 
 class DomainError(ValueError):
     """Input is well-formed but outside the domain of the operation."""
@@ -43,6 +47,9 @@ def require_exact(message: str, *values) -> tuple[Fraction, ...]:
             v = str(v)  # a float, numpy's too; "nan" and "inf" do not parse
         elif not isinstance(v, (numbers.Rational, Decimal)):
             raise DomainError(message)  # a str, None or a complex
+        elif isinstance(v, Decimal) and v.is_finite():  # bounded before its Fraction costs 10**|exponent|
+            if len(v.as_tuple().digits) + abs(v.as_tuple().exponent) > FRACTION_DIGITS:
+                raise DomainError(f"{message}: a Decimal past the {FRACTION_DIGITS}-digit limit")
         try:
             exact.append(Fraction(index(v) if isinstance(v, numbers.Integral) else v))  # a numpy int as an int
         except (ValueError, OverflowError):  # NaN or an infinity, a float's or a Decimal's

@@ -7,14 +7,13 @@ A ratio m / radix**n admits many representations of the form
 and each one corresponds to a distinct way of stacking the flying capacitors
 of an n-capacitor bank. This module generates the complete code family of a
 ratio by two independent routes (a digit-by-digit construction from the least
-significant digit up, and a full sweep of the digit lattice) and, for binary
-banks, arranges that family into a cyclic schedule that balances how often and
-in which direction each capacitor is engaged.
+significant digit up, and an exhaustive join of the digit lattice's two
+halves) and, for binary banks, arranges that family into a cyclic schedule
+balancing how often and in which direction each capacitor is engaged.
 """
 
 from __future__ import annotations
 
-import itertools
 from fractions import Fraction
 from typing import Sequence
 
@@ -142,8 +141,7 @@ def _numerator(code: SignedDigitCode) -> int:
 
 
 def _canonical_key(code: SignedDigitCode) -> tuple[int, ...]:
-    # ascending by the digit tuple read least-significant first; this is the
-    # order a full factorial sweep with the last digit fastest meets matches
+    # ascending by the digit tuple read least-significant first
     return tuple(reversed(code.digits))
 
 
@@ -234,11 +232,24 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
     return family
 
 
-def enumerate_codes(ratio: TargetRatio) -> CodeSet:
-    """Every code of the ratio, by exhaustive sweep of the digit lattice.
+def _digit_tuples(r: int, k: int) -> list[tuple[tuple[int, ...], int]]:
+    # every tuple of k digits in [1 - r, r - 1], with its value sum_j d_j*r**(k-j)
+    tuples = [((), 0)]
+    for _ in range(k):
+        tuples = [(t + (d,), v * r + d) for t, v in tuples for d in range(1 - r, r)]
+    return tuples
 
-    Deliberately independent of spawn_codes so the two generators can be
-    cross-checked. The sweep size (2*radix - 1)**resolution is capped.
+
+def enumerate_codes(ratio: TargetRatio) -> CodeSet:
+    """Every code of the ratio, by exhaustive search of the digit lattice.
+
+    Deliberately independent of spawn_codes (it uses no residues or carries),
+    so the two generators can be cross-checked. A code's numerator is
+    a0*r**n + head*r**(n-h) + tail, for its high h = n//2 digits and its low
+    n - h. The tails are swept once into a table by value; each head, with
+    a0 = 0 and with a0 = 1, looks up the tails that complete m. That takes
+    about 2*(2r - 1)**(n/2) steps, but the cap is still on the lattice size
+    (2r - 1)**n. Every match passes the checked constructors.
     """
     r, n = ratio.radix, ratio.resolution
     cells = (2 * r - 1) ** n
@@ -246,17 +257,13 @@ def enumerate_codes(ratio: TargetRatio) -> CodeSet:
         raise ResourceLimitError(
             f"enumeration would visit {cells} digit tuples (limit {_ENUMERATION_CELL_LIMIT})"
         )
-    want_plain = ratio.m  # integer numerator when a0 == 0
-    want_carry = ratio.m - r**n  # and when a0 == 1
-    found = []
-    for digits in itertools.product(range(-(r - 1), r), repeat=n):
-        f = 0
-        for d in digits:
-            f = f * r + d
-        if f == want_plain:
-            found.append(SignedDigitCode(0, digits, r))
-        elif f == want_carry:
-            found.append(SignedDigitCode(1, digits, r))
+    h = n // 2
+    tails: dict[int, list[tuple[int, ...]]] = {}
+    for tail, value in _digit_tuples(r, n - h):
+        tails.setdefault(value, []).append(tail)
+    found = [SignedDigitCode(a0, head + tail, r)
+             for head, value in _digit_tuples(r, h) for a0 in (0, 1)
+             for tail in tails.get(ratio.m - a0 * r**n - value * r ** (n - h), ())]
     return CodeSet(ratio, tuple(found))
 
 

@@ -75,6 +75,19 @@ def test_codes_cross_check_mismatch_exits_1(monkeypatch, capsys):
     assert captured.err == "generator mismatch for 3/8: spawn 5 codes, enumerate 4 codes\n"
 
 
+def test_codes_cross_check_at_the_deepest_resolution(capsys):
+    assert main(["codes", "--ratio", "5461/16384", "--check"]) == 0
+    assert lines_of(capsys) == ["generators agree on 987 codes"]
+
+
+def test_codes_cross_check_past_the_enumeration_limit_exits_3(capsys):
+    # the lattice of 3**15 digit tuples is past the 10**7 cap: radix 2 from n = 15
+    assert main(["codes", "--ratio", "1/32768", "--check"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: enumeration would visit 14348907 digit tuples (limit 10000000)\n"
+
+
 @pytest.mark.parametrize(
     "argv, text",
     [

@@ -1,5 +1,6 @@
 import ast
 import math
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -165,10 +166,34 @@ def test_exact_readers_name_their_argument(value):
 
 def test_exact_gate_reads_floats_at_their_printed_value():
     values = (0.1, np.float64(0.1), Decimal("0.1"), Fraction(1, 10), 2, True, np.int64(3), 1e308)
+    # Decimals up to the 1000-digit limit stay exact
+    values += (Decimal(8), Decimal("2.5E-6"), Decimal("1e999"), Decimal("1e-999"))
     exact = require_exact("unused", *values)
     assert exact[:4] == (Fraction(1, 10),) * 4
-    assert exact[4:] == (2, 1, 3, 10**308)
+    assert exact[4:] == (2, 1, 3, 10**308, 8, Fraction(1, 400000), 10**999, Fraction(1, 10**999))
     assert all(type(f) is Fraction and type(f.numerator) is int for f in exact)
+
+
+OVERSIZED_DECIMAL_CALLS = {
+    "dither-target": (lambda: dither_plan(Decimal("1e-1000000"), 3, 8), "is not a finite number"),
+    "req-spec-slot": (
+        lambda: ReqSpec(1e5, 4.7e-6, 1.2, 4, Decimal("1e-1000000"), ((1, 1),)),
+        "slot duration t_over_ts must be positive",
+    ),
+    "gate-large": (lambda: require_exact("x", Decimal("1e1000")), "^x"),
+    "gate-long": (lambda: require_exact("x", Decimal("0." + "1" * 501)), "^x"),
+}
+
+
+@pytest.mark.parametrize("call, words", OVERSIZED_DECIMAL_CALLS.values(), ids=OVERSIZED_DECIMAL_CALLS)
+def test_exact_gate_refuses_an_oversized_decimal_before_its_fraction(call, words):
+    # parse_fraction's bound on text, kept on a Decimal's digits plus its exponent's size,
+    # refuses before Fraction(Decimal("1e-1000000")) spends seconds building 10**1000000
+    started = time.perf_counter()
+    with pytest.raises(DomainError, match=words) as refused:
+        call()
+    assert time.perf_counter() - started < 0.01
+    assert str(refused.value).endswith(": a Decimal past the 1000-digit limit")
 
 
 def test_only_the_gate_reads_a_fraction_from_text():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import re
+import time
 from collections import Counter
 from fractions import Fraction
 
@@ -192,7 +193,12 @@ def test_family_sizes_meet_reduced_width_bound():
 def test_enumerate_example_and_equivalence():
     family = enumerate_codes(TargetRatio(1, 2, 3))
     assert len(family) == 4
-    for radix, max_n in ((2, 6), (3, 4)):
+    # n = 1 leaves the high half empty: m is one low digit with a0 = 0, or m - radix with a0 = 1
+    for radix in (2, 3, 5):
+        for m in range(1, radix):
+            assert as_pairs(enumerate_codes(TargetRatio(m, radix, 1))) == ((1, (m - radix,)), (0, (m,)))
+    # an odd n splits the digits into halves of unequal length
+    for radix, max_n in ((2, 8), (3, 5), (5, 4)):
         for n in range(1, max_n + 1):
             for m in range(1, radix**n):
                 ratio = TargetRatio(m, radix, n)
@@ -202,6 +208,16 @@ def test_enumerate_example_and_equivalence():
 def test_enumerate_guard():
     with pytest.raises(ResourceLimitError):
         enumerate_codes(TargetRatio(1, 2, 15))
+
+
+@pytest.mark.parametrize("m, n", [(341, 10), (1365, 12), (5461, 14)])
+def test_enumerate_deep_ratios(m, n):
+    # the largest radix-2 families at n = 10, 12 and 14 (144, 377 and 987 codes); n = 14 is the last under the cap
+    ratio = TargetRatio(m, 2, n)
+    started = time.perf_counter()
+    family = enumerate_codes(ratio)
+    assert time.perf_counter() - started < 0.5
+    assert family.codes == spawn_codes(ratio).codes
 
 
 @given(target_ratios(max_radix=5, max_resolution=4))
