@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -27,7 +28,7 @@ from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locu
 from .errors import DomainError, ResourceLimitError, SingularSystemError, require_exact
 from .linsolve import build_system, find_redundant, solve_unique, sort_codes_by_zeros, step_up
 from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
-from .numrep import TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
+from .numrep import SignedDigitCode, TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
 from .regulation import dither_average, dither_plan, ldo_efficiency_bound, ldo_select_ratio
 
 EXIT_OK = 0
@@ -52,7 +53,11 @@ class _UsageError(Exception):
 
 
 class _Out(NamedTuple):
-    """A command's output in each format; json or csv None falls back to the text."""
+    """A command's output in each format; json or csv None falls back to the text.
+
+    csv and text may be one-shot iterables, built as they are read: _render
+    consumes the one it prints, once, and leaves the other unread.
+    """
 
     json: dict | None
     csv: Iterable[str] | None
@@ -131,8 +136,8 @@ def _cmd_codes(o) -> _Out:
     header = ",".join(["a0"] + [f"d{j}" for j in range(1, ratio.resolution + 1)])
     return _Out(
         {"ratio": str(ratio), "generator": o.generator, "codes": [c.to_json_dict() for c in codes]},
-        [header] + [",".join(str(x) for x in (c.a0, *c.digits)) for c in codes],
-        [c.to_text() for c in codes],
+        itertools.chain((header,), (",".join(map(str, (c.a0, *c.digits))) for c in codes)),
+        map(SignedDigitCode.to_text, codes),
     )
 
 

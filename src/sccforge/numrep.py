@@ -20,7 +20,7 @@ from typing import Sequence
 from ._value import Value
 from .errors import DomainError, ResourceLimitError, require_integer
 
-_ENUMERATION_CELL_LIMIT = 10**7
+_ENUMERATION_CELL_LIMIT = 2 * 10**5
 _BALANCE_RESOLUTION_LIMIT = 10
 
 
@@ -122,7 +122,7 @@ class SignedDigitCode(Value):
 
     def to_text(self) -> str:
         """Space-separated digits, a0 first: "1 -1 0 -1"."""
-        return " ".join(str(x) for x in (self.a0, *self.digits))
+        return " ".join(map(str, (self.a0, *self.digits)))
 
     def to_json_dict(self) -> dict:
         return {"a0": self.a0, "digits": list(self.digits), "radix": self.radix}
@@ -248,16 +248,19 @@ def enumerate_codes(ratio: TargetRatio) -> CodeSet:
     a0*r**n + head*r**(n-h) + tail, for its high h = n//2 digits and its low
     n - h. The tails are swept once into a table by value; each head, with
     a0 = 0 and with a0 = 1, looks up the tails that complete m. That takes
-    about 2*(2r - 1)**(n/2) steps, but the cap is still on the lattice size
-    (2r - 1)**n. Every match passes the checked constructors.
+    about 2*(2r - 1)**(n/2) steps, and the cap is on the larger sweep, the
+    (2r - 1)**(n - h) tails: it admits every ratio with a denominator up to
+    2**16 and stops radix 2 after n = 22. Every match passes the checked
+    constructors.
     """
     r, n = ratio.radix, ratio.resolution
-    cells = (2 * r - 1) ** n
+    h = n // 2
+    cells = (2 * r - 1) ** (n - h)
     if cells > _ENUMERATION_CELL_LIMIT:
         raise ResourceLimitError(
-            f"enumeration would visit {cells} digit tuples (limit {_ENUMERATION_CELL_LIMIT})"
+            f"enumeration would sweep {cells} tuples of the low {n - h} digits "
+            f"(limit {_ENUMERATION_CELL_LIMIT})"
         )
-    h = n // 2
     tails: dict[int, list[tuple[int, ...]]] = {}
     for tail, value in _digit_tuples(r, n - h):
         tails.setdefault(value, []).append(tail)
@@ -279,21 +282,38 @@ def _arrange(family: CodeSet) -> list[SignedDigitCode]:
     cycle alternating. It does not enforce spacing, yet each capacitor's
     engagements fall floor(2**n/q) to ceil(2**n/q) rows apart (q being its
     count over the cycle); the tests check both properties.
+
+    The first fit is read off bitsets over the family, bit i standing for
+    code i in canonical order: live holds the codes with copies left, and
+    each capacitor bars the codes that engage it with the sign it was last
+    engaged with. A row takes the lowest set bit of live and not any bar,
+    about n big-int operations where a scan would try half the family.
     """
-    order = family.codes
+    order, n = family.codes, family.ratio.resolution
     left = [1 << c.zero_count for c in order]  # copies still to place, by index in order
-    # bit k stands for capacitor k: pos[i] and neg[i] hold the capacitors code i
-    # engages with each sign, up and down those last engaged with each sign
-    pos = [sum(1 << k for k, d in enumerate(c.digits) if d > 0) for c in order]
-    neg = [sum(1 << k for k, d in enumerate(c.digits) if d < 0) for c in order]
-    up = down = 0
+    # signed[k][s] holds the codes that engage capacitor k with sign s (1 or -1)
+    signed = [{1: 0, -1: 0} for _ in range(n)]
+    for i, c in enumerate(order):
+        for k, d in enumerate(c.digits):
+            if d:
+                signed[k][d] |= 1 << i
+    # the bars that code i sets: capacitor k, and the codes that repeat its sign there
+    sets = [[(k, signed[k][d]) for k, d in enumerate(c.digits) if d] for c in order]
+    bars = [0] * n
+    live = (1 << len(order)) - 1
 
     seq: list[SignedDigitCode] = []
-    for _ in range(1 << family.ratio.resolution):
-        i = next(i for i in range(len(order)) if left[i] and not (pos[i] & up or neg[i] & down))
+    for _ in range(1 << n):
+        barred = 0
+        for bar in bars:
+            barred |= bar
+        free = live & ~barred
+        i = (free & -free).bit_length() - 1
         left[i] -= 1
-        up = up & ~neg[i] | pos[i]
-        down = down & ~pos[i] | neg[i]
+        if not left[i]:
+            live ^= 1 << i
+        for k, bar in sets[i]:
+            bars[k] = bar
         seq.append(order[i])
     return seq
 

@@ -10,13 +10,15 @@ drops the dependent rows and then balances what is left where the library
 reads both off one elimination, the LDO oracle scans the lattice the library
 solves in closed form, and the cell oracle tries every engagement mask for
 every sign pattern where the library builds the code family digit by digit,
-and the run oracle builds each slot's right-hand side as a list and scatters
-the solution back voltage by voltage where the library picks both through
-index maps built once per code, the resistance oracle reads every Fraction
-through float() where the library divides its integers, and the follower
-oracle prices the two-phase follower by its closed form where the library
-sums it over two slots, and the coth oracle works in 40-digit decimals where
-the library's coth works in floats. Keep them dumb.
+the balanced oracle scans the family for each row's first fit where the
+library reads it off bitsets, and the run oracle builds each slot's
+right-hand side as a list and scatters the solution back voltage by voltage
+where the library picks both through index maps built once per code, the
+resistance oracle reads every Fraction through float() where the library
+divides its integers, and the follower oracle prices the two-phase follower
+by its closed form where the library sums it over two slots, and the coth
+oracle works in 40-digit decimals where the library's coth works in floats.
+Keep them dumb.
 """
 
 import math
@@ -144,6 +146,30 @@ def matched_cells_by_scan(n):
             cells[m][j] = (a0, digits)
     assert all(None not in found for found in cells.values()), "sign pattern matched no mask"
     return cells
+
+
+def balanced_by_scan(family):
+    """The balanced schedule's rows, each found by scanning the family for its first fit.
+
+    A row takes the first code in canonical order that has copies left (it
+    starts with 2**zero_count) and engages no capacitor with the sign that
+    capacitor was last engaged with.
+    """
+    order = family.codes
+    left = [1 << c.zero_count for c in order]
+    # bit k stands for capacitor k: pos[i] and neg[i] hold the capacitors code i
+    # engages with each sign, up and down those last engaged with each sign
+    pos = [sum(1 << k for k, d in enumerate(c.digits) if d > 0) for c in order]
+    neg = [sum(1 << k for k, d in enumerate(c.digits) if d < 0) for c in order]
+    up = down = 0
+    seq = []
+    for _ in range(1 << family.ratio.resolution):
+        i = next(i for i in range(len(order)) if left[i] and not (pos[i] & up or neg[i] & down))
+        left[i] -= 1
+        up = up & ~neg[i] | pos[i]
+        down = down & ~pos[i] | neg[i]
+        seq.append(order[i])
+    return seq
 
 
 def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):

@@ -15,7 +15,7 @@ import sccforge
 from sccforge import cli
 from sccforge.cli import main
 from sccforge.linsolve import build_system, solve_unique, step_up
-from sccforge.numrep import CodeSet, TargetRatio, spawn_codes
+from sccforge.numrep import CodeSet, SignedDigitCode, TargetRatio, spawn_codes
 
 from golden import (
     BALANCED_TABLE_N3,
@@ -80,12 +80,26 @@ def test_codes_cross_check_at_the_deepest_resolution(capsys):
     assert lines_of(capsys) == ["generators agree on 987 codes"]
 
 
-def test_codes_cross_check_past_the_enumeration_limit_exits_3(capsys):
-    # the lattice of 3**15 digit tuples is past the 10**7 cap: radix 2 from n = 15
-    assert main(["codes", "--ratio", "1/32768", "--check"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: enumeration would visit 14348907 digit tuples (limit 10000000)\n"
+def test_codes_cross_check_past_n_14(capsys):
+    # the enumeration cap is on the larger half-lattice sweep, 3**8 tuples at n = 16,
+    # so every ratio under the denominator limit is checked
+    assert main(["codes", "--ratio", "1/32768", "--check"]) == 0
+    assert main(["codes", "--ratio", "21845/65536", "--check"]) == 0
+    assert lines_of(capsys) == ["generators agree on 16 codes", "generators agree on 2584 codes"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_codes_renders_only_the_format_asked_for(monkeypatch, capsys, fmt):
+    argv = ["codes", "--ratio", "85/256", "--generator", "balanced", "--format", fmt]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+
+    def refuse(code):
+        raise AssertionError("the text rendering was built")
+
+    monkeypatch.setattr(SignedDigitCode, "to_text", refuse)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == want
 
 
 @pytest.mark.parametrize(

@@ -21,11 +21,12 @@ from sccforge.numrep import (
 
 from golden import (
     BALANCED_DIGEST_N1_7,
+    BALANCED_DIGEST_N8_10,
     BALANCED_TABLE_N3,
     CODE_FAMILY_R2_N3,
     CODE_FAMILY_R3_N2,
 )
-from oracles import matched_cells_by_scan
+from oracles import balanced_by_scan, matched_cells_by_scan
 
 
 def as_pairs(codes):
@@ -206,13 +207,14 @@ def test_enumerate_example_and_equivalence():
 
 
 def test_enumerate_guard():
-    with pytest.raises(ResourceLimitError):
-        enumerate_codes(TargetRatio(1, 2, 15))
+    # the cap is on the low half's sweep: 3**11 tuples pass at n = 22, 3**12 do not at n = 23
+    with pytest.raises(ResourceLimitError, match="would sweep 531441 tuples of the low 12 digits"):
+        enumerate_codes(TargetRatio(1, 2, 23))
 
 
 @pytest.mark.parametrize("m, n", [(341, 10), (1365, 12), (5461, 14)])
 def test_enumerate_deep_ratios(m, n):
-    # the largest radix-2 families at n = 10, 12 and 14 (144, 377 and 987 codes); n = 14 is the last under the cap
+    # the largest radix-2 families at n = 10, 12 and 14 (144, 377 and 987 codes)
     ratio = TargetRatio(m, 2, n)
     started = time.perf_counter()
     family = enumerate_codes(ratio)
@@ -325,13 +327,28 @@ def test_balanced_invariants_up_to_n5():
             check_balanced(balanced_sequence(ratio), ratio)
 
 
-def test_balanced_row_order_is_pinned_up_to_n7():
+def balanced_digest(ratios):
     digest = hashlib.sha256()
-    for n in range(1, 8):
+    for m, n in ratios:
+        for code in balanced_sequence(TargetRatio(m, 2, n)):
+            digest.update(f"{m}/{2**n} {code.to_text()}\n".encode())
+    return digest.hexdigest()
+
+
+def test_balanced_row_order_is_pinned_up_to_n7():
+    assert balanced_digest((m, n) for n in range(1, 8) for m in range(1, 2**n)) == BALANCED_DIGEST_N1_7
+
+
+def test_balanced_row_order_is_pinned_at_n8_and_n10():
+    ratios = [*((m, 8) for m in range(1, 2**8)), (341, 10), (683, 10), (339, 10), (685, 10)]
+    assert balanced_digest(ratios) == BALANCED_DIGEST_N8_10
+
+
+def test_balanced_rows_match_the_first_fit_scan_up_to_n8():
+    for n in range(1, 9):
         for m in range(1, 2**n):
-            for code in balanced_sequence(TargetRatio(m, 2, n)):
-                digest.update(f"{m}/{2**n} {code.to_text()}\n".encode())
-    assert digest.hexdigest() == BALANCED_DIGEST_N1_7
+            ratio = TargetRatio(m, 2, n)
+            assert balanced_sequence(ratio) == tuple(balanced_by_scan(spawn_codes(ratio))), f"{m}/{2**n}"
 
 
 @st.composite
