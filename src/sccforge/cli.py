@@ -107,11 +107,12 @@ def _target(text: str | None, radix: int) -> TargetRatio:
 
 
 # name -> the code sequence of a ratio; codes --generator and simulate --order
-# each offer their own names from it
+# each offer their own names from it. Each entry looks its function up at call
+# time, so a wrapper set on this module's name (a tracer's) sees the call.
 _SEQUENCES = {
-    "spawn": spawn_codes,
+    "spawn": lambda ratio: spawn_codes(ratio),
     "sorted": lambda ratio: sort_codes_by_zeros(spawn_codes(ratio)),
-    "balanced": balanced_sequence,
+    "balanced": lambda ratio: balanced_sequence(ratio),
 }
 
 

@@ -8,8 +8,8 @@ and each one corresponds to a distinct way of stacking the flying capacitors
 of an n-capacitor bank. This module generates the complete code family of a
 ratio by two independent routes (a digit-by-digit construction from the least
 significant digit up, and an exhaustive join of the digit lattice's two
-halves) and, for binary banks, arranges that family into a cyclic schedule
-balancing how often and in which direction each capacitor is engaged.
+halves) and, for binary banks, reads a cyclic schedule of that family off a
+phase accumulator, which engages each capacitor alternately in each direction.
 """
 
 from __future__ import annotations
@@ -132,6 +132,23 @@ class SignedDigitCode(Value):
 _PUT_CODE = tuple(getattr(SignedDigitCode, name).__set__ for name in ("_values", *SignedDigitCode._fields))
 
 
+def _unchecked_codes(pairs, radix: int) -> list[SignedDigitCode]:
+    # codes from (a0, digits) pairs without the constructor's checks, which
+    # cannot fail for the two generators: spawn_codes places digits in range
+    # (see there), and balanced_sequence's a0 is a carry, each digit a difference of two bits
+    new = object.__new__
+    put_values, put_a0, put_digits, put_radix = _PUT_CODE
+    codes = []
+    for a0, digits in pairs:
+        code = new(SignedDigitCode)
+        put_values(code, (a0, digits, radix))
+        put_a0(code, a0)
+        put_digits(code, digits)
+        put_radix(code, radix)
+        codes.append(code)
+    return codes
+
+
 def _numerator(code: SignedDigitCode) -> int:
     # a0*r**n + sum_j d_j*r**(n-j): the code's value times r**n, in integers
     m, r = code.a0, code.radix
@@ -217,18 +234,8 @@ def spawn_codes(ratio: TargetRatio) -> CodeSet:
             for d in (residue - r, residue) if residue else (0,):
                 grown.append(((rest - d) // r, (d, *low)))
         partial = grown
-    new = object.__new__
-    put_values, put_a0, put_digits, put_radix = _PUT_CODE
-    codes = []
-    for a0, digits in partial:
-        code = new(SignedDigitCode)
-        put_values(code, (a0, digits, r))
-        put_a0(code, a0)
-        put_digits(code, digits)
-        put_radix(code, r)
-        codes.append(code)
-    family = new(CodeSet)
-    family._set(ratio, tuple(codes))
+    family = object.__new__(CodeSet)
+    family._set(ratio, tuple(_unchecked_codes(partial, r)))
     return family
 
 
@@ -270,70 +277,42 @@ def enumerate_codes(ratio: TargetRatio) -> CodeSet:
     return CodeSet(ratio, tuple(found))
 
 
-def _arrange(family: CodeSet) -> list[SignedDigitCode]:
-    """Order the family into a balanced cycle of 2**n rows, first fit.
-
-    Each code fills 2**zero_count rows; the copies add up to 2**n, n being
-    the resolution, because each sign pattern of the n digits matches exactly
-    one code. Each row takes the first code, in the family's canonical order,
-    that has copies left and is admissible: every capacitor it engages was
-    last engaged with the opposite sign, or not yet. Up to
-    _BALANCE_RESOLUTION_LIMIT this single pass fills every row and closes the
-    cycle alternating. It does not enforce spacing, yet each capacitor's
-    engagements fall floor(2**n/q) to ceil(2**n/q) rows apart (q being its
-    count over the cycle); the tests check both properties.
-
-    The first fit is read off bitsets over the family, bit i standing for
-    code i in canonical order: live holds the codes with copies left, and
-    each capacitor bars the codes that engage it with the sign it was last
-    engaged with. A row takes the lowest set bit of live and not any bar,
-    about n big-int operations where a scan would try half the family.
-    """
-    order, n = family.codes, family.ratio.resolution
-    left = [1 << c.zero_count for c in order]  # copies still to place, by index in order
-    # signed[k][s] holds the codes that engage capacitor k with sign s (1 or -1)
-    signed = [{1: 0, -1: 0} for _ in range(n)]
-    for i, c in enumerate(order):
-        for k, d in enumerate(c.digits):
-            if d:
-                signed[k][d] |= 1 << i
-    # the bars that code i sets: capacitor k, and the codes that repeat its sign there
-    sets = [[(k, signed[k][d]) for k, d in enumerate(c.digits) if d] for c in order]
-    bars = [0] * n
-    live = (1 << len(order)) - 1
-
-    seq: list[SignedDigitCode] = []
-    for _ in range(1 << n):
-        barred = 0
-        for bar in bars:
-            barred |= bar
-        free = live & ~barred
-        i = (free & -free).bit_length() - 1
-        left[i] -= 1
-        if not left[i]:
-            live ^= 1 << i
-        for k, bar in sets[i]:
-            bars[k] = bar
-        seq.append(order[i])
-    return seq
-
-
 def balanced_sequence(ratio: TargetRatio) -> tuple[SignedDigitCode, ...]:
     """Cyclic schedule of 2**n codes that balances capacitor activity.
 
-    Defined for radix 2 only. The rows are the family from spawn_codes, each
-    code taken 2**(n - s) times, s being its engaged-digit count, so the
-    schedule exercises the whole family. Consecutive engagements of every
-    capacitor alternate in sign around the cycle; that is the only rule the
-    pass follows, and the near-uniform spacing that comes with it is checked
-    by the tests.
+    Defined for radix 2 only. The rows are the steps of a phase accumulator
+    x_t = (2**n - 1 + t*m) mod 2**n, bit k of x (k = 1 the most significant)
+    standing for capacitor k: row t has a0 = the carry out of x_t + m and
+    digit k = bit_k(x_{t+1}) - bit_k(x_t). Each row is a code of m/2**n, as
+    sum_k d_k*2**(n-k) = x_{t+1} - x_t = m - a0*2**n. A code (a0, d) is the
+    step from the prod_k (2 - |d_k|) = 2**zero_count states whose bit k is
+    fixed where d_k is nonzero. For odd m the walk visits every state once,
+    so each code fills its 2**zero_count rows with no bookkeeping; for even
+    m = 2**s * m' the low s bits stay set, and the walk is m'/2**(n - s)'s,
+    2**s times over. Capacitor k is engaged when bit k flips, with the sign
+    of the flip, and one bit's flips alternate up and down, so each
+    capacitor alternates in sign around the cycle; the near-uniform spacing
+    that comes with it is checked by the tests. The walk ends where it
+    began, so each capacitor's digits sum to 0 and the a0 column to m.
     """
     if ratio.radix != 2:
         raise DomainError("balanced sequencing is defined for radix 2 only")
-    n = ratio.resolution
+    n, m = ratio.resolution, ratio.m
     if n > _BALANCE_RESOLUTION_LIMIT:
         raise ResourceLimitError(
             f"balanced sequence of 2**{n} rows exceeds the supported resolution "
             f"{_BALANCE_RESOLUTION_LIMIT}"
         )
-    return tuple(_arrange(spawn_codes(ratio)))
+    top = (1 << n) - 1
+    rows, x = [], top  # each row's code as (carry, bits flipped, bits flipped up)
+    for _ in range(top + 1):
+        y = x + m
+        x, flip = y & top, (x ^ y) & top
+        rows.append((y >> n, flip, flip & x))
+    places = range(n - 1, -1, -1)
+    keys = dict.fromkeys(rows)
+    codes = _unchecked_codes(
+        ((a0, tuple((1 if up >> b & 1 else -1) if flip >> b & 1 else 0 for b in places))
+         for a0, flip, up in keys), 2)
+    code_of = dict(zip(keys, codes))
+    return tuple(map(code_of.__getitem__, rows))

@@ -11,10 +11,12 @@ reads both off one elimination, the LDO oracle scans the lattice the library
 solves in closed form, and the cell oracle tries every engagement mask for
 every sign pattern where the library builds the code family digit by digit,
 the balanced oracle scans the family for each row's first fit where the
-library reads it off bitsets, and the run oracle builds each slot's
-right-hand side as a list and scatters the solution back voltage by voltage
-where the library picks both through index maps built once per code, the
-resistance oracle reads every Fraction through float() where the library
+library reads the rows off a binary phase accumulator, the accumulator
+oracle takes the family as the steps of a radix-r accumulator from all of
+its states where the library builds it digit by digit, and the run oracle
+builds each slot's right-hand side as a list and scatters the solution back
+voltage by voltage where the library picks both through index maps built
+once per code, the resistance oracle reads every Fraction through float() where the library
 divides its integers, and the follower oracle prices the two-phase follower
 by its closed form where the library sums it over two slots, and the coth
 oracle works in 40-digit decimals where the library's coth works in floats.
@@ -170,6 +172,26 @@ def balanced_by_scan(family):
         down = down & ~pos[i] | neg[i]
         seq.append(order[i])
     return seq
+
+
+def family_by_accumulator(ratio):
+    """The code family of m/r**n as (a0, digits) pairs: every step of a radix-r phase accumulator.
+
+    From each of the r**n states x, adding m gives a0 = the carry out of
+    x + m and digit k = digit_k(x + m mod r**n) - digit_k(x), k = 1 the most
+    significant.
+    """
+    r, n, m = ratio.radix, ratio.resolution, ratio.m
+    size = r**n
+
+    def digits(x):
+        return [x // r ** (n - k) % r for k in range(1, n + 1)]
+
+    family = set()
+    for x in range(size):
+        carry, y = divmod(x + m, size)
+        family.add((carry, tuple(b - a for a, b in zip(digits(x), digits(y)))))
+    return family
 
 
 def ldo_select_by_scan(vin, vout, dropout, resolution, allow_step_up):

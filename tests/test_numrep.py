@@ -26,7 +26,7 @@ from golden import (
     CODE_FAMILY_R2_N3,
     CODE_FAMILY_R3_N2,
 )
-from oracles import balanced_by_scan, matched_cells_by_scan
+from oracles import balanced_by_scan, family_by_accumulator, matched_cells_by_scan
 
 
 def as_pairs(codes):
@@ -222,6 +222,15 @@ def test_enumerate_deep_ratios(m, n):
     assert family.codes == spawn_codes(ratio).codes
 
 
+def test_spawn_matches_the_accumulator_family():
+    # every radix-r step x -> x + m mod r**n is a code, and every code is such a step
+    for radix, max_n in ((2, 8), (3, 5), (4, 3), (5, 3)):
+        for n in range(1, max_n + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                assert spawn_codes(ratio).as_set() == family_by_accumulator(ratio), str(ratio)
+
+
 @given(target_ratios(max_radix=5, max_resolution=4))
 def test_generators_agree(ratio):
     # enumerate_codes goes through the checked CodeSet, so this pins canonical order too
@@ -282,6 +291,9 @@ def check_balanced(seq, ratio):
     for (_, digits), count in counts.items():
         engaged = sum(1 for d in digits if d)
         assert count == 2 ** (ratio.resolution - engaged)
+    # the cycle telescopes: each capacitor's digits sum to 0 and the a0 column to m
+    assert sum(c.a0 for c in seq) == ratio.m
+    assert all(sum(column) == 0 for column in zip(*(c.digits for c in seq)))
     for k in range(ratio.resolution):
         events = [
             (i, 1 if c.digits[k] > 0 else -1)
