@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from functools import cached_property
 from itertools import count
 from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
 
@@ -25,12 +24,6 @@ from .numrep import SignedDigitCode
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-def _singular(err: str, flag: int) -> None:
-    import numpy as np
-
-    raise np.linalg.LinAlgError("Singular matrix")
 
 
 class BankState(Value):
@@ -65,30 +58,25 @@ class SimTrace(Value):
     and Vo after the slot, then the charge Q it moved, so 8 * (n + 2) bytes
     per slot. run keeps these n + 2 values at the head of its float64 state
     vector and appends their bytes after each slot, so the buffer holds the
-    doubles LAPACK returned, bit for bit. records unpacks it on first read
-    into one (iteration, flying_voltages, output_voltage, charge) tuple per
-    slot and keeps them; nothing in the library reads records.
+    doubles LAPACK returned, bit for bit. records views the buffer without a
+    copy, one row of n + 2 doubles a slot, or () when no slot ran.
     periods counts the full passes of the sequence that ran.
     adjustment_iterations counts the slots executed before the first period
     whose boundary-to-boundary voltage change stayed below tolerance; None
     when the run never converged.
     """
 
-    # no __slots__: the cached records live in the instance __dict__
-    _fields = ("buffer", "periods", "converged", "adjustment_iterations", "final_state")
+    __slots__ = _fields = ("buffer", "periods", "converged", "adjustment_iterations", "final_state")
 
     def __init__(self, buffer: array, periods: int, converged: bool,
                  adjustment_iterations: int | None, final_state: BankState) -> None:
         self._set(buffer, periods, converged, adjustment_iterations, final_state)
 
-    @cached_property
-    def records(self) -> tuple[tuple[int, tuple[float, ...], float, float], ...]:
-        n = self.final_state.size
-        buf = self.buffer
-        return tuple(
-            (i, tuple(buf[k : k + n]), buf[k + n], buf[k + n + 1])
-            for i, k in enumerate(range(0, len(buf), n + 2))
-        )
+    @property
+    def records(self) -> memoryview | tuple[()]:
+        width = self.final_state.size + 2
+        view = memoryview(self.buffer).cast("B")  # cast refuses a zero in the shape, hence ()
+        return view.cast("d", (len(self.buffer) // width, width)) if self.buffer else ()
 
 
 def _slot_matrix(state: BankState, code: SignedDigitCode) -> tuple[np.ndarray, tuple[int, ...]]:
@@ -180,21 +168,21 @@ def run(
     volts = s[: n + 1].tolist()
     converged = False
     adjustment: int | None = None
-    # np.linalg.solve's own error state, entered once: a singular matrix
-    # still raises LinAlgError, and overflow stays silent for the check below
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        for period in range(1, max_periods + 1):
-            before = volts
-            for a, gather, scatter in plan:
-                s[scatter] = solve(a, s[gather])
-                buffer.frombytes(record)
-            volts = s[: n + 1].tolist()
-            if not all(map(math.isfinite, volts)):
-                raise DomainError(f"the simulation left the float range in period {period}")
-            if max(abs(x - y) for x, y in zip(volts, before)) < tol:
-                converged = True
-                adjustment = (period - 1) * len(seq)
-                break
+    # LAPACK flags a singular matrix only at an exact zero pivot, and a slot
+    # matrix's pivots are its identity rows and -(sum d_j**2/C_j + 1/C_o), never
+    # 0; solve1 clears the float status, so overflow meets only the finite check.
+    for period in range(1, max_periods + 1):
+        before = volts
+        for a, gather, scatter in plan:
+            s[scatter] = solve(a, s[gather])
+            buffer.frombytes(record)
+        volts = s[: n + 1].tolist()
+        if not all(map(math.isfinite, volts)):
+            raise DomainError(f"the simulation left the float range in period {period}")
+        if max(abs(x - y) for x, y in zip(volts, before)) < tol:
+            converged = True
+            adjustment = (period - 1) * len(seq)
+            break
     final = BankState(state.flying_caps, state.output_cap, volts[:n], volts[n])
     periods = len(buffer) // ((n + 2) * len(seq))
     return SimTrace(buffer, periods, converged, adjustment, final)

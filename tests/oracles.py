@@ -269,28 +269,26 @@ def reference_run(state, sequence, vin, tol, max_periods):
     agree bit for bit. Returns (buffer, periods, converged,
     adjustment_iterations, volts) with volts the final V1..Vn, Vo, unchecked.
     """
-    import numpy as np
     from numpy.linalg import _umath_linalg
 
-    from sccforge.chargesim import _singular, _slot_matrix
+    from sccforge.chargesim import _slot_matrix
 
     plan = [(*_slot_matrix(state, code), -code.a0 * vin) for code in sequence]
     volts = [*state.flying_voltages, state.output_voltage]
     buffer = array("d")
     converged, adjustment = False, None
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        for period in range(1, max_periods + 1):
-            before = list(volts)
-            for a, written, drive in plan:
-                rhs = [volts[i] for i in written] + [drive]
-                solution = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
-                for i, v in zip(written, solution):
-                    volts[i] = v
-                buffer.extend(volts)
-                buffer.append(solution[-1])
-            if not all(map(math.isfinite, volts)):
-                break
-            if max(abs(x - y) for x, y in zip(volts, before)) < tol:
-                converged, adjustment = True, (period - 1) * len(plan)
-                break
+    for period in range(1, max_periods + 1):
+        before = list(volts)
+        for a, written, drive in plan:
+            rhs = [volts[i] for i in written] + [drive]
+            solution = _umath_linalg.solve1(a, rhs, signature="dd->d").tolist()
+            for i, v in zip(written, solution):
+                volts[i] = v
+            buffer.extend(volts)
+            buffer.append(solution[-1])
+        if not all(map(math.isfinite, volts)):
+            break
+        if max(abs(x - y) for x, y in zip(volts, before)) < tol:
+            converged, adjustment = True, (period - 1) * len(plan)
+            break
     return buffer, len(buffer) // ((len(volts) + 1) * len(plan)), converged, adjustment, volts

@@ -348,6 +348,48 @@ def test_zero_budget_run_is_empty():
     assert trace.final_state == state
 
 
+def test_records_view_the_buffer_one_row_a_slot():
+    state = bank((4.7e-6,) * 3, 470e-6, (0.0, 0.0, 0.0), 0.0)
+    trace = run(state, SEQ_38, VIN)
+    assert len(trace.records) == trace.periods * len(SEQ_38)
+    assert trace.records.obj is trace.buffer
+    assert trace.records.tolist() == [list(row[1:]) for row in trace_rows(trace)]
+    assert len(run(state, SEQ_38, VIN, max_periods=0).records) == 0
+
+
+# float extremes from the smallest subnormal to the largest double
+EXTREME_CAPS = (5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e12, 1e300, 1.7976931348623157e308)
+
+
+def test_slot_matrices_never_go_singular():
+    # run solves without an error state: LAPACK flags only an exact zero pivot,
+    # and a slot matrix pivots on its identity rows, then on
+    # -(sum d_j**2/C_j + 1/C_o), whose same-signed terms never cancel to 0. So
+    # every slot solves, and a run either returns or stops with DomainError.
+    rng = random.Random(37)
+
+    def cap():
+        return rng.choice(EXTREME_CAPS) if rng.random() < 0.5 else rng.uniform(1e-9, 1e-3)
+
+    outcomes = set()
+    for k in range(200):
+        n = rng.randint(1, 6)
+        ratio = TargetRatio(rng.randint(1, 2**n - 1), 2, n)
+        seq = balanced_sequence(ratio) if k % 2 else list(spawn_codes(ratio))
+        volts = [rng.uniform(-10.0, 10.0) for _ in range(n + 1)]
+        state = bank([cap() for _ in range(n)], cap(), volts[:n], volts[n])
+        for code in dict.fromkeys(seq):
+            a, _ = chargesim._slot_matrix(state, code)
+            np.linalg.solve(a, np.ones(len(a)))
+        with np.errstate(all="raise"):
+            try:
+                run(state, seq, VIN, max_periods=3)
+                outcomes.add("returned")
+            except DomainError:
+                outcomes.add("overflowed")
+    assert outcomes == {"returned", "overflowed"}
+
+
 @pytest.fixture
 def lapack_calls(monkeypatch):
     """The matrices of every LAPACK solve run makes while the test runs."""

@@ -345,6 +345,11 @@ def test_simulate_cap_count_mismatch(capsys):
     assert "need 3 flying capacitances" in capsys.readouterr().err
 
 
+def test_simulate_init_count_mismatch(capsys):
+    assert main(SIM_ARGS + ["--init", "1,2,3"]) == 2
+    assert "--init needs 4 voltages (V1..V3,Vo), got 3" in capsys.readouterr().err
+
+
 # -- req ---------------------------------------------------------------------------
 
 REQ_ARGS = ["req", "--fs", "100k", "--c", "4.7u", "--ron", "1.2", "--switches", "4"]

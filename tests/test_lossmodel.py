@@ -369,6 +369,8 @@ def test_slot_and_spec_validation():
         with pytest.raises(DomainError, match=rf"^slot {k} current (np\.float64\()?0\.5\)? is not exact"):
             ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), tuple((i, 1) for i in currents))
     assert ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1, 2), ((1, 1), (0, 1))).slots == ((1, 1), (0, 1))
+    with pytest.raises(DomainError, match="^at least one slot$"):
+        ReqSpec(1e5, 4.7e-6, 1.2, 4, F(1), ())
     with pytest.raises(DomainError):
         ReqSpec(-1e5, 4.7e-6, 1.2, 4, F(1, 2), slots)
     # each factor is a finite positive float, but a product is not

@@ -146,6 +146,7 @@ def test_fields_are_read_only(cls, fields, changed):
         with pytest.raises(AttributeError):
             delattr(a, name)
     assert a == cls(**fields)
+    assert not hasattr(a, "__dict__")
 
 
 @pytest.mark.parametrize("cls, fields, changed", VALUES, ids=VALUE_IDS)
