@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from array import array
 from itertools import count
-from typing import TYPE_CHECKING, Iterable, Sequence, TextIO
+from typing import TYPE_CHECKING, Sequence
 
 from ._value import Value
 from .errors import DomainError, require_finite, require_integer, require_positive
@@ -212,8 +212,3 @@ def trace_csv_lines(trace: SimTrace) -> list[str]:
         *map(row.__mod__, zip(count(), *(buf[j::width] for j in range(width)))),
     ]
 
-
-def write_locus_csv(points: Iterable[tuple[float, float]], stream: TextIO) -> None:
-    stream.write("angle_rad,abs_charge\n")
-    for angle, radius in points:
-        stream.write(f"{angle:.12g},{radius:.12g}\n")

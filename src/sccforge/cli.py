@@ -24,7 +24,7 @@ from decimal import Decimal
 from typing import Iterable, NamedTuple
 
 from . import _si
-from .chargesim import BankState, charge_locus, run, trace_csv_lines, write_locus_csv
+from .chargesim import BankState, charge_locus, run, trace_csv_lines
 from .errors import DomainError, ResourceLimitError, SingularSystemError, require_exact
 from .linsolve import build_system, find_redundant, solve_unique, sort_codes_by_zeros, step_up
 from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
@@ -194,13 +194,14 @@ def _cmd_simulate(o) -> _Out:
     trace = run(state, sequence, o.vin, tol=o.tol, max_periods=o.max_periods)
 
     rows = trace_csv_lines(trace) if o.trace or o.format == "csv" else None
+    files = [(o.trace, rows)] if o.trace else []
+    if o.locus:
+        points = (f"{angle:.12g},{radius:.12g}" for angle, radius in charge_locus(trace))
+        files.append((o.locus, ["angle_rad,abs_charge", *points]))
     try:
-        if o.trace:
-            with open(o.trace, "w") as handle:
-                handle.write("\n".join(rows) + "\n")
-        if o.locus:
-            with open(o.locus, "w") as handle:
-                write_locus_csv(charge_locus(trace), handle)
+        for path, lines in files:
+            with open(path, "w") as handle:
+                handle.write("\n".join(lines) + "\n")
     except OSError as exc:
         raise _UsageError(str(exc)) from None
 

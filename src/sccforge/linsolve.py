@@ -12,16 +12,8 @@ balance read [A | b] and [A transposed | e] the same way (_basic). Loop
 rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
 step_up rewrites the loop rows themselves. Fractions come only from the
 kernel's final numerators and common denominator, and the redundancy test
-compares integers. Inside the kernel each line of the longer side is one
-packed int: each row, column j in a signed field of k bits, or, with more
-rows than columns, each column, row i in field i. k holds Hadamard's bound
-r**(r/2) * max|a|**r (r = min(rows, cols)) and its sign, so an update costs
-three big-int operations whatever the width, and the Python-level work per
-pivot is one update per line of the short side: the loop systems of full
-families are tall (one row per code, n + 2 columns), their transposes wide.
-k is rounded up to 1, 2, 4 or 8 bytes (whole bytes beyond), so lines pack
-and unpack through bytes in time linear in their width: machine ints up to
-8 bytes, int.to_bytes per field beyond.
+compares integers. How the kernel packs its lines into ints is told once,
+in fraction_free_rref.
 """
 
 from __future__ import annotations
@@ -117,12 +109,15 @@ def fraction_free_rref(
 
     Every pivot eliminates its column above and below; dividing by the
     previous pivot is exact because every entry stays a minor of the input.
-    Pivot rule: columns left to right, smallest available row index; the
-    search stops once every row holds a pivot. While the other rows update,
-    the pivot row is parked as 0, which every update leaves 0, so the loop
-    over rows needs no test for it. Returns
-    (m, pivots, d): the reduced row echelon form is m / d, and pivots lists
-    the pivot column of each leading row. m holds the columns from
+    Columns go left to right. Pivot rule, tall (more rows than columns): the
+    column's nonzero entry in the lowest-index row without a pivot; no row
+    ever moves. Pivot rule, wide: the first nonzero entry at or below row r,
+    r the pivots so far, its row swapped up to row r; the search stops once
+    every row holds a pivot. Each pivot parks its pivot line as 0, which
+    every update leaves 0, updates every line, and restores it, so the loop
+    over lines needs no test for it. Returns (m, pivots, d): the reduced row
+    echelon form is m / d, its pivot rows first in pivot order, and pivots
+    lists the pivot column of each leading row. m holds the columns from
     first_column on, so a solve unpacks only its right-hand side.
 
     Each row is held as one int, the sum of a_j * 2**(k*j) (Kronecker
@@ -135,14 +130,16 @@ def fraction_free_rref(
     before anything is read back. Raises DomainError for an empty or ragged
     matrix.
 
-    A matrix with more rows than columns is packed by column instead, row i
-    in field i, so a pivot costs one update per column, not per row. The
-    pivot row is the lowest nonzero field at or below r of the pivot column,
-    read off its lowest set bit; a row swap swaps two fields in every column
-    from the pivot on. Column j updates as (p*c_j - t_j*c_col) // prev, t_j
-    its field in the pivot row, which the update zeroes and puts back.
-    Columns left of the pivot would only scale by p / prev, so each keeps
-    the prev it last updated under and scales once, to d, when unpacked.
+    A tall matrix is packed by column instead, row i in field i, so a pivot
+    costs one update per column, not per row. A mask, free, holds the fields
+    of the rows without a pivot; the pivot row is the lowest nonzero field
+    of the pivot column under it, read off its lowest set bit. Every pivot
+    updates every column j as (p*c_j - t_j*c_col) // prev, t_j its field in
+    the pivot row, with c_col less prev in that field so that the update
+    puts t_j back; the pivot column becomes p there and 0 elsewhere. The
+    pivot rows are then the input's first rows independent of the rows
+    before them, and |d| is the |determinant| of those rows at the pivot
+    columns.
 
     k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
     the bound, else as many as it needs. So a line's int is its fields as
@@ -180,38 +177,23 @@ def fraction_free_rref(
     size = width * fields
     m = [(int.from_bytes(data[i : i + size], _ORDER) ^ bias) - bias for i in range(0, len(data), size)]
     pivots: list[int] = []
+    lead: list[int] = []  # tall: the pivot row of each pivot
+    free = (1 << (k * nrows)) - 1  # tall: the fields of the rows without a pivot
     prev, r = 1, 0
-    if tall:
-        scale = [1] * ncols  # the prev each column last updated under
-        for col in range(ncols):
-            shift = k * r
-            # the pivot column's fields from r on, exact: biased, the fields above r borrow nothing
-            below = ((m[col] + bias) >> shift) - (bias >> shift)
-            if below:
-                at = k * (((below & -below).bit_length() - 1) // k)
-                p = ((below >> at) + half & mask) - half
-                if at:
-                    pshift, swap = shift + at, (1 << shift) - (1 << (shift + at))
-                    for j in range(col, ncols):
-                        u = m[j] + bias
-                        m[j] += ((u >> pshift & mask) - (u >> shift & mask)) * swap
-                # less prev in field r, so each update puts the pivot row's field back
-                top = m[col] - (prev << shift)
-                m[col] = p << shift
-                for j in range(col + 1, ncols):
-                    f = ((m[j] + bias) >> shift & mask) - half
-                    if f:
-                        m[j] = (p * m[j] - f * top) // prev
-                    elif p != prev:
-                        m[j] = p * m[j] // prev
-                prev = p
-                pivots.append(col)
-                r += 1
-            scale[col] = prev
-        m = [c * prev // s for c, s in zip(m[first_column:], scale[first_column:])]
-        shift, span = 0, nrows
-    else:
-        for col in range(ncols):
+    for col in range(ncols):
+        if tall:
+            # the pivot column as unsigned fields, masked to the free rows: a field is nonzero iff its entry is
+            live = ((m[col] + bias) ^ bias) & free
+            if not live:
+                continue
+            row = ((live & -live).bit_length() - 1) // k
+            shift = k * row
+            free ^= mask << shift
+            lead.append(row)
+            p = ((m[col] + bias) >> shift & mask) - half
+            # top has prev less in the pivot row's field, so every update puts that field back
+            line, top, keep = col, m[col] - (prev << shift), p << shift
+        else:
             shift = k * col
             # rows below the last pivot are zero left of col, so no borrow reaches field col
             for piv in range(r, nrows):
@@ -219,21 +201,25 @@ def fraction_free_rref(
                     break
             else:
                 continue
-            top = m[piv]
-            m[piv], m[r] = m[r], 0
+            line, top, keep = r, m[piv], m[piv]
+            m[piv] = m[r]  # the row swap: the pivot row comes back at r
             p = ((top + bias) >> shift & mask) - half
-            for i in range(nrows):
-                f = ((m[i] + bias) >> shift & mask) - half
-                if f:
-                    m[i] = (p * m[i] - f * top) // prev
-                elif p != prev:
-                    m[i] = p * m[i] // prev
-            m[r] = top
-            prev = p
-            pivots.append(col)
-            r += 1
-            if r == nrows:
-                break
+        m[line] = 0  # parked: every update leaves it 0
+        for i, x in enumerate(m):
+            f = ((x + bias) >> shift & mask) - half
+            if f:
+                m[i] = (p * x - f * top) // prev
+            elif p != prev:
+                m[i] = p * x // prev
+        m[line] = keep
+        prev = p
+        pivots.append(col)
+        r += 1
+        if r == nrows:
+            break
+    if tall:
+        m, shift, span = m[first_column:], 0, nrows
+    else:
         shift, span = k * first_column, ncols - first_column
     tail = bias >> shift
     data = b"".join([(((packed + bias) >> shift) ^ tail).to_bytes(width * span, _ORDER) for packed in m])
@@ -242,7 +228,8 @@ def fraction_free_rref(
     else:
         flat = [int.from_bytes(data[i : i + width], _ORDER, signed=True) for i in range(0, len(data), width)]
     if tall:
-        return [flat[i::nrows] for i in range(nrows)], pivots, prev
+        # every row without a pivot has been eliminated to zeros
+        return [flat[i::nrows] for i in lead] + [[0] * len(m) for _ in range(nrows - r)], pivots, prev
     return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev
 
 

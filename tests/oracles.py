@@ -5,7 +5,9 @@ enumerates every weight split instead of solving for the best one, the
 redistribution oracle uses the closed-form charge expression instead of a
 matrix solve, the loss oracle prices a slot by the two-capacitor formula
 where the simulator only moves charge, the elimination oracle works in
-Fractions where the library kernel stays in integers, the schedule oracle
+Fractions where the library kernel stays in integers, the pivot-row oracle
+keeps each row that raises the rank of the rows before it where the kernel
+reads its pivot rows off one elimination, the schedule oracle
 drops the dependent rows and then balances what is left where the library
 reads both off one elimination, the LDO oracle scans the lattice the library
 solves in closed form, and the cell oracle tries every engagement mask for
@@ -105,6 +107,33 @@ def rational_rref(rows):
                 m[i] = [a - factor * b for a, b in zip(m[i], m[row])]
         pivots.append(col)
     return m, pivots
+
+
+def first_independent_rows(rows):
+    """Indices of the rows that raise the rank of the rows kept before them, by rational_rref."""
+    kept = []
+    for i, row in enumerate(rows):
+        if len(rational_rref([rows[j] for j in kept] + [row])[1]) > len(kept):
+            kept.append(i)
+    return kept
+
+
+def determinant(rows):
+    """Determinant of a square matrix by Gaussian elimination over Fractions; 1 if it is empty."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        piv = next((i for i in range(col, len(m)) if m[i][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            m[col], m[piv] = m[piv], m[col]
+            det = -det
+        det *= m[col][col]
+        for i in range(col + 1, len(m)):
+            factor = m[i][col] / m[col][col]
+            m[i] = [a - factor * b for a, b in zip(m[i], m[col])]
+    return det
 
 
 def two_elimination_schedule(codes, dropped):

@@ -1,4 +1,3 @@
-import io
 import math
 import random
 import re
@@ -15,7 +14,6 @@ from sccforge.chargesim import (
     charge_locus,
     run,
     trace_csv_lines,
-    write_locus_csv,
 )
 from sccforge.errors import DomainError
 from sccforge.linsolve import build_system, solve_unique
@@ -497,15 +495,6 @@ def test_trace_csv_rows_match_format_on_special_values():
     rows = [specials[k : k + 4] for k in range(0, len(specials), 4)]
     want = [f"{i}," + ",".join(format(x, ".12g") for x in row) for i, row in enumerate(rows)]
     assert trace_csv_lines(trace) == ["iteration,V1,V2,Vo,Q", *want]
-
-
-def test_locus_csv_format():
-    out = io.StringIO()
-    write_locus_csv([(0.0, 1.5e-5), (math.pi, 2e-6)], out)
-    lines = out.getvalue().splitlines()
-    assert lines[0] == "angle_rad,abs_charge"
-    assert len(lines) == 3
-    assert float(lines[2].split(",")[0]) == pytest.approx(math.pi)
 
 
 # -- validation --------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import ast
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -28,7 +29,7 @@ from golden import (
     DEPENDENT_ROW_ORDER_38,
     ZEROSORT_R2_N3,
 )
-from oracles import rational_rref
+from oracles import determinant, first_independent_rows, rational_rref
 
 F = Fraction
 
@@ -416,6 +417,53 @@ def test_tall_kernel_swaps_rows_with_wide_fields():
     m, pivots, d = fraction_free_rref(rows)
     assert pivots == [0, 1, 2]
     assert [row[3] for row in m[:3]] == [2 * d, -d, 3 * d]
+
+
+def assert_tall_pivot_rows_are_the_first_independent_rows(rows):
+    """The pivot rows G of a tall matrix are its first rows independent of the rows before them,
+    and |d| is |det| of rows G at the pivot columns."""
+    m, pivots, d = fraction_free_rref(rows)
+    assert pivots == rational_rref(rows)[1]
+    lead = first_independent_rows(rows)
+    assert abs(d) == abs(determinant([[rows[i][j] for j in pivots] for i in lead]))
+
+
+@given(integer_matrices(tall=True))
+def test_tall_pivot_rows_are_the_first_independent_rows(rows):
+    assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+
+
+def test_tall_pivot_rows_of_seeded_matrices_with_multiples():
+    # zero-rich rows and multiples of earlier rows: a row that moved would
+    # land after a multiple of itself and let the multiple pivot instead
+    rng = random.Random(7)
+    for _ in range(300):
+        ncols = rng.randint(2, 4)
+        rows = []
+        for _ in range(rng.randint(ncols + 1, ncols + 3)):
+            if rows and rng.random() < 0.4:
+                rows.append([rng.choice((-2, -1, 2)) * x for x in rng.choice(rows)])
+            else:
+                rows.append([rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(ncols)])
+        assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+
+
+def test_tall_pivot_row_never_follows_a_row_it_depends_on():
+    # row 1 is -2 x row 0; row 2 pivots column 0, and column 1 pivots on row 0:
+    # |d| = |det [[0, -1], [1, 2]]| = 1
+    rows = [[0, -1], [0, 2], [1, 2]]
+    assert first_independent_rows(rows) == [0, 2]
+    assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+    assert abs(fraction_free_rref(rows)[2]) == 1
+
+
+@pytest.mark.parametrize("form", ["loop", "step_up"])
+@pytest.mark.parametrize("ratio", [TargetRatio(85, 2, 8), TargetRatio(341, 2, 10)], ids=str)
+def test_tall_pivot_rows_of_full_family_systems(ratio, form):
+    system = build_system(spawn_codes(ratio))
+    if form == "step_up":
+        system = step_up(system)
+    assert_tall_pivot_rows_are_the_first_independent_rows([[*row, b] for row, b in zip(system.matrix, system.rhs)])
 
 
 @given(integer_matrices(min_cols=3))
