@@ -26,7 +26,7 @@ from typing import Iterable, NamedTuple
 from . import _si
 from .chargesim import BankState, charge_locus, run, trace_csv_lines
 from .errors import DomainError, ResourceLimitError, SingularSystemError, require_exact
-from .linsolve import build_system, find_redundant, solve_unique, sort_codes_by_zeros, step_up
+from .linsolve import build_system, solve_with_dependents, sort_codes_by_zeros, step_up
 from .lossmodel import build_req_spec, req_multi, req_zero_beta_multiplier
 from .numrep import SignedDigitCode, TargetRatio, balanced_sequence, enumerate_codes, spawn_codes
 from .regulation import dither_average, dither_plan, ldo_efficiency_bound, ldo_select_ratio
@@ -149,8 +149,8 @@ def _cmd_solve(o) -> _Out:
     notes = [] if work == ratio else [f"note: {ratio} reduces to {work}; solving the reduced bank"]
 
     system = build_system(spawn_codes(work))
-    redundant = find_redundant(system)
-    solution = solve_unique(step_up(system) if o.stepup else system)
+    # step_up maps columns (-1, -a0) to (a0, 1), which keeps every row dependence
+    solution, redundant = solve_with_dependents(step_up(system) if o.stepup else system)
     # the system solved is unique, so rank(A) = rank([A|b]) = unknowns
     n = system.unknowns
 

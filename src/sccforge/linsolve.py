@@ -6,8 +6,9 @@ family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
 is what lets the bank self-adjust with no feedback. Solutions (or the ranks,
 if singular), redundancy scores, the active schedule (the zero-sorted family
 less its dependent rows) and its charge balance (the transposed system) all
-come from one integer fraction-free Gauss-Jordan kernel, and the schedule
-and its balance from one elimination of the transposed system. Solve and
+come from one integer fraction-free Gauss-Jordan kernel: a solution and the
+rows that depend on the rows before them from one elimination of [A | b],
+the schedule and its balance from one of the transposed system. Solve and
 balance read [A | b] and [A transposed | e] the same way (_basic). Loop
 rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
 step_up rewrites the loop rows themselves. Fractions come only from the
@@ -104,21 +105,23 @@ def _system(matrix, rhs) -> KvlSystem:
 
 def fraction_free_rref(
     rows: Sequence[Sequence[int]], first_column: int = 0
-) -> tuple[list[list[int]], list[int], int]:
+) -> tuple[list[list[int]], list[int], int, list[int] | None]:
     """Reduced row echelon form of an integer matrix by fraction-free elimination (Bareiss 1968).
 
     Every pivot eliminates its column above and below; dividing by the
     previous pivot is exact because every entry stays a minor of the input.
-    Columns go left to right. Pivot rule, tall (more rows than columns): the
-    column's nonzero entry in the lowest-index row without a pivot; no row
-    ever moves. Pivot rule, wide: the first nonzero entry at or below row r,
-    r the pivots so far, its row swapped up to row r; the search stops once
-    every row holds a pivot. Each pivot parks its pivot line as 0, which
-    every update leaves 0, updates every line, and restores it, so the loop
-    over lines needs no test for it. Returns (m, pivots, d): the reduced row
-    echelon form is m / d, its pivot rows first in pivot order, and pivots
-    lists the pivot column of each leading row. m holds the columns from
-    first_column on, so a solve unpacks only its right-hand side.
+    Columns go left to right. Pivot rule, tall (at least as many rows as
+    columns): the column's nonzero entry in the lowest-index row without a
+    pivot; no row ever moves. Pivot rule, wide: the first nonzero entry at
+    or below row r, r the pivots so far, its row swapped up to row r; the
+    search stops once every row holds a pivot. Each pivot parks its pivot
+    line as 0, which every update leaves 0, updates every line, and restores
+    it, so the loop over lines needs no test for it. Returns (m, pivots, d, lead): the
+    reduced row echelon form is m / d, its pivot rows first in pivot order,
+    and pivots lists the pivot column of each leading row. m holds the
+    columns from first_column on, so a solve unpacks only its right-hand
+    side. lead lists the input row of each pivot when the matrix is tall,
+    and is None when it is wide, whose row swaps lose that.
 
     Each row is held as one int, the sum of a_j * 2**(k*j) (Kronecker
     substitution), so a row update is three big-int operations and reading
@@ -137,9 +140,9 @@ def fraction_free_rref(
     updates every column j as (p*c_j - t_j*c_col) // prev, t_j its field in
     the pivot row, with c_col less prev in that field so that the update
     puts t_j back; the pivot column becomes p there and 0 elsewhere. The
-    pivot rows are then the input's first rows independent of the rows
-    before them, and |d| is the |determinant| of those rows at the pivot
-    columns.
+    pivot rows, lead, are then the input's first rows independent of the
+    rows before them, and |d| is the |determinant| of those rows at the
+    pivot columns; every other row depends on the rows before it.
 
     k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
     the bound, else as many as it needs. So a line's int is its fields as
@@ -156,7 +159,7 @@ def fraction_free_rref(
     nrows, ncols = len(rows), len(rows[0])
     if len(set(map(len, rows))) > 1:
         raise DomainError("ragged matrix")
-    tall = nrows > ncols
+    tall = nrows >= ncols
     lines = list(zip(*rows)) if tall else rows  # the side that is packed, one int each
     fields = len(lines[0])
     order = min(nrows, ncols)
@@ -229,31 +232,44 @@ def fraction_free_rref(
         flat = [int.from_bytes(data[i : i + width], _ORDER, signed=True) for i in range(0, len(data), width)]
     if tall:
         # every row without a pivot has been eliminated to zeros
-        return [flat[i::nrows] for i in lead] + [[0] * len(m) for _ in range(nrows - r)], pivots, prev
-    return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev
+        return [flat[i::nrows] for i in lead] + [[0] * len(m) for _ in range(nrows - r)], pivots, prev, lead
+    return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev, None
 
 
-def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None]:
-    """Pivot columns of [M | r] left of r and the basic solution at them; None if r pivots."""
+def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None, list[int] | None]:
+    """Pivot columns of [M | r] left of r, the basic solution at them (None if r pivots), the pivot rows if tall."""
     width = len(rows[0]) - 1
-    m, pivots, d = fraction_free_rref(rows, width)
+    m, pivots, d, lead = fraction_free_rref(rows, width)
     if pivots and pivots[-1] == width:
-        return pivots[:-1], None
-    return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)])
+        return pivots[:-1], None, lead
+    return pivots, tuple(Fraction(row[0], d) for row in m[: len(pivots)]), lead
 
 
-def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
-    """Exact solution (V1..Vn, Vo); SingularSystemError with the ranks unless it is unique."""
-    pivots, solution = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
+def solve_with_dependents(system: KvlSystem) -> tuple[tuple[Fraction, ...], list[int]]:
+    """Exact solution (V1..Vn, Vo) and the 0-based rows that depend on the rows before them.
+
+    Both come from one elimination of [A | b]: the kernel names the pivot
+    rows of a tall one, and a wide one that solves uniquely has one row per
+    unknown, each a pivot row. For a code family's loop system or its
+    step_up these are the find_redundant rows, as the system is consistent
+    and no code of a family is a convex mix of others (schedule_currents).
+    SingularSystemError with the ranks unless the solution is unique.
+    """
+    pivots, solution, lead = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
     if solution is None or len(pivots) < system.unknowns:
         ranks = f"rank(A) = {len(pivots)}, rank([A|b]) = {len(pivots) + (solution is None)}"
         raise SingularSystemError(f"system is not uniquely solvable: {ranks}, unknowns = {system.unknowns}")
-    return solution
+    return solution, [] if lead is None else sorted(set(range(system.rows)).difference(lead))
+
+
+def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:
+    """Exact solution (V1..Vn, Vo), solve_with_dependents' first answer; SingularSystemError unless unique."""
+    return solve_with_dependents(system)[0]
 
 
 def _dependence(system: KvlSystem) -> tuple[list[int], int]:
     """Column sums of |rref(A transposed)| numerators, and |d|: one per row."""
-    m, _, d = fraction_free_rref(list(zip(*system.matrix)))
+    m, _, d, _ = fraction_free_rref(list(zip(*system.matrix)))
     return list(map(sum, zip(*[map(abs, row) for row in m]))), abs(d)
 
 
@@ -290,7 +306,7 @@ def _tableau(seq: Sequence[SignedDigitCode]) -> tuple[list[int], tuple[Fraction,
     """
     rows = [[*col, 0] for col in zip(*(code.digits for code in seq))]
     rows.append([-1] * (len(seq) + 1))
-    pivots, currents = _basic(rows)
+    pivots, currents, _ = _basic(rows)
     if currents is None:
         raise SingularSystemError("no current assignment balances these codes")
     return pivots, currents

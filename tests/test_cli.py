@@ -385,15 +385,15 @@ def test_req_single_ratio(capsys):
     [
         (REQ_ARGS + ["--ratio", "3/8"], 1),
         (REQ_ARGS + ["--n", "3"], 7),
-        (["solve", "--ratio", "85/256"], 2),
-        (["solve", "--ratio", "85/256", "--stepup"], 2),
+        (["solve", "--ratio", "85/256"], 1),
+        (["solve", "--ratio", "85/256", "--stepup"], 1),
     ],
     ids=["req-3/8", "req-n3", "solve", "solve-stepup"],
 )
 def test_one_elimination_per_answer(kernel_calls, capsys, argv, calls):
     # req: schedule and currents from one tableau per ratio; solve: the
-    # redundant rows, then the solution of the system solved, whose ranks
-    # a unique solution fixes (with --stepup too)
+    # solution of the system solved, whose ranks a unique solution fixes, and
+    # the redundant rows, its dependent rows, from one [A|b] (with --stepup too)
     assert main(argv) == 0
     assert len(kernel_calls) == calls
 

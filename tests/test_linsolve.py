@@ -17,6 +17,7 @@ from sccforge.linsolve import (
     kvl_row,
     redundancy_scores,
     solve_unique,
+    solve_with_dependents,
     sort_codes_by_zeros,
     step_up,
 )
@@ -239,13 +240,14 @@ entries = st.one_of(st.integers(-6, 6), st.integers(-(10**30), 10**30))
 def integer_matrices(draw, min_cols=1, tall=False):
     """Small matrices, often rank-deficient: zero, duplicate and combined rows.
 
-    tall=True always draws more rows than columns, the shape the kernel packs
-    by column; the extra rows are the zero, duplicate and combined ones.
+    tall=True always draws at least as many rows as columns, the shape the
+    kernel packs by column; the extra rows are the zero, duplicate and
+    combined ones.
     """
     ncols = draw(st.integers(min_cols, 6))
     row = st.lists(entries, min_size=ncols, max_size=ncols)
     rows = draw(st.lists(row, min_size=1, max_size=ncols + 2 if tall else 4))
-    extra = max(ncols + 1 - len(rows), 0) if tall else 0
+    extra = max(ncols - len(rows), 0) if tall else 0
     for kind in draw(st.lists(st.sampled_from(["zero", "copy", "mix"]), min_size=extra, max_size=extra + 4)):
         if kind == "zero":
             rows.append([0] * ncols)
@@ -258,7 +260,7 @@ def integer_matrices(draw, min_cols=1, tall=False):
 
 
 def test_kernel_on_a_known_matrix():
-    m, pivots, d = fraction_free_rref([[0, 2, 4], [1, 2, 0], [1, 4, 4]])
+    m, pivots, d, _ = fraction_free_rref([[0, 2, 4], [1, 2, 0], [1, 4, 4]])
     assert pivots == [0, 1]
     assert [[F(x, d) for x in row] for row in m] == [[1, 0, -4], [0, 1, 2], [0, 0, 0]]
 
@@ -278,7 +280,7 @@ def test_kernel_at_the_hadamard_bound(form):
     rows = sylvester_hadamard(8)
     if form == "[H | I]":
         rows = [row + [int(i == j) for j in range(8)] for i, row in enumerate(rows)]
-    m, pivots, d = fraction_free_rref(rows)
+    m, pivots, d, _ = fraction_free_rref(rows)
     reduced, oracle_pivots = rational_rref(rows)
     assert d == 4096
     assert pivots == oracle_pivots == list(range(8))
@@ -345,7 +347,7 @@ def test_kernel_rejects_empty_and_ragged_matrices(rows, what):
 def test_kernel_matches_the_rational_oracle(rows, data):
     # m holds the columns from first_column on, the only ones _basic reads
     first_column = data.draw(st.integers(0, len(rows[0]) - 1), label="first_column")
-    m, pivots, d = fraction_free_rref(rows, first_column)
+    m, pivots, d, _ = fraction_free_rref(rows, first_column)
     reduced, oracle_pivots = rational_rref(rows)
     assert all(isinstance(x, int) for row in m for x in row)
     assert [[F(x, d) for x in row] for row in m] == [row[first_column:] for row in reduced]
@@ -354,7 +356,7 @@ def test_kernel_matches_the_rational_oracle(rows, data):
 
 @given(integer_matrices(tall=True))
 def test_kernel_matches_the_rational_oracle_on_tall_matrices(rows):
-    assert len(rows) > len(rows[0])
+    assert len(rows) >= len(rows[0])
     assert_kernel_matches_the_oracle(rows)
 
 
@@ -363,7 +365,7 @@ def assert_kernel_matches_the_oracle(rows):
     reduced, oracle_pivots = rational_rref(rows)
     ncols = len(rows[0])
     for first_column in (0, ncols // 2, ncols - 1):
-        m, pivots, d = fraction_free_rref(rows, first_column)
+        m, pivots, d, _ = fraction_free_rref(rows, first_column)
         assert pivots == oracle_pivots
         assert [[F(x, d) for x in row] for row in m] == [row[first_column:] for row in reduced]
 
@@ -414,17 +416,18 @@ def test_tall_kernel_swaps_rows_with_wide_fields():
     rows = [[x, y, z, 2 * x - y + 3 * z] for x, y, z in
             [(0, 0, 1), (0, 0, -a), (a, 3, 2), (-a, a, 0), (0, -1, a), (0, 0, 5)]]
     assert_kernel_matches_the_oracle(rows)
-    m, pivots, d = fraction_free_rref(rows)
+    m, pivots, d, _ = fraction_free_rref(rows)
     assert pivots == [0, 1, 2]
     assert [row[3] for row in m[:3]] == [2 * d, -d, 3 * d]
 
 
 def assert_tall_pivot_rows_are_the_first_independent_rows(rows):
     """The pivot rows G of a tall matrix are its first rows independent of the rows before them,
-    and |d| is |det| of rows G at the pivot columns."""
-    m, pivots, d = fraction_free_rref(rows)
+    the kernel reports them, and |d| is |det| of rows G at the pivot columns."""
+    m, pivots, d, reported = fraction_free_rref(rows)
     assert pivots == rational_rref(rows)[1]
     lead = first_independent_rows(rows)
+    assert sorted(reported) == lead
     assert abs(d) == abs(determinant([[rows[i][j] for j in pivots] for i in lead]))
 
 
@@ -464,6 +467,34 @@ def test_tall_pivot_rows_of_full_family_systems(ratio, form):
     if form == "step_up":
         system = step_up(system)
     assert_tall_pivot_rows_are_the_first_independent_rows([[*row, b] for row, b in zip(system.matrix, system.rhs)])
+
+
+def test_one_elimination_solves_and_finds_the_redundant_rows():
+    # every family's loop system and its step_up, canonical and zero-sorted:
+    # one [A|b] elimination gives the solution and, as the rows that depend on
+    # the rows before them, exactly the find_redundant rows of the loop system;
+    # only an unreduced ratio is singular
+    solved = 0
+    for radix, top in ((2, 8), (3, 4), (4, 3)):
+        for n in range(1, top + 1):
+            for m in range(1, radix**n):
+                ratio = TargetRatio(m, radix, n)
+                voltages = (*(F(1, radix**j) for j in range(1, n + 1)), ratio.value)
+                expected = {"loop": voltages, "step_up": (*(v / ratio.value for v in voltages[:-1]), 1 / ratio.value)}
+                codes = spawn_codes(ratio)
+                for order in (list(codes), sort_codes_by_zeros(codes)):
+                    system = build_system(order)
+                    redundant = find_redundant(system)
+                    for form, solved_system in (("loop", system), ("step_up", step_up(system))):
+                        if ratio != ratio.reduced():
+                            with pytest.raises(SingularSystemError):
+                                solve_with_dependents(solved_system)
+                            continue
+                        solution, dependents = solve_with_dependents(solved_system)
+                        assert solution == solve_unique(solved_system) == expected[form]
+                        assert dependents == redundant
+                        solved += 1
+    assert solved == 1592
 
 
 @given(integer_matrices(min_cols=3))
