@@ -6,15 +6,16 @@ family pins all unknowns uniquely; the solution x_j = radix**-j, x_o = ratio
 is what lets the bank self-adjust with no feedback. Solutions (or the ranks,
 if singular), redundancy scores, the active schedule (the zero-sorted family
 less its dependent rows) and its charge balance (the transposed system) all
-come from one integer fraction-free Gauss-Jordan kernel: a solution and the
-rows that depend on the rows before them from one elimination of [A | b],
-the schedule and its balance from one of the transposed system. Solve and
-balance read [A | b] and [A transposed | e] the same way (_basic). Loop
-rows (kvl_row) are built here as integers, and a KvlSystem is just A and b:
-step_up rewrites the loop rows themselves. Fractions come only from the
-kernel's final numerators and common denominator, and the redundancy test
-compares integers. How the kernel packs its lines into ints is told once,
-in fraction_free_rref.
+come from one integer fraction-free Gauss-Jordan kernel, which moves no
+row and names its pivot rows: a solution and the rows that depend on the
+rows before them from one elimination of [A | b], the schedule and its
+balance from one of the transposed system. Solve and balance read [A | b]
+and [A transposed | e] the same way (_basic). Loop rows (kvl_row) are
+built here as integers, and a KvlSystem is just A and b: step_up rewrites
+the loop rows themselves. Fractions come only from the kernel's final
+numerators and common denominator, and the redundancy test compares
+integers. How the kernel packs its lines into ints is told once, in
+fraction_free_rref.
 """
 
 from __future__ import annotations
@@ -105,23 +106,23 @@ def _system(matrix, rhs) -> KvlSystem:
 
 def fraction_free_rref(
     rows: Sequence[Sequence[int]], first_column: int = 0
-) -> tuple[list[list[int]], list[int], int, list[int] | None]:
+) -> tuple[list[list[int]], list[int], int, list[int]]:
     """Reduced row echelon form of an integer matrix by fraction-free elimination (Bareiss 1968).
 
     Every pivot eliminates its column above and below; dividing by the
     previous pivot is exact because every entry stays a minor of the input.
-    Columns go left to right. Pivot rule, tall (at least as many rows as
-    columns): the column's nonzero entry in the lowest-index row without a
-    pivot; no row ever moves. Pivot rule, wide: the first nonzero entry at
-    or below row r, r the pivots so far, its row swapped up to row r; the
-    search stops once every row holds a pivot. Each pivot parks its pivot
-    line as 0, which every update leaves 0, updates every line, and restores
-    it, so the loop over lines needs no test for it. Returns (m, pivots, d, lead): the
-    reduced row echelon form is m / d, its pivot rows first in pivot order,
-    and pivots lists the pivot column of each leading row. m holds the
-    columns from first_column on, so a solve unpacks only its right-hand
-    side. lead lists the input row of each pivot when the matrix is tall,
-    and is None when it is wide, whose row swaps lose that.
+    Columns go left to right, and no row ever moves. Pivot rule, for every
+    shape: the column's nonzero entry in the lowest-index row without a
+    pivot; the search stops once every row holds a pivot. Each pivot parks
+    its pivot line as 0, which every update leaves 0, updates every line,
+    and restores it, so the loop over lines needs no test for it. Returns
+    (m, pivots, d, lead): the reduced row echelon form is m / d, its pivot
+    rows first in pivot order, then the zero rows; pivots lists the pivot
+    column and lead the input row of each pivot. m holds the columns from
+    first_column on, so a solve unpacks only its right-hand side. The pivot
+    rows are the input's first rows independent of the rows before them,
+    every other row depends on the rows before it, and |d| is the
+    |determinant| of the pivot rows at the pivot columns.
 
     Each row is held as one int, the sum of a_j * 2**(k*j) (Kronecker
     substitution), so a row update is three big-int operations and reading
@@ -133,16 +134,14 @@ def fraction_free_rref(
     before anything is read back. Raises DomainError for an empty or ragged
     matrix.
 
-    A tall matrix is packed by column instead, row i in field i, so a pivot
-    costs one update per column, not per row. A mask, free, holds the fields
-    of the rows without a pivot; the pivot row is the lowest nonzero field
-    of the pivot column under it, read off its lowest set bit. Every pivot
-    updates every column j as (p*c_j - t_j*c_col) // prev, t_j its field in
-    the pivot row, with c_col less prev in that field so that the update
-    puts t_j back; the pivot column becomes p there and 0 elsewhere. The
-    pivot rows, lead, are then the input's first rows independent of the
-    rows before them, and |d| is the |determinant| of those rows at the
-    pivot columns; every other row depends on the rows before it.
+    A tall matrix (at least as many rows as columns) is packed by column
+    instead, row i in field i, so a pivot costs one update per column, not
+    per row. A mask, free, holds the fields of the rows without a pivot; the
+    pivot row is the lowest nonzero field of the pivot column under it, read
+    off its lowest set bit. Every pivot updates every column j as
+    (p*c_j - t_j*c_col) // prev, t_j its field in the pivot row, with c_col
+    less prev in that field so that the update puts t_j back; the pivot
+    column becomes p there and 0 elsewhere.
 
     k is a whole number of bytes: the smallest of 1, 2, 4 or 8 that holds
     the bound, else as many as it needs. So a line's int is its fields as
@@ -180,9 +179,10 @@ def fraction_free_rref(
     size = width * fields
     m = [(int.from_bytes(data[i : i + size], _ORDER) ^ bias) - bias for i in range(0, len(data), size)]
     pivots: list[int] = []
-    lead: list[int] = []  # tall: the pivot row of each pivot
-    free = (1 << (k * nrows)) - 1  # tall: the fields of the rows without a pivot
-    prev, r = 1, 0
+    lead: list[int] = []  # the pivot row of each pivot
+    # the rows without a pivot: tall, their fields as a mask; wide, their indices in order
+    free = (1 << (k * nrows)) - 1 if tall else list(range(nrows))
+    prev = 1
     for col in range(ncols):
         if tall:
             # the pivot column as unsigned fields, masked to the free rows: a field is nonzero iff its entry is
@@ -192,21 +192,21 @@ def fraction_free_rref(
             row = ((live & -live).bit_length() - 1) // k
             shift = k * row
             free ^= mask << shift
-            lead.append(row)
             p = ((m[col] + bias) >> shift & mask) - half
             # top has prev less in the pivot row's field, so every update puts that field back
             line, top, keep = col, m[col] - (prev << shift), p << shift
         else:
             shift = k * col
-            # rows below the last pivot are zero left of col, so no borrow reaches field col
-            for piv in range(r, nrows):
-                if m[piv] >> shift & mask:
+            # the free rows are zero left of col, so no borrow reaches field col
+            for row in free:
+                if m[row] >> shift & mask:
                     break
             else:
                 continue
-            line, top, keep = r, m[piv], m[piv]
-            m[piv] = m[r]  # the row swap: the pivot row comes back at r
+            free.remove(row)
+            line, top, keep = row, m[row], m[row]
             p = ((top + bias) >> shift & mask) - half
+        lead.append(row)
         m[line] = 0  # parked: every update leaves it 0
         for i, x in enumerate(m):
             f = ((x + bias) >> shift & mask) - half
@@ -217,13 +217,13 @@ def fraction_free_rref(
         m[line] = keep
         prev = p
         pivots.append(col)
-        r += 1
-        if r == nrows:
+        if not free:
             break
+    # every row without a pivot has been eliminated to zeros
     if tall:
         m, shift, span = m[first_column:], 0, nrows
     else:
-        shift, span = k * first_column, ncols - first_column
+        m, shift, span = map(m.__getitem__, lead + free), k * first_column, ncols - first_column
     tail = bias >> shift
     data = b"".join([(((packed + bias) >> shift) ^ tail).to_bytes(width * span, _ORDER) for packed in m])
     if code:
@@ -231,13 +231,12 @@ def fraction_free_rref(
     else:
         flat = [int.from_bytes(data[i : i + width], _ORDER, signed=True) for i in range(0, len(data), width)]
     if tall:
-        # every row without a pivot has been eliminated to zeros
-        return [flat[i::nrows] for i in lead] + [[0] * len(m) for _ in range(nrows - r)], pivots, prev, lead
-    return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev, None
+        return [flat[i::nrows] for i in lead] + [[0] * len(m) for _ in range(nrows - len(lead))], pivots, prev, lead
+    return [flat[i : i + span] for i in range(0, len(flat), span)], pivots, prev, lead
 
 
-def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None, list[int] | None]:
-    """Pivot columns of [M | r] left of r, the basic solution at them (None if r pivots), the pivot rows if tall."""
+def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | None, list[int]]:
+    """Pivot columns of [M | r] left of r, the basic solution at them (None if r pivots), the pivot rows."""
     width = len(rows[0]) - 1
     m, pivots, d, lead = fraction_free_rref(rows, width)
     if pivots and pivots[-1] == width:
@@ -248,18 +247,18 @@ def _basic(rows: list[list[int]]) -> tuple[list[int], tuple[Fraction, ...] | Non
 def solve_with_dependents(system: KvlSystem) -> tuple[tuple[Fraction, ...], list[int]]:
     """Exact solution (V1..Vn, Vo) and the 0-based rows that depend on the rows before them.
 
-    Both come from one elimination of [A | b]: the kernel names the pivot
-    rows of a tall one, and a wide one that solves uniquely has one row per
-    unknown, each a pivot row. For a code family's loop system or its
-    step_up these are the find_redundant rows, as the system is consistent
-    and no code of a family is a convex mix of others (schedule_currents).
+    Both come from one elimination of [A | b]: the dependent rows are the
+    rows without a pivot, whichever side the kernel packs. For a code
+    family's loop system or its step_up these are the find_redundant rows,
+    as the system is consistent and no code of a family is a convex mix of
+    others (schedule_currents).
     SingularSystemError with the ranks unless the solution is unique.
     """
     pivots, solution, lead = _basic([[*row, b] for row, b in zip(system.matrix, system.rhs)])
     if solution is None or len(pivots) < system.unknowns:
         ranks = f"rank(A) = {len(pivots)}, rank([A|b]) = {len(pivots) + (solution is None)}"
         raise SingularSystemError(f"system is not uniquely solvable: {ranks}, unknowns = {system.unknowns}")
-    return solution, [] if lead is None else sorted(set(range(system.rows)).difference(lead))
+    return solution, sorted(set(range(system.rows)).difference(lead))
 
 
 def solve_unique(system: KvlSystem) -> tuple[Fraction, ...]:

@@ -42,10 +42,10 @@ _NORMAL_MIN = 2.0**-1022  # the smallest positive normal float
 
 
 def _coth(x: float) -> float:
-    # within 3e-11 relative (1e-15 from x = 0.05 up); 1/tanh is closer but moves req's pinned JSON bytes
-    # series head below 1e-6 dodges the 0/0 of the exponential form
-    if x < 1e-6:
-        return 1.0 / x + x / 3.0
+    # within 1e-15 relative: 1 - exp(-2x) cancels below 0.05, so 1/tanh takes over there; above, 1/tanh
+    # would move req's pinned JSON bytes. A normal beta keeps x >= 2**-1023, where 1/tanh is finite
+    if x < 0.05:
+        return 1.0 / math.tanh(x)
     e = math.exp(-2.0 * x)
     return (1.0 + e) / (1.0 - e)
 

@@ -936,3 +936,16 @@ def test_readme_transcripts_replay(capsys):
     for command, want in transcripts:
         code = main(shlex.split(command))
         assert (code, capsys.readouterr().out) == (0, want), command
+
+
+def test_readme_python_blocks_print_their_comments(capsys):
+    # each print line's comment is what it prints, or that followed by ", " or ": " and a remark
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), re.M | re.S)
+    assert len(blocks) == 1
+    for block in blocks:
+        wanted = [line.partition("# ")[2] for line in block.splitlines() if line.startswith("print(")]
+        exec(compile(block, str(README), "exec"), {})
+        printed = capsys.readouterr().out.splitlines()
+        assert len(printed) == len(wanted) == 3
+        for out, comment in zip(printed, wanted):
+            assert re.fullmatch(re.escape(out) + r"([,:] .*)?", comment), (out, comment)

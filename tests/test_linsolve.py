@@ -407,22 +407,31 @@ def test_kernel_on_full_family_systems(ratio, form):
     assert_kernel_matches_the_oracle(rows)
 
 
-def test_tall_kernel_swaps_rows_with_wide_fields():
-    # a = 10**25 needs fields of 32 bytes, past the machine ints. The pivots of
-    # columns 0 and 1 lie below the first free row, so both swap rows in every
-    # column from theirs on; column 3 = 2 c0 - c1 + 3 c2 is the part of the
-    # reduced form that a swap missed in any column would change.
+def test_kernel_pivots_below_the_first_free_row_with_wide_fields():
+    # a = 10**25 needs fields of 32 bytes, past the machine ints, so both
+    # layouts pack and unpack through int.to_bytes. The pivots of columns 0 and
+    # 1 lie below the first free row; column 3 = 2 c0 - c1 + 3 c2 is the part
+    # of the reduced form that a pivot on the wrong row would change. The
+    # transpose is wide, and its pivot rows come back in pivot order, not
+    # input order.
     a = 10**25
     rows = [[x, y, z, 2 * x - y + 3 * z] for x, y, z in
             [(0, 0, 1), (0, 0, -a), (a, 3, 2), (-a, a, 0), (0, -1, a), (0, 0, 5)]]
     assert_kernel_matches_the_oracle(rows)
+    assert_pivot_rows_are_the_first_independent_rows(rows)
     m, pivots, d, _ = fraction_free_rref(rows)
     assert pivots == [0, 1, 2]
     assert [row[3] for row in m[:3]] == [2 * d, -d, 3 * d]
+    transpose = [list(col) for col in zip(*rows)]
+    assert_kernel_matches_the_oracle(transpose)
+    assert_pivot_rows_are_the_first_independent_rows(transpose)
+    m, pivots, d, lead = fraction_free_rref(transpose)
+    assert (pivots, lead) == ([0, 2, 3], [2, 0, 1])
+    assert m[3] == [0] * 6
 
 
-def assert_tall_pivot_rows_are_the_first_independent_rows(rows):
-    """The pivot rows G of a tall matrix are its first rows independent of the rows before them,
+def assert_pivot_rows_are_the_first_independent_rows(rows):
+    """The pivot rows G of a matrix are its first rows independent of the rows before them,
     the kernel reports them, and |d| is |det| of rows G at the pivot columns."""
     m, pivots, d, reported = fraction_free_rref(rows)
     assert pivots == rational_rref(rows)[1]
@@ -433,22 +442,41 @@ def assert_tall_pivot_rows_are_the_first_independent_rows(rows):
 
 @given(integer_matrices(tall=True))
 def test_tall_pivot_rows_are_the_first_independent_rows(rows):
-    assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+    assert_pivot_rows_are_the_first_independent_rows(rows)
+
+
+@given(integer_matrices())
+def test_pivot_rows_are_the_first_independent_rows(rows):
+    assert_pivot_rows_are_the_first_independent_rows(rows)
+
+
+def seeded_matrices_with_multiples(seed, cols, rows_for):
+    """300 zero-rich matrices, some rows multiples of earlier ones: cols bounds the
+    column count, and rows_for(ncols) the row count."""
+    rng = random.Random(seed)
+    for _ in range(300):
+        ncols = rng.randint(*cols)
+        rows = []
+        for _ in range(rng.randint(*rows_for(ncols))):
+            if rows and rng.random() < 0.4:
+                rows.append([rng.choice((-2, -1, 2)) * x for x in rng.choice(rows)])
+            else:
+                rows.append([rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(ncols)])
+        yield rows
 
 
 def test_tall_pivot_rows_of_seeded_matrices_with_multiples():
     # zero-rich rows and multiples of earlier rows: a row that moved would
     # land after a multiple of itself and let the multiple pivot instead
-    rng = random.Random(7)
-    for _ in range(300):
-        ncols = rng.randint(2, 4)
-        rows = []
-        for _ in range(rng.randint(ncols + 1, ncols + 3)):
-            if rows and rng.random() < 0.4:
-                rows.append([rng.choice((-2, -1, 2)) * x for x in rng.choice(rows)])
-            else:
-                rows.append([rng.choice((0, 0, -2, -1, 1, 2)) for _ in range(ncols)])
-        assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+    for rows in seeded_matrices_with_multiples(7, (2, 4), lambda ncols: (ncols + 1, ncols + 3)):
+        assert_pivot_rows_are_the_first_independent_rows(rows)
+
+
+def test_wide_pivot_rows_of_seeded_matrices_with_multiples():
+    # the same on wide matrices, packed by row: 2 to 5 rows, fewer than the columns
+    for rows in seeded_matrices_with_multiples(11, (3, 6), lambda ncols: (2, ncols - 1)):
+        assert len(rows) < len(rows[0])
+        assert_pivot_rows_are_the_first_independent_rows(rows)
 
 
 def test_tall_pivot_row_never_follows_a_row_it_depends_on():
@@ -456,8 +484,17 @@ def test_tall_pivot_row_never_follows_a_row_it_depends_on():
     # |d| = |det [[0, -1], [1, 2]]| = 1
     rows = [[0, -1], [0, 2], [1, 2]]
     assert first_independent_rows(rows) == [0, 2]
-    assert_tall_pivot_rows_are_the_first_independent_rows(rows)
+    assert_pivot_rows_are_the_first_independent_rows(rows)
     assert abs(fraction_free_rref(rows)[2]) == 1
+
+
+def test_wide_pivot_row_never_follows_a_row_it_depends_on():
+    # the same rows, packed by row: row 2 pivots column 0 and row 0 column 1,
+    # never row 1, so |d| = |det [[0, -1], [1, 2]]| = 1, not 2
+    rows = [[0, -1, 0, 1], [0, 2, 0, -2], [1, 2, 3, 4]]
+    m, pivots, d, lead = fraction_free_rref(rows)
+    assert (pivots, lead, abs(d)) == ([0, 1], [2, 0], 1)
+    assert_pivot_rows_are_the_first_independent_rows(rows)
 
 
 @pytest.mark.parametrize("form", ["loop", "step_up"])
@@ -466,7 +503,7 @@ def test_tall_pivot_rows_of_full_family_systems(ratio, form):
     system = build_system(spawn_codes(ratio))
     if form == "step_up":
         system = step_up(system)
-    assert_tall_pivot_rows_are_the_first_independent_rows([[*row, b] for row, b in zip(system.matrix, system.rhs)])
+    assert_pivot_rows_are_the_first_independent_rows([[*row, b] for row, b in zip(system.matrix, system.rhs)])
 
 
 def test_one_elimination_solves_and_finds_the_redundant_rows():

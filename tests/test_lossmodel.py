@@ -121,12 +121,12 @@ def test_req_multi_prices_the_follower_by_its_closed_form(log_f_s, log_c, log_be
 
 
 def test_coth_error_bound():
-    # 1 - exp(-2x) cancels just above the series head's 1e-6 (2.7e-11 there);
-    # the req table's terms lie at x >= 0.05, where coth is within 1e-15
+    # 1/tanh below 0.05, where 1 - exp(-2x) would cancel, and the exponential
+    # form from there up: within 1e-15 on both sides of the switch
     for k in range(4501):
         x = 10.0 ** (-7 + k / 500)
         err = abs(Decimal(_coth(x)) / decimal_coth(x) - 1)
-        assert err < (1e-15 if x >= 0.05 else 3e-11), x
+        assert err < 1e-15, x
 
 
 @pytest.mark.parametrize(
